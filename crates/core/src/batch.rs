@@ -218,6 +218,10 @@ impl BatchSession {
     /// ascending `(u, v)` (deterministic across runs), plus the number of
     /// candidate edges *before* truncation to `k` — the untruncated total
     /// the serve protocol reports, mirroring [`BatchSession::scan`].
+    ///
+    /// Selects the first `k` in `O(|E|)` and sorts only those: the order
+    /// is total (no two edges share `(u, v)`), so the result is the prefix
+    /// a full sort would give.
     pub fn topk(&self, k: usize) -> (usize, Vec<EdgeCount>) {
         let bulk = self.bulk_counts();
         let g = self.prepared.graph();
@@ -230,13 +234,17 @@ impl BatchSession {
                 count: bulk[eid],
             })
             .collect();
-        all.sort_unstable_by(|a, b| {
+        let order = |a: &EdgeCount, b: &EdgeCount| {
             b.count
                 .cmp(&a.count)
                 .then_with(|| (a.u, a.v).cmp(&(b.u, b.v)))
-        });
+        };
         let total = all.len();
-        all.truncate(k);
+        if k < total {
+            all.select_nth_unstable_by(k, order);
+            all.truncate(k);
+        }
+        all.sort_unstable_by(order);
         (total, all)
     }
 
@@ -379,9 +387,17 @@ mod tests {
                 .cmp(&a.count)
                 .then_with(|| (a.u, a.v).cmp(&(b.u, b.v)))
         });
-        let (top_total, top) = s.topk(5);
-        assert_eq!(top_total, all.len(), "topk total is pre-truncation");
-        assert_eq!(top, all[..5.min(all.len())].to_vec());
+        // A `k` inside a run of equal counts: the selection must cut the
+        // tie run exactly where the full sort's `(u, v)` order does.
+        let tie = (2..all.len())
+            .find(|&i| all[i - 1].count == all[i].count)
+            .expect("tw-s has tied counts");
+        for k in [5, 0, tie, all.len(), all.len() + 7] {
+            let (top_total, top) = s.topk(k);
+            assert_eq!(top_total, all.len(), "k={k}: topk total is pre-truncation");
+            assert_eq!(top, all[..k.min(all.len())].to_vec(), "k={k}");
+        }
+        let (_, top) = s.topk(5);
         let threshold = top[0].count;
         let (total, hits) = s.scan(threshold, 1_000_000);
         assert_eq!(total, all.iter().filter(|e| e.count >= threshold).count());

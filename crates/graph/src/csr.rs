@@ -7,6 +7,8 @@
 //! `e(u,v) ∈ [offsets[u], offsets[u+1])`; the common-neighbor counts array is
 //! indexed by this offset.
 
+use std::borrow::Cow;
+
 use crate::edgelist::EdgeList;
 use crate::store::GraphStore;
 
@@ -343,16 +345,17 @@ impl CsrGraph {
         self.rev.as_deref()
     }
 
-    /// Build the reverse-edge index in `O(|V| + |E|)`, no searches.
+    /// The reverse-edge index `rev[e(u,v)] == e(v,u)`: borrowed when built
+    /// or attached, otherwise derived in `O(|V| + |E|)` with no searches.
     ///
     /// Walking sources in ascending order visits, for every vertex `v`, the
     /// edges `(u, v)` in ascending `u` — exactly the order of `u` within the
     /// sorted run `N(v)`. A per-vertex cursor starting at `offsets[v]`
     /// therefore hands out each reverse slot exactly once:
-    /// `rev[e(u,v)] = cursor[v]++`. Idempotent; a no-op if already built.
-    pub fn build_reverse_index(&mut self) {
-        if self.rev.is_some() {
-            return;
+    /// `rev[e(u,v)] = cursor[v]++`.
+    pub fn reverse_slots(&self) -> Cow<'_, [usize]> {
+        if let Some(rev) = self.rev.as_deref() {
+            return Cow::Borrowed(rev);
         }
         let n = self.num_vertices();
         let mut rev = vec![0usize; self.dst.len()];
@@ -363,7 +366,15 @@ impl CsrGraph {
             cursor[v] += 1;
         }
         debug_assert!((0..n).all(|v| cursor[v] == self.offsets[v + 1]));
-        self.rev = Some(rev.into());
+        Cow::Owned(rev)
+    }
+
+    /// Build and keep the reverse-edge index ([`CsrGraph::reverse_slots`]).
+    /// Idempotent; a no-op if already built.
+    pub fn build_reverse_index(&mut self) {
+        if self.rev.is_none() {
+            self.rev = Some(self.reverse_slots().into_owned().into());
+        }
     }
 
     /// Attach an externally stored (deserialized / mapped) reverse index

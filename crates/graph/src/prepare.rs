@@ -542,14 +542,7 @@ fn u32_payload(vals: &[u32]) -> Vec<u8> {
 /// The reverse-index payload of a graph, deriving the index on the fly for
 /// graphs (hand-assembled in tests, say) that never built one.
 fn rev_payload(g: &CsrGraph) -> Vec<u8> {
-    match g.reverse_index() {
-        Some(rev) => u64_payload(rev),
-        None => {
-            let mut tmp = g.clone();
-            tmp.build_reverse_index();
-            u64_payload(tmp.reverse_index().expect("index was just built"))
-        }
-    }
+    u64_payload(&g.reverse_slots())
 }
 
 /// Serialize a prepared graph (CSR + reverse-edge index, policy, statistics,

@@ -70,6 +70,19 @@ impl RunReport {
         self.counters.get(c)
     }
 
+    /// Number of spans in the tree.
+    pub fn span_count(&self) -> usize {
+        count_spans(&self.spans)
+    }
+
+    /// Keep the first `keep` spans in depth-first order (so every kept
+    /// span keeps its ancestors) and drop the rest, counting them in
+    /// [`spans_dropped`](RunReport::spans_dropped).
+    pub fn truncate_spans(&mut self, keep: usize) {
+        let mut budget = keep;
+        self.spans_dropped += truncate_nodes(&mut self.spans, &mut budget) as u64;
+    }
+
     /// Render this report as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
@@ -127,6 +140,23 @@ impl RunReport {
         }
         out
     }
+}
+
+fn count_spans(nodes: &[SpanNode]) -> usize {
+    nodes.iter().map(|n| 1 + count_spans(&n.children)).sum()
+}
+
+/// Keep the first `budget` nodes of `nodes` in depth-first order; returns
+/// how many were dropped.
+fn truncate_nodes(nodes: &mut Vec<SpanNode>, budget: &mut usize) -> usize {
+    let mut kept = 0;
+    let mut dropped = 0;
+    while kept < nodes.len() && *budget > 0 {
+        *budget -= 1;
+        dropped += truncate_nodes(&mut nodes[kept].children, budget);
+        kept += 1;
+    }
+    dropped + count_spans(&nodes.split_off(kept))
 }
 
 fn render_node(out: &mut String, node: &SpanNode, depth: usize) {
@@ -360,6 +390,38 @@ mod tests {
             "{\"dataset\":\"lj-s\",\"wall_seconds\":0.25,\"modeled_seconds\":null,\"report\":{"
         ));
         assert!(json.contains("{\"dataset\":\"or-s\",\"report\":{"));
+    }
+
+    #[test]
+    fn truncation_keeps_a_depth_first_prefix_and_counts_the_rest() {
+        let node = |name, children| SpanNode {
+            name,
+            start_ns: 0,
+            dur_ns: 1,
+            items: 0,
+            children,
+        };
+        let mut r = RunReport {
+            enabled: true,
+            spans: vec![
+                node(
+                    "a",
+                    vec![node("b", vec![]), node("c", vec![node("d", vec![])])],
+                ),
+                node("e", vec![]),
+            ],
+            spans_dropped: 4,
+            ..RunReport::default()
+        };
+        assert_eq!(r.span_count(), 5);
+        r.truncate_spans(3);
+        assert_eq!(r.span_count(), 3);
+        assert_eq!(r.spans_dropped, 4 + 2, "d and e join the earlier drops");
+        let (a, c) = (&r.spans[0], &r.spans[0].children[1]);
+        assert_eq!((r.spans.len(), a.name, c.name), (1, "a", "c"));
+        assert!(c.children.is_empty());
+        r.truncate_spans(0);
+        assert_eq!((r.span_count(), r.spans_dropped), (0, 9));
     }
 
     #[test]

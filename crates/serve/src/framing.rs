@@ -35,10 +35,21 @@ pub enum FrameRead {
     TooLarge(u32),
 }
 
-/// Write one frame: length prefix + payload.
+/// Write one frame: length prefix + payload. A payload over [`MAX_FRAME`]
+/// is refused with [`std::io::ErrorKind::InvalidInput`] before any byte is
+/// written, since the peer would reject its prefix and lose sync.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    if payload.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds the {MAX_FRAME}-byte cap",
+                payload.len()
+            ),
+        ));
+    }
+    let len = u32::try_from(payload.len()).expect("MAX_FRAME fits the u32 prefix");
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -106,5 +117,18 @@ mod tests {
             read_frame(&mut r).expect("prefix read"),
             FrameRead::TooLarge(n) if n as usize == MAX_FRAME + 1
         ));
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_writing() {
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &vec![0u8; MAX_FRAME + 1]).expect_err("over the cap");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing reaches the stream");
+        write_frame(&mut out, &vec![7u8; MAX_FRAME]).expect("exactly the cap fits");
+        match read_frame(&mut &out[..]).expect("read") {
+            FrameRead::Payload(p) => assert_eq!(p.len(), MAX_FRAME),
+            other => panic!("expected payload, got {other:?}"),
+        }
     }
 }

@@ -48,7 +48,7 @@ use cnc_obs::{Counter, MetricsFile, ObsContext, RunReport};
 
 use crate::protocol::{
     decode_request, encode_reply, read_frame, write_frame, FrameRead, Refusal, Reply, Request,
-    MAX_REPLY_EDGES,
+    MAX_FRAME, MAX_REPLY_EDGES,
 };
 use crate::ServeError;
 
@@ -151,15 +151,39 @@ impl Shared {
         r
     }
 
-    /// The cnc-metrics v1 envelope for this server (the `stats` reply and
-    /// the `--metrics` file share this).
+    /// The cnc-metrics v1 envelope for this server, with the whole span
+    /// tree (the `--metrics` file).
     fn metrics_json(&self) -> String {
+        self.envelope(&self.report())
+    }
+
+    /// The `stats` reply: the same envelope with every counter, but only as
+    /// much of the span tree as fits one frame. A long-lived daemon records
+    /// up to 65,536 spans, several MiB of JSON; the trimmed ones are counted
+    /// in `spans_dropped`.
+    fn stats_json(&self) -> String {
+        let mut report = self.report();
+        let mut keep = report.span_count();
+        loop {
+            let json = self.envelope(&report);
+            // The reply payload is one status byte plus the JSON.
+            if json.len() < MAX_FRAME || keep == 0 {
+                return json;
+            }
+            // Spans are nearly all of the bytes: scale the kept share down
+            // to the cap, and always by at least one span.
+            keep = (keep * (MAX_FRAME - 1) / json.len()).min(keep - 1);
+            report.truncate_spans(keep);
+        }
+    }
+
+    fn envelope(&self, report: &RunReport) -> String {
         let mut f = MetricsFile::new();
         f.begin_run();
         f.field_str("graph", &self.cfg.graph_label);
         f.field_str("platform", "serve");
         f.field_str("algorithm", self.session.plan().algorithm.label());
-        f.end_run(&self.report());
+        f.end_run(report);
         f.finish()
     }
 }
@@ -323,7 +347,7 @@ fn answer(shared: &Arc<Shared>, req: Request) -> Reply {
                 edges,
             }
         }
-        Request::Stats => Reply::Stats(shared.metrics_json()),
+        Request::Stats => Reply::Stats(shared.stats_json()),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::Release);
             shared.queue_cv.notify_all();

@@ -316,3 +316,43 @@ fn unix_socket_topk_scan_and_stats_work_end_to_end() {
     handle.join();
     assert!(!path.exists(), "socket file removed on join");
 }
+
+#[test]
+fn stats_reply_fits_one_frame_after_many_batches() {
+    // Every batch records a `batch` and an `execute` span, so a few
+    // thousand one-query batches grow the full tree past one frame.
+    let (handle, addr, g, want) = start_tcp(ServeConfig {
+        batch_window: Duration::ZERO,
+        ..ServeConfig::default()
+    });
+    let (eid, u, v) = g.iter_edges().next().expect("edge");
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let mut queries = 0u64;
+    while handle.metrics_json().len() <= MAX_FRAME {
+        assert!(queries < 200_000, "span tree never outgrew one frame");
+        for _ in 0..1000 {
+            assert_eq!(client.count(u, v).expect("count"), Some(want[eid]));
+        }
+        queries += 1000;
+    }
+    let stats = client.stats().expect("the stats reply decodes");
+    assert!(stats.len() < MAX_FRAME);
+    assert!(stats.contains("\"schema\":\"cnc-metrics\""));
+    // Every counter survives the trim; the trimmed spans are counted.
+    assert!(stats.contains(&format!("\"serve.requests\":{queries}")));
+    let dropped: u64 = stats
+        .split("\"spans_dropped\":")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|digits| digits.parse().ok())
+        .expect("spans_dropped field");
+    assert!(dropped > 0, "trimmed spans must be counted");
+    // The connection is still in sync after the large reply.
+    assert_eq!(client.count(u, v).expect("count"), Some(want[eid]));
+    client.shutdown().expect("shutdown");
+    let report = handle.join();
+    assert_eq!(
+        report.spans_dropped, 0,
+        "the shutdown report keeps the tree"
+    );
+}

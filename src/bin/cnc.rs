@@ -343,6 +343,16 @@ fn run_prepare(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Parse `--scale tiny|small|medium` (default tiny).
+fn parse_scale(args: &mut Vec<String>) -> Result<Scale, String> {
+    match parse_flag(args, "--scale").as_deref() {
+        None | Some("tiny") => Ok(Scale::Tiny),
+        Some("small") => Ok(Scale::Small),
+        Some("medium") => Ok(Scale::Medium),
+        Some(other) => Err(format!("unknown --scale {other:?}")),
+    }
+}
+
 fn parse_algo(args: &mut Vec<String>) -> Result<Algorithm, String> {
     match parse_flag(args, "--algo").as_deref() {
         None | Some("bmp-rf") => Ok(Algorithm::bmp_rf()),
@@ -464,12 +474,7 @@ fn print_run_summary(label: &str, result: &cnc_core::CncResult) {
 /// `cnc run` — one observed counting run per built-in paper analogue,
 /// with optional `--metrics` JSON and `--trace` span-tree output.
 fn run_suite(mut args: Vec<String>) -> Result<(), String> {
-    let scale = match parse_flag(&mut args, "--scale").as_deref() {
-        None | Some("tiny") => Scale::Tiny,
-        Some("small") => Scale::Small,
-        Some("medium") => Scale::Medium,
-        Some(other) => return Err(format!("unknown --scale {other:?}")),
-    };
+    let scale = parse_scale(&mut args)?;
     let algo = parse_algo(&mut args)?;
     let workload = parse_workload(&mut args)?;
     let platform_name = parse_flag(&mut args, "--platform").unwrap_or_else(|| "cpu".into());
@@ -563,12 +568,7 @@ fn run_serve(mut args: Vec<String>) -> Result<(), String> {
         .unwrap_or(1000);
     let metrics_path = parse_flag(&mut args, "--metrics");
     let dataset = parse_flag(&mut args, "--dataset");
-    let scale = match parse_flag(&mut args, "--scale").as_deref() {
-        None | Some("tiny") => Scale::Tiny,
-        Some("small") => Scale::Small,
-        Some("medium") => Scale::Medium,
-        Some(other) => return Err(format!("unknown --scale {other:?}")),
-    };
+    let scale = parse_scale(&mut args)?;
 
     // The session plans on the real CPU backends only (the plan layer
     // rejects modeled platforms), so the runner is built directly on the
@@ -635,7 +635,8 @@ fn run_serve(mut args: Vec<String>) -> Result<(), String> {
         report.counter(Counter::ServeQueueDepthMax),
     );
     if let Some(path) = metrics_path {
-        // The same envelope the live `stats` reply serves.
+        // The envelope the live `stats` reply serves, with the whole span
+        // tree (the reply trims spans to fit one frame).
         let mut metrics = MetricsFile::new();
         metrics.begin_run();
         metrics.field_str("graph", &label);
@@ -929,12 +930,7 @@ fn run() -> Result<(), String> {
             )?),
             None => None,
         };
-    let ds_scale = match parse_flag(&mut args, "--scale").as_deref() {
-        None | Some("tiny") => Scale::Tiny,
-        Some("small") => Scale::Small,
-        Some("medium") => Scale::Medium,
-        Some(other) => return Err(format!("unknown --scale {other:?}")),
-    };
+    let ds_scale = parse_scale(&mut args)?;
     let graph_path = match (&dataset, args.first()) {
         (Some(_), Some(path)) => {
             return Err(format!(
