@@ -59,11 +59,13 @@ fn bench_bmp_probe(c: &mut Criterion) {
 }
 
 /// Isolated galloping search: lower bounds of scattered targets, each tier.
-/// Two haystack sizes tell two different stories: a 4MB (1M-element) array
-/// is cache-resident, so per-step overhead dominates and the branchy scalar
-/// gallop is hard to beat; a 128MB (32M-element) array is DRAM-resident,
-/// where the 8-pivot gather issues its probes as parallel misses instead of
-/// a serial dependency chain — the case the wide phase exists for.
+/// Every tier runs the same scalar exponential loop, so the rows differ
+/// only in the 16-element linear prefix and the last ≤16 candidates of the
+/// final window (one masked vector compare each at the AVX2/AVX-512 tiers).
+/// Far targets make the exponential loop dominate, so the rows should sit
+/// close together. Two haystack sizes separate compute from memory: a 4MB
+/// (1M-element) array is cache-resident, a 128MB (32M-element) array is
+/// DRAM-resident, where each dependent probe waits on a miss.
 fn bench_gallop(c: &mut Criterion) {
     for (label, len) in [("1m", 1_000_000usize), ("32m", 32_000_000)] {
         let mut rng = StdRng::seed_from_u64(12);

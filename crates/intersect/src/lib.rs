@@ -28,13 +28,13 @@
 //! operation counts which the machine models (`cnc-machine`) turn into
 //! modeled elapsed times for the simulated KNL and GPU processors.
 //!
-//! Wide-vector hot loops (BMP word probes, the galloping stages, VB block
-//! compares) dispatch on a process-wide [`SimdTier`] resolved once from the
-//! `CNC_SIMD` environment variable / `--simd` CLI flag / host detection.
-//! Forcing `scalar` runs the bit-pinned oracle loops; `portable` runs the
-//! same 8-wide block shape without vector instructions; `avx2`/`avx512` use
-//! real intrinsics. Per-edge counts and the architecture-neutral meter
-//! events are identical at every tier.
+//! Wide-vector hot loops (BMP word probes, the galloping search's linear
+//! prefix and final window, VB block compares) dispatch on a process-wide
+//! [`SimdTier`] resolved once from the `CNC_SIMD` environment variable /
+//! `--simd` CLI flag / host detection. Forcing `scalar` runs the bit-pinned
+//! oracle loops; `portable` runs the same 8-wide block shape without vector
+//! instructions; `avx2`/`avx512` use real intrinsics. Per-edge counts and
+//! the architecture-neutral meter events are identical at every tier.
 //!
 //! # Preconditions
 //!
@@ -58,6 +58,7 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 mod bitmap;
 mod bsr;

@@ -6,15 +6,14 @@
 //! exponentially growing skips starting at 2⁴ (Baeza-Yates / Demaine et al.),
 //! and finally a lower bound inside the last gallop window.
 //!
-//! At the wide [`SimdTier`]s the gallop stages are themselves vectorized:
-//! the exponential phase probes the next **8 pivot positions per step** with
-//! one 8-wide gather + compare (covering up to `skip·255` elements per
-//! step), and the final window is halved branchlessly to ≤16 elements and
-//! resolved with a single masked vector compare instead of a branchy binary
-//! search. The scalar staged loop is kept verbatim as the oracle
-//! (`SimdTier::Scalar`), and every tier reports identical
-//! architecture-neutral meter events — the vector phases compute the same
-//! `steps`/`probes` tallies the scalar loop would have counted, so the
+//! Every [`SimdTier`] runs the same scalar exponential loop: each probe
+//! depends on the outcome of the one before, so a vector unit has nothing
+//! independent to overlap there. The tiers differ only where independent
+//! compares exist — the 16-element linear prefix and the last ≤16
+//! candidates of the final window — which the AVX2/AVX-512 tiers resolve
+//! with one masked vector compare each. The scalar tier finishes the final
+//! window with the branchless binary search and is the bit-pinned oracle.
+//! Every tier reports identical architecture-neutral meter events, so the
 //! modeled platforms are unaffected by the host's tier.
 
 use crate::meter::Meter;
@@ -28,9 +27,6 @@ pub const LINEAR_PREFIX: usize = 16;
 
 /// First galloping skip is `2^GALLOP_FIRST_SHIFT`, matching the paper's 2⁴.
 const GALLOP_FIRST_SHIFT: u32 = 4;
-
-/// Pivots probed per vectorized exponential-phase step.
-const GALLOP_PIVOTS: usize = 8;
 
 /// Branchless binary lower bound: smallest index `i` with `a[i] >= target`,
 /// or `a.len()` if no such element exists.
@@ -70,12 +66,11 @@ pub fn linear_lower_bound<M: Meter>(
 
 /// [`linear_lower_bound`] at an explicit [`SimdTier`].
 ///
-/// On the AVX2/AVX-512 tiers the scan is two 8-lane vector comparisons;
-/// windows shorter than 16 (end of array) are padded with `u32::MAX` — a pad
-/// lane can never satisfy `x < target`, so short windows vectorize too
-/// instead of falling back to the scalar scan. Every tier reports one
-/// `vector_op` per 8 elements scanned so the machine models see identical
-/// work regardless of host ISA.
+/// On the AVX2/AVX-512 tiers the scan is one masked vector compare; windows
+/// shorter than 16 (end of array) mask off the lanes past the end instead
+/// of falling back to the scalar scan. Every tier reports one `vector_op`
+/// per 8 elements scanned so the machine models see identical work
+/// regardless of host ISA.
 #[inline]
 pub fn linear_lower_bound_tier<M: Meter>(
     a: &[u32],
@@ -84,64 +79,49 @@ pub fn linear_lower_bound_tier<M: Meter>(
     tier: SimdTier,
     meter: &mut M,
 ) -> Option<usize> {
-    let end = a.len().min(start + LINEAR_PREFIX);
-    if start >= end {
-        return if start >= a.len() {
-            Some(a.len())
-        } else {
-            None
-        };
+    if start >= a.len() {
+        return Some(a.len());
     }
+    let end = a.len().min(start + LINEAR_PREFIX);
     let window = &a[start..end];
     meter.vector_ops(window.len().div_ceil(8) as u64);
     meter.seq_bytes(4 * window.len() as u64);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tier.use_avx2() {
-            // SAFETY: `use_avx2` re-checks host support; the helper pads
-            // short windows to the fixed 16-lane width.
-            let lt = unsafe { count_less_than_upto_16(window, target) };
+    let lt = match count_less_than_masked(window, target, tier) {
+        Some(lt) => {
             meter.simd_blocks(1);
-            return if lt < window.len() {
-                Some(start + lt)
-            } else if end == a.len() {
-                Some(a.len())
-            } else {
-                None
-            };
+            lt
         }
-    }
-    let _ = tier;
-    match window.iter().position(|&x| x >= target) {
-        Some(p) => Some(start + p),
-        None => {
-            if end == a.len() {
-                Some(a.len())
-            } else {
-                None
-            }
-        }
+        None => window
+            .iter()
+            .position(|&x| x >= target)
+            .unwrap_or(window.len()),
+    };
+    if lt < window.len() {
+        Some(start + lt)
+    } else if end == a.len() {
+        Some(a.len())
+    } else {
+        None
     }
 }
 
-/// `count_less_than_16` for windows of 1..=16 sorted elements: short windows
-/// are copied into a `u32::MAX`-padded buffer (pads never compare below the
-/// target, so they are never counted).
-///
-/// # Safety
-/// Caller must ensure AVX2 is available and `1 <= window.len() <= 16`.
-#[cfg(target_arch = "x86_64")]
-unsafe fn count_less_than_upto_16(window: &[u32], target: u32) -> usize {
-    debug_assert!(!window.is_empty() && window.len() <= 16);
-    if window.len() == 16 {
-        // SAFETY: AVX2 per caller contract; window length is exactly 16.
-        unsafe { crate::simd::count_less_than_16(window, target) }
-    } else {
-        let mut buf = [u32::MAX; 16];
-        buf[..window.len()].copy_from_slice(window);
-        // SAFETY: AVX2 per caller contract; `buf` is exactly 16 elements.
-        unsafe { crate::simd::count_less_than_16(&buf, target) }
+/// Number of elements of a sorted window of at most 16 that are `< target`,
+/// counted with masked vector compares (the AVX2 ones at both wide tiers);
+/// `None` when `tier` executes no vector instructions.
+#[inline]
+fn count_less_than_masked(window: &[u32], target: u32, tier: SimdTier) -> Option<usize> {
+    // The masked loads' bounds rest on this.
+    assert!(window.len() <= LINEAR_PREFIX);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if tier.use_avx2() {
+            // SAFETY: `use_avx2` re-checks host support; the window holds at
+            // most 16 elements (asserted above).
+            return Some(unsafe { crate::simd::count_less_than_avx2(window, target) });
+        }
     }
+    let _ = (window, target, tier);
+    None
 }
 
 /// Galloping (exponential) lower bound of `target` in `a[start..]` at the
@@ -158,10 +138,10 @@ pub fn gallop_lower_bound<M: Meter>(a: &[u32], start: usize, target: u32, meter:
 /// [`gallop_lower_bound`] at an explicit [`SimdTier`] — lets benchmarks and
 /// differential tests sweep tiers inside one process.
 ///
-/// The architecture-neutral meter events are identical at every tier: the
-/// wide exponential phase tallies the `steps` the scalar loop would have
-/// executed (passed windows + the breaking probe), and the final window
-/// reports the same `ilog2(len)+1` probe count as the scalar binary search.
+/// The exponential phase is the same scalar loop at every tier, and the
+/// final window reports the same `ilog2(len)+1` probe count as the scalar
+/// binary search however it is resolved, so the architecture-neutral meter
+/// events are identical at every tier.
 #[inline]
 pub fn gallop_lower_bound_tier<M: Meter>(
     a: &[u32],
@@ -171,27 +151,11 @@ pub fn gallop_lower_bound_tier<M: Meter>(
     meter: &mut M,
 ) -> usize {
     crate::debug_check_sorted(a);
-    if start >= a.len() {
-        return a.len();
-    }
     if let Some(idx) = linear_lower_bound_tier(a, start, target, tier, meter) {
         return idx;
     }
     // The linear prefix (16 = 2^4 elements) was all < target.
-    let lo = start + LINEAR_PREFIX;
-    // The gather path uses signed 32-bit offsets; arrays that large fall
-    // back to the scalar oracle (never hit by u32-vertex neighbor lists).
-    if tier == SimdTier::Scalar || a.len() > i32::MAX as usize {
-        gallop_tail_scalar(a, lo, target, meter)
-    } else {
-        gallop_tail_wide(a, lo, target, tier, meter)
-    }
-}
-
-/// The scalar exponential phase + branchless binary search — the bit-pinned
-/// oracle for [`gallop_tail_wide`] and the `SimdTier::Scalar` path.
-fn gallop_tail_scalar<M: Meter>(a: &[u32], start_lo: usize, target: u32, meter: &mut M) -> usize {
-    let mut lo = start_lo; // first unchecked index
+    let mut lo = start + LINEAR_PREFIX; // first unchecked index
     let mut skip = 1usize << GALLOP_FIRST_SHIFT;
     let mut steps = 0u64;
     loop {
@@ -210,108 +174,20 @@ fn gallop_tail_scalar<M: Meter>(a: &[u32], start_lo: usize, target: u32, meter: 
     meter.rand_accesses(steps);
     let hi = a.len().min(lo + skip);
     let window = &a[lo..hi];
-    let w = lower_bound(window, target);
     let probes = (window.len().max(1)).ilog2() as u64 + 1;
     meter.scalar_ops(probes);
     meter.rand_accesses(probes);
-    lo + w
+    lo + resolve_window(window, target, tier, meter)
 }
 
-/// The wide exponential phase: probe the next [`GALLOP_PIVOTS`] gallop pivot
-/// positions with one gather + compare per step, then resolve the bracketing
-/// window with a masked vector compare.
-///
-/// Pivot `k` of a step sits where scalar iteration `k` would probe:
-/// `lo + skip·(2^(k+1) − 1) − 1`. For sorted input the pass lanes form a
-/// prefix, so the pass count `c` identifies the bracketing window directly:
-/// `c = 8` consumes all 8 windows (advance `lo` by `skip·255`, scale `skip`
-/// by 256 and repeat — each step covers 255× more than the last), while
-/// `c < 8` means the target lies in window `c`.
-fn gallop_tail_wide<M: Meter>(
-    a: &[u32],
-    start_lo: usize,
-    target: u32,
-    tier: SimdTier,
-    meter: &mut M,
-) -> usize {
-    let len = a.len() as u64;
-    let mut lo = start_lo as u64;
-    let mut skip = 1u64 << GALLOP_FIRST_SHIFT;
-    let mut steps = 0u64;
-    let mut blocks = 0u64;
-    let (win_lo, win_len) = loop {
-        let mut idx = [0i32; GALLOP_PIVOTS];
-        let mut nvalid = 0u32;
-        for (k, slot) in idx.iter_mut().enumerate() {
-            let p = lo + skip * ((1u64 << (k + 1)) - 1) - 1;
-            if p < len {
-                nvalid = k as u32 + 1;
-                *slot = p as i32;
-            } else {
-                // Clamp for the gather; masked off via `nvalid`.
-                *slot = (len - 1) as i32;
-            }
-        }
-        let c = count_pass(a, &idx, nvalid, target, tier);
-        blocks += 1;
-        if c as usize == GALLOP_PIVOTS {
-            // All 8 probes passed — the scalar loop would have taken these
-            // 8 iterations and kept going.
-            steps += GALLOP_PIVOTS as u64;
-            lo += skip * 255;
-            skip *= 256;
-            continue;
-        }
-        // c passed iterations plus the breaking probe.
-        steps += c as u64 + 1;
-        let wl = lo + skip * ((1u64 << c) - 1);
-        let ws = skip << c;
-        break (wl, ws.min(len - wl));
-    };
-    meter.scalar_ops(steps);
-    meter.rand_accesses(steps);
-    let window = &a[win_lo as usize..(win_lo + win_len) as usize];
-    let probes = (window.len().max(1)).ilog2() as u64 + 1;
-    meter.scalar_ops(probes);
-    meter.rand_accesses(probes);
-    let w = resolve_window(window, target, tier, &mut blocks);
-    meter.simd_blocks(blocks);
-    win_lo as usize + w
-}
-
-/// Pass count of one pivot block: how many *leading* pivots satisfy
-/// `k < nvalid && a[idx[k]] < target`.
-#[inline]
-fn count_pass(
-    a: &[u32],
-    idx: &[i32; GALLOP_PIVOTS],
-    nvalid: u32,
-    target: u32,
-    tier: SimdTier,
-) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tier.use_avx2() {
-            // SAFETY: `use_avx2` re-checks host support; every index is
-            // clamped below `a.len()`, which the caller bounds by i32::MAX.
-            return unsafe { crate::simd::gather_count_less_than_8(a, idx, nvalid, target) };
-        }
+/// Lower bound inside the final gallop window. The scalar oracle runs the
+/// binary search to the end; the other tiers halve branchlessly until at
+/// most 16 candidates remain, then count them with one masked vector
+/// compare (or the portable equivalent).
+fn resolve_window<M: Meter>(window: &[u32], target: u32, tier: SimdTier, meter: &mut M) -> usize {
+    if tier == SimdTier::Scalar {
+        return lower_bound(window, target);
     }
-    let _ = tier;
-    // Portable: the pass lanes form a prefix, so stop at the first failing
-    // probe — lanes past it cannot change the count, and skipping them
-    // avoids the far-away wasted reads a real gather has to issue.
-    let mut c = 0u32;
-    while c < nvalid && a[idx[c as usize] as usize] < target {
-        c += 1;
-    }
-    c
-}
-
-/// Lower bound inside the final gallop window: halve branchlessly until at
-/// most 16 candidates remain, then count them with one masked vector compare
-/// (or the portable equivalent) instead of finishing the binary search.
-fn resolve_window(window: &[u32], target: u32, tier: SimdTier, blocks: &mut u64) -> usize {
     let mut base = 0usize;
     let mut size = window.len();
     while size > LINEAR_PREFIX {
@@ -327,16 +203,9 @@ fn resolve_window(window: &[u32], target: u32, tier: SimdTier, blocks: &mut u64)
     if sub.is_empty() {
         return base;
     }
-    *blocks += 1;
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tier.use_avx2() {
-            // SAFETY: `use_avx2` re-checks host support; 1 <= len <= 16.
-            return base + unsafe { count_less_than_upto_16(sub, target) };
-        }
-    }
-    let _ = tier;
-    base + sub.iter().filter(|&&x| x < target).count()
+    meter.simd_blocks(1);
+    base + count_less_than_masked(sub, target, tier)
+        .unwrap_or_else(|| sub.iter().filter(|&&x| x < target).count())
 }
 
 /// Galloping lower bound *without* the vectorized linear-search prefix —
@@ -423,8 +292,8 @@ mod tests {
 
     #[test]
     fn linear_prefix_short_windows_all_tiers() {
-        // The satellite fix: end-of-array windows shorter than 16 must give
-        // the same answers on the vector path (padded compare) as scalar.
+        // End-of-array windows shorter than 16 must give the same answers
+        // on the vector path (masked compare) as scalar.
         let mut m = NullMeter;
         for n in 1usize..=20 {
             let a: Vec<u32> = (0..n as u32).map(|x| x * 3).collect();
@@ -456,8 +325,8 @@ mod tests {
     #[test]
     fn gallop_all_tiers_agree_with_scalar() {
         // Targets landing in every phase: linear prefix, first/late
-        // exponential windows, past-the-end, plus multi-step gallops that
-        // exhaust one full 8-pivot block (needs > 16·255 elements).
+        // exponential windows (final windows longer than 16 that halve
+        // before the vector compare), and past-the-end.
         let a: Vec<u32> = (0..10_000).map(|x| x * 3 + 7).collect();
         let mut m = NullMeter;
         for start in [0usize, 1, 13, 16, 17, 100, 5000, 9999, 10_000] {
@@ -476,8 +345,8 @@ mod tests {
 
     #[test]
     fn gallop_meter_events_are_tier_invariant() {
-        // The wide exponential phase must tally exactly the steps/probes the
-        // scalar loop counts, so the machine models see identical work.
+        // The vector window compare must tally exactly the probes the scalar
+        // binary search counts, so the machine models see identical work.
         let a: Vec<u32> = (0..50_000).map(|x| x * 2).collect();
         for t in [40u32, 700, 5_000, 33_333, 99_998, 100_000, 200_000] {
             let mut ms = CountingMeter::new();
@@ -503,6 +372,19 @@ mod tests {
                     "t={t} tier={tier:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn empty_final_window_counts_no_simd_block() {
+        // The last passing probe is the array's last element, so the final
+        // window is empty: only a vector linear prefix counts a block.
+        let a: Vec<u32> = (0..32).collect();
+        for tier in SimdTier::ALL {
+            let mut m = CountingMeter::new();
+            assert_eq!(gallop_lower_bound_tier(&a, 0, 100, tier, &mut m), 32);
+            let want = u64::from(tier.use_avx2());
+            assert_eq!(m.counts.simd_blocks, want, "tier={tier:?}");
         }
     }
 
@@ -545,8 +427,8 @@ mod tests {
 
     #[test]
     fn gallop_high_bit_values_all_tiers() {
-        // Values above i32::MAX exercise the unsigned-compare bias in both
-        // the gather compare and the masked window compare.
+        // Values above i32::MAX exercise the unsigned compare in both the
+        // linear prefix and the final window.
         let a: Vec<u32> = (0..2000).map(|x| u32::MAX - 4000 + x * 2).collect();
         let mut m = NullMeter;
         for t in [

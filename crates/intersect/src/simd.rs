@@ -303,37 +303,62 @@ pub(crate) fn avx512_available() -> bool {
 mod x86 {
     use std::arch::x86_64::*;
 
-    /// Count elements of a 16-element window that are `< target`, assuming
-    /// the window is sorted ascending (so the result is also the lower-bound
-    /// offset).
+    /// `-1` in the first 16 entries, `0` in the last 16: for `n <= 16`, the
+    /// eight entries starting at `16 - n` enable the first `min(n, 8)`
+    /// lanes, and the eight after them the first `n - 8` (none if `n <= 8`).
+    static LEADING_LANES: [i32; 32] = {
+        let mut t = [0i32; 32];
+        let mut i = 0;
+        while i < 16 {
+            t[i] = -1;
+            i += 1;
+        }
+        t
+    };
+
+    /// Count the elements of a sorted window of at most 16 that are
+    /// `< target` (so the result is also the lower-bound offset) with two
+    /// masked 8-lane loads. Lanes past the window are neither read nor
+    /// counted, so end-of-list windows need no padded copy.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available and `window.len() == 16`.
+    /// Caller must ensure AVX2 is available and `window.len() <= 16`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn count_less_than_16(window: &[u32], target: u32) -> usize {
-        debug_assert_eq!(window.len(), 16);
-        // SAFETY: caller guarantees 16 readable u32s; loadu has no alignment
-        // requirement.
+    pub unsafe fn count_less_than_avx2(window: &[u32], target: u32) -> usize {
+        debug_assert!(window.len() <= 16);
+        // SAFETY: `16 - len` is in 0..=16, so both 8-entry mask reads stay
+        // inside the 32-entry table. A masked load touches only its enabled
+        // lanes, which are the first `len` elements of `window`; the high
+        // half's address is formed with `wrapping_add` because it may lie
+        // past the slice when every one of its lanes is disabled.
         unsafe {
-            let ptr = window.as_ptr();
-            let t = _mm256_set1_epi32(target as i32);
-            let lo = _mm256_loadu_si256(ptr.cast());
-            let hi = _mm256_loadu_si256(ptr.add(8).cast());
+            let masks = LEADING_LANES.as_ptr().add(16 - window.len());
+            let m_lo = _mm256_loadu_si256(masks.cast());
+            let m_hi = _mm256_loadu_si256(masks.add(8).cast());
+            let ptr = window.as_ptr().cast::<i32>();
+            let lo = _mm256_maskload_epi32(ptr, m_lo);
+            let hi = _mm256_maskload_epi32(ptr.wrapping_add(8), m_hi);
             // Unsigned `x < t` via the signed-compare bias trick: flip the
             // sign bit of both operands, then signed gt.
             let bias = _mm256_set1_epi32(i32::MIN);
-            let tb = _mm256_xor_si256(t, bias);
-            let lob = _mm256_xor_si256(lo, bias);
-            let hib = _mm256_xor_si256(hi, bias);
-            let lt_lo = _mm256_cmpgt_epi32(tb, lob);
-            let lt_hi = _mm256_cmpgt_epi32(tb, hib);
+            let tb = _mm256_xor_si256(_mm256_set1_epi32(target as i32), bias);
+            let lt_lo = _mm256_cmpgt_epi32(tb, _mm256_xor_si256(lo, bias));
+            let lt_hi = _mm256_cmpgt_epi32(tb, _mm256_xor_si256(hi, bias));
+            // A disabled lane loads as 0, which is below every nonzero
+            // target: keep only the enabled lanes' results.
+            let lt_lo = _mm256_and_si256(lt_lo, m_lo);
+            let lt_hi = _mm256_and_si256(lt_hi, m_hi);
             let m_lo = _mm256_movemask_ps(_mm256_castsi256_ps(lt_lo)) as u32;
             let m_hi = _mm256_movemask_ps(_mm256_castsi256_ps(lt_hi)) as u32;
             (m_lo.count_ones() + m_hi.count_ones()) as usize
         }
     }
 
-    /// All-pairs equality count of two 8-element blocks using 8 rotations.
+    /// All-pairs equality count of two 8-element blocks: broadcast each
+    /// element of `a` and compare it against all of `b`. The compares are
+    /// independent of one another; their OR marks every lane of `b` that
+    /// matched. Each lane of `b` matches at most one element of `a`
+    /// (strictly sorted inputs), so the marked lanes count the matches.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available and both slices have length 8.
@@ -343,24 +368,18 @@ mod x86 {
         debug_assert_eq!(b.len(), 8);
         // SAFETY: 8 readable u32s on both sides.
         unsafe {
-            let va = _mm256_loadu_si256(a.as_ptr().cast());
-            let mut vb = _mm256_loadu_si256(b.as_ptr().cast());
-            let rot = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-            let mut mask = 0u32;
-            // 8 rotations cover all 64 lane pairs.
-            for _ in 0..8 {
-                let eq = _mm256_cmpeq_epi32(va, vb);
-                mask |= _mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32;
-                vb = _mm256_permutevar8x32_epi32(vb, rot);
+            let vb = _mm256_loadu_si256(b.as_ptr().cast());
+            let pa = a.as_ptr();
+            let mut hit = _mm256_setzero_si256();
+            for k in 0..8 {
+                let eq = _mm256_cmpeq_epi32(_mm256_set1_epi32(*pa.add(k) as i32), vb);
+                hit = _mm256_or_si256(hit, eq);
             }
-            // Each element of `a` matches at most one element of `b`
-            // (strictly sorted inputs), so OR-ing masks then popcount is the
-            // number of matched `a` lanes.
-            mask.count_ones()
+            (_mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32).count_ones()
         }
     }
 
-    /// All-pairs equality count of two 16-element blocks with AVX-512.
+    /// [`block_pairs_eq_8`] for two 16-element blocks with AVX-512.
     ///
     /// # Safety
     /// Caller must ensure AVX-512F is available and both slices have length 16.
@@ -370,16 +389,13 @@ mod x86 {
         debug_assert_eq!(b.len(), 16);
         // SAFETY: 16 readable u32s on both sides.
         unsafe {
-            let va = _mm512_loadu_si512(a.as_ptr().cast());
-            let mut vb = _mm512_loadu_si512(b.as_ptr().cast());
-            let rot = _mm512_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0);
-            let mut mask = 0u32;
-            for _ in 0..16 {
-                let eq: u16 = _mm512_cmpeq_epi32_mask(va, vb);
-                mask |= eq as u32;
-                vb = _mm512_permutexvar_epi32(rot, vb);
+            let vb = _mm512_loadu_si512(b.as_ptr().cast());
+            let pa = a.as_ptr();
+            let mut hit: __mmask16 = 0;
+            for k in 0..16 {
+                hit |= _mm512_cmpeq_epi32_mask(_mm512_set1_epi32(*pa.add(k) as i32), vb);
             }
-            mask.count_ones()
+            hit.count_ones()
         }
     }
 
@@ -397,10 +413,10 @@ mod x86 {
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn bmp_count_avx2(words: &[u64], arr: &[u32]) -> (u32, u64, u64) {
-        // Largest exclusive key bound with an in-range word index; keys are
-        // u32 so a bound above u32::MAX means no key can be out of range.
-        let no_oob = words.len() >= (1usize << 26);
-        let limit = (words.len() as u64 * 64).min(u32::MAX as u64 + 1) as i64;
+        // Exclusive key bound with an in-range word index; `None` when the
+        // bitmap covers every u32 key, so no key can be out of range.
+        let limit = u32::try_from(words.len().saturating_mul(64)).ok();
+        let no_oob = limit.is_none();
         let mut chunks = arr.chunks_exact(8);
         let mut hits = 0u32;
         let mut blocks = 0u64;
@@ -409,7 +425,8 @@ mod x86 {
         unsafe {
             let base = words.as_ptr().cast::<i64>();
             let bias = _mm256_set1_epi32(i32::MIN);
-            let limit_b = _mm256_xor_si256(_mm256_set1_epi32(limit as u32 as i32), bias);
+            let limit_b =
+                _mm256_xor_si256(_mm256_set1_epi32(limit.unwrap_or_default() as i32), bias);
             let sh_mask = _mm256_set1_epi32(63);
             let one = _mm256_set1_epi64x(1);
             let mut acc = _mm256_setzero_si256();
@@ -448,7 +465,8 @@ mod x86 {
             let hi = _mm256_extracti128_si256::<1>(acc);
             let s = _mm_add_epi64(lo, hi);
             let s = _mm_add_epi64(s, _mm_unpackhi_epi64(s, s));
-            hits += _mm_cvtsi128_si64(s) as u32;
+            // At most one hit per key, like the scalar loop's u32 count.
+            hits += u32::try_from(_mm_cvtsi128_si64(s)).expect("probe hits fit the u32 count");
         }
         let tail = chunks.remainder();
         for &k in tail {
@@ -464,8 +482,8 @@ mod x86 {
     /// Caller must ensure AVX-512F is available.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn bmp_count_avx512(words: &[u64], arr: &[u32]) -> (u32, u64, u64) {
-        let no_oob = words.len() >= (1usize << 26);
-        let limit = (words.len() as u64 * 64).min(u32::MAX as u64 + 1) as u32 as i32;
+        let limit = u32::try_from(words.len().saturating_mul(64)).ok();
+        let no_oob = limit.is_none();
         let mut chunks = arr.chunks_exact(16);
         let mut hits = 0u32;
         let mut blocks = 0u64;
@@ -473,7 +491,7 @@ mod x86 {
         // guarded by the unsigned `limit` compare mask.
         unsafe {
             let base = words.as_ptr().cast::<i64>();
-            let limit_v = _mm512_set1_epi32(limit);
+            let limit_v = _mm512_set1_epi32(limit.unwrap_or_default() as i32);
             let sh_mask = _mm512_set1_epi32(63);
             let one = _mm512_set1_epi64(1);
             let mut acc = _mm512_setzero_si512();
@@ -503,7 +521,9 @@ mod x86 {
                 acc = _mm512_add_epi64(acc, _mm512_add_epi64(b_lo, b_hi));
                 blocks += 1;
             }
-            hits += _mm512_reduce_add_epi64(acc) as u32;
+            // At most one hit per key, like the scalar loop's u32 count.
+            hits +=
+                u32::try_from(_mm512_reduce_add_epi64(acc)).expect("probe hits fit the u32 count");
         }
         let tail = chunks.remainder();
         for &k in tail {
@@ -511,47 +531,11 @@ mod x86 {
         }
         (hits, blocks, tail.len() as u64)
     }
-
-    /// Gather `a[idx[k]]` for 8 indices and return how many *leading* lanes
-    /// satisfy `k < nvalid && a[idx[k]] < target`.
-    ///
-    /// Used by the galloping exponential phase: the indices are the probe
-    /// positions of 8 consecutive scalar gallop iterations (clamped into
-    /// bounds; lanes at or past `a.len()` are excluded via `nvalid`). For
-    /// sorted input the pass lanes form a prefix, so the count tells the
-    /// caller exactly which gallop window the target falls in.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available, every `idx[k] < a.len()`, and
-    /// `a.len() <= i32::MAX as usize` (gather offsets are signed 32-bit).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_count_less_than_8(
-        a: &[u32],
-        idx: &[i32; 8],
-        nvalid: u32,
-        target: u32,
-    ) -> u32 {
-        debug_assert!(nvalid <= 8);
-        // SAFETY: caller guarantees all 8 indices are in bounds for `a`.
-        unsafe {
-            let iv = _mm256_loadu_si256(idx.as_ptr().cast());
-            let vals = _mm256_i32gather_epi32::<4>(a.as_ptr().cast::<i32>(), iv);
-            let bias = _mm256_set1_epi32(i32::MIN);
-            let tb = _mm256_xor_si256(_mm256_set1_epi32(target as i32), bias);
-            let vb = _mm256_xor_si256(vals, bias);
-            let lt = _mm256_cmpgt_epi32(tb, vb);
-            let m = _mm256_movemask_ps(_mm256_castsi256_ps(lt)) as u32;
-            // Keep only valid lanes, then count the contiguous pass prefix.
-            let m = m & ((1u32 << nvalid) - 1);
-            m.trailing_ones()
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::{
-    block_pairs_eq_16, block_pairs_eq_8, bmp_count_avx2, bmp_count_avx512, count_less_than_16,
-    gather_count_less_than_8,
+    block_pairs_eq_16, block_pairs_eq_8, bmp_count_avx2, bmp_count_avx512, count_less_than_avx2,
 };
 
 #[cfg(test)]
@@ -613,75 +597,29 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn count_less_than_matches_scalar() {
+    fn masked_count_less_than_matches_scalar_at_every_length() {
         if !avx2_available() {
             return;
         }
-        let w: Vec<u32> = (0..16).map(|x| x * 5 + 2).collect();
-        for t in 0..90 {
-            let want = w.iter().filter(|&&x| x < t).count();
-            // SAFETY: avx2 checked, length is 16.
-            let got = unsafe { count_less_than_16(&w, t) };
-            assert_eq!(got, want, "t={t}");
+        // Windows of every length 0..=16 that end where their allocation
+        // ends, with low and sign-bit values: a disabled lane must never be
+        // read or counted, and the compare must be unsigned.
+        let low: Vec<u32> = (0..16).map(|x| x * 5 + 2).collect();
+        let high: Vec<u32> = (0..16).map(|x| u32::MAX - 160 + x * 10).collect();
+        for w in [&low, &high] {
+            let mut targets = vec![0u32, u32::MAX];
+            for &x in w.iter() {
+                targets.extend([x - 1, x, x + 1]);
+            }
+            for len in 0..=16 {
+                let win = &w[16 - len..];
+                for &t in &targets {
+                    let want = win.iter().filter(|&&x| x < t).count();
+                    // SAFETY: AVX2 checked; the window holds at most 16.
+                    let got = unsafe { count_less_than_avx2(win, t) };
+                    assert_eq!(got, want, "len={len} t={t}");
+                }
+            }
         }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn count_less_than_handles_high_bit_values() {
-        if !avx2_available() {
-            return;
-        }
-        // Values above i32::MAX exercise the unsigned-compare bias trick.
-        let w: Vec<u32> = (0..16).map(|x| u32::MAX - 160 + x * 10).collect();
-        for t in [0u32, u32::MAX - 155, u32::MAX - 5, u32::MAX] {
-            let want = w.iter().filter(|&&x| x < t).count();
-            let got = unsafe { count_less_than_16(&w, t) };
-            assert_eq!(got, want, "t={t}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn block_pairs_eq_8_counts_matches() {
-        if !avx2_available() {
-            return;
-        }
-        let a = [1u32, 3, 5, 7, 9, 11, 13, 15];
-        let b = [0u32, 3, 4, 7, 8, 11, 14, 20];
-        // matches: 3, 7, 11
-        let got = unsafe { block_pairs_eq_8(&a, &b) };
-        assert_eq!(got, 3);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn block_pairs_eq_16_counts_matches() {
-        if !avx512_available() {
-            return;
-        }
-        let a: Vec<u32> = (0..16).map(|x| x * 2).collect(); // evens 0..30
-        let b: Vec<u32> = (0..16).map(|x| x * 3).collect(); // multiples of 3
-        let want = a.iter().filter(|x| b.contains(x)).count() as u32;
-        let got = unsafe { block_pairs_eq_16(&a, &b) };
-        assert_eq!(got, want);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn gather_count_prefix_semantics() {
-        if !avx2_available() {
-            return;
-        }
-        let a: Vec<u32> = (0..100).map(|x| x * 2).collect();
-        let idx = [0i32, 3, 7, 15, 31, 63, 90, 99];
-        for t in [0u32, 1, 15, 40, 128, 200, 500] {
-            let want = idx.iter().take_while(|&&i| a[i as usize] < t).count() as u32;
-            let got = unsafe { gather_count_less_than_8(&a, &idx, 8, t) };
-            assert_eq!(got, want, "t={t}");
-        }
-        // nvalid masks off trailing lanes.
-        let got = unsafe { gather_count_less_than_8(&a, &idx, 3, u32::MAX) };
-        assert_eq!(got, 3);
     }
 }

@@ -2,11 +2,17 @@
 //! after Inoue et al., PVLDB 2014).
 //!
 //! The merge advances a *block* of `L` elements per side at a time. For each
-//! pair of blocks it performs an all-pair equality comparison (with SIMD: `L`
-//! rotations of one register, one vector compare each), accumulates the match
-//! count, and then advances the block whose last element is smaller. The tail
-//! (fewer than `L` elements remaining on either side) falls back to the
-//! scalar merge.
+//! pair of blocks it performs an all-pair equality comparison, accumulates
+//! the match count, and then advances the block whose last element is
+//! smaller. The tail (fewer than `L` elements remaining on either side) falls
+//! back to the scalar merge.
+//!
+//! The metered work of one block comparison is `L` vector ops, the paper's
+//! `L` rotations of one register with one compare each. On the host the
+//! 8-lane (AVX2) and 16-lane (AVX-512) blocks instead broadcast each element
+//! of one block and compare it against the other: the same `L` compares, but
+//! independent of one another rather than chained through `L` serial
+//! permutes.
 
 use crate::merge::merge_count;
 use crate::meter::Meter;
@@ -199,6 +205,54 @@ mod tests {
         let a = [1u32, 3, 5, 9];
         let b = [3u32, 4, 5, 10];
         assert_eq!(block_pairs_eq_scalar(&a, &b), 2);
+    }
+
+    /// Pin the `LANES`-wide block compare at every tier to the scalar
+    /// oracle: identical, disjoint, one shared element at every (lane of
+    /// `a`, lane of `b`) position, and random overlaps — each also shifted
+    /// into the sign-bit range, where a signed compare would misorder.
+    fn block_compare_matches_scalar_at_every_tier<const LANES: usize>() {
+        let n = LANES as u32;
+        let evens: Vec<u32> = (0..n).map(|x| 2 * x).collect();
+        let odds: Vec<u32> = evens.iter().map(|x| x + 1).collect();
+        let mut cases = vec![(evens.clone(), evens.clone()), (odds, evens)];
+        // `b` steps by 3 through `a[i]` at lane `j`; `a` steps by 32, so no
+        // other element of `b` can land on one of `a`.
+        let spaced: Vec<u32> = (0..n).map(|x| 1000 + 32 * x).collect();
+        for i in 0..LANES {
+            for j in 0..LANES {
+                let b: Vec<u32> = (0..n).map(|k| spaced[i] + 3 * k - 3 * j as u32).collect();
+                assert_eq!(block_pairs_eq_scalar(&spaced, &b), 1, "i={i} j={j}");
+                cases.push((spaced.clone(), b));
+            }
+        }
+        for seed in 1..=20u64 {
+            let a = sorted_unique(seed, 4 * LANES, 3 * n as u64);
+            let b = sorted_unique(seed.wrapping_mul(7919), 4 * LANES, 3 * n as u64);
+            cases.push((a[..LANES].to_vec(), b[..LANES].to_vec()));
+        }
+        for shift in [0u32, 1 << 31, u32::MAX - 2000] {
+            for (a, b) in &cases {
+                let a: Vec<u32> = a.iter().map(|&x| x + shift).collect();
+                let b: Vec<u32> = b.iter().map(|&x| x + shift).collect();
+                let want = block_pairs_eq_scalar(&a, &b);
+                for tier in SimdTier::ALL {
+                    assert_eq!(
+                        dispatch_block::<LANES>(&a, &b, tier),
+                        want,
+                        "lanes={LANES} tier={tier:?} a={a:?} b={b:?}"
+                    );
+                    assert_eq!(dispatch_block::<LANES>(&b, &a, tier), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_compare_matches_scalar_at_every_lane_width_and_tier() {
+        block_compare_matches_scalar_at_every_tier::<4>();
+        block_compare_matches_scalar_at_every_tier::<8>();
+        block_compare_matches_scalar_at_every_tier::<16>();
     }
 
     #[test]

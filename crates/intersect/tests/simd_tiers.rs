@@ -95,8 +95,8 @@ proptest! {
     }
 
     /// Galloping lower bound: every tier lands on the same index as the
-    /// scalar oracle from every start offset, so the exponential phase, the
-    /// multi-step wide phase, and the final window resolution all agree.
+    /// scalar oracle from every start offset, so the linear prefix, the
+    /// exponential phase and the final window resolution all agree.
     #[test]
     fn gallop_tiers_bit_identical(
         a in sorted_set(1 << 20, 600),
@@ -136,22 +136,38 @@ proptest! {
     }
 
     /// The vectorized linear prefix handles short end-of-array windows
-    /// (fewer than 16 elements left) identically to the scalar scan.
+    /// (fewer than 16 elements left) identically to the scalar scan, on low
+    /// and sign-bit values alike. The last 16 starts of each array leave an
+    /// end-of-list window of every length 1..=16: a masked-off lane that
+    /// counts as "less than", or a signed compare, changes the answer there.
     #[test]
     fn linear_prefix_tiers_bit_identical(
-        a in sorted_set(10_000, 64),
+        low in sorted_set(10_000, 64),
+        high in high_bit_set(64),
         start_frac in 0u32..101,
+        pick in 0usize..64,
         target in 0u32..10_000,
     ) {
-        let start = a.len() * start_frac as usize / 100;
         let mut m = NullMeter;
-        let want = linear_lower_bound_tier(&a, start, target, SimdTier::Scalar, &mut m);
-        for tier in TIERS {
-            prop_assert_eq!(
-                linear_lower_bound_tier(&a, start, target, tier, &mut m),
-                want,
-                "tier={} start={} target={}", tier.label(), start, target
-            );
+        for a in [&low, &high] {
+            let mut starts = vec![a.len() * start_frac as usize / 100];
+            starts.extend(a.len().saturating_sub(16)..a.len());
+            let mut targets = vec![target, target | (1 << 31)];
+            if let Some(&x) = a.get(pick % a.len().max(1)) {
+                targets.extend([x, x.saturating_add(1)]);
+            }
+            for &start in &starts {
+                for &t in &targets {
+                    let want = linear_lower_bound_tier(a, start, t, SimdTier::Scalar, &mut m);
+                    for tier in TIERS {
+                        prop_assert_eq!(
+                            linear_lower_bound_tier(a, start, t, tier, &mut m),
+                            want,
+                            "tier={} start={} target={}", tier.label(), start, t
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -179,15 +195,15 @@ proptest! {
 }
 
 /// Deterministic gallop sweep: targets placed to stop the search in every
-/// phase — inside the 16-element linear prefix, in each of the first few
-/// exponential steps of the wide phase (8 pivots per step, skip ×256 per
-/// full step), and past the end of the array.
+/// phase — inside the 16-element linear prefix, in early and deep
+/// exponential steps (final windows from 16 to 2^16 elements, which halve
+/// before the vector compare), and past the end of the array.
 #[test]
 fn gallop_every_phase_deterministic() {
     let a: Vec<u32> = (0..200_000u32).map(|x| x * 3).collect();
     let starts = [0usize, 1, 7, 15, 16, 17, 100, 199_990, 199_999, 200_000];
-    // Distances from start chosen to land in: prefix (0..16), first wide
-    // step (16..16+15*skip), deep multi-step territory (>16*255), and OOB.
+    // Distances from start chosen to land in: prefix (0..16), the first
+    // exponential windows, deep windows (skip ≥ 2^12), and OOB.
     let distances = [0usize, 1, 15, 16, 17, 100, 1_000, 5_000, 70_000, 500_000];
     let mut m = NullMeter;
     for &start in &starts {
