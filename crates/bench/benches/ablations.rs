@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cnc_cpu::{par_mps, seq_bmp, seq_mps, BmpMode, ParConfig};
+use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::reorder;
 use cnc_graph::CsrGraph;
@@ -17,6 +17,7 @@ use cnc_intersect::{
     gallop_lower_bound, gallop_lower_bound_no_prefix, vb_count_lanes, MpsConfig, NullMeter,
     SimdLevel,
 };
+use cnc_workload::WorkloadKind::Cnc;
 
 /// The hybrid threshold sweep: pure merge (t=∞) ↔ pure pivot-skip (t=0).
 fn ablation_threshold(c: &mut Criterion) {
@@ -29,7 +30,7 @@ fn ablation_threshold(c: &mut Criterion) {
                 skew_threshold: t,
                 simd: SimdLevel::detect(),
             };
-            b.iter(|| seq_mps(&g, &cfg, &mut NullMeter))
+            b.iter(|| CpuKernel::Mps(cfg).run_seq_kind(&g, Cnc, &mut NullMeter))
         });
     }
     group.finish();
@@ -43,7 +44,7 @@ fn ablation_task_size(c: &mut Criterion) {
     for t in [64usize, 1024, 8192, 65_536] {
         group.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, &t| {
             let cfg = ParConfig::with_task_size(t);
-            b.iter(|| par_mps(&g, &MpsConfig::default(), &cfg))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).run_par_kind(&g, &cfg, Cnc))
         });
     }
     group.finish();
@@ -55,11 +56,17 @@ fn ablation_rf_ratio(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_rf_ratio_fr");
     group.sample_size(15);
     group.bench_function("off", |b| {
-        b.iter(|| seq_bmp(&g, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).run_seq_kind(&g, Cnc, &mut NullMeter))
     });
     for ratio in [2usize, 8, 64, 512, 4096] {
         group.bench_with_input(BenchmarkId::from_parameter(ratio), &ratio, |b, &ratio| {
-            b.iter(|| seq_bmp(&g, BmpMode::RangeFiltered { ratio }, &mut NullMeter))
+            b.iter(|| {
+                CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }).run_seq_kind(
+                    &g,
+                    Cnc,
+                    &mut NullMeter,
+                )
+            })
         });
     }
     group.finish();
@@ -134,7 +141,8 @@ fn ablation_lanes(c: &mut Criterion) {
 /// one realistic probe workload (index one hub list, probe many small
 /// lists).
 fn ablation_index(c: &mut Criterion) {
-    use cnc_intersect::{bmp_count, bsr_count, hash_count, merge_count, Bitmap, BsrSet, HashIndex};
+    use cnc_bench::ablation::{bsr_count, hash_count, BsrSet, HashIndex};
+    use cnc_intersect::{bmp_count, merge_count, Bitmap};
     let g = reorder::degree_descending(&Dataset::TwS.build(Scale::Tiny)).graph;
     // Index the largest-degree vertex's neighbors, probe with the neighbor
     // lists of its neighbors (exactly BMP's access pattern for one block).
@@ -200,16 +208,16 @@ fn ablation_reorder(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_reorder");
     group.sample_size(15);
     group.bench_function("wi_raw_ids", |b| {
-        b.iter(|| seq_bmp(&raw, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).run_seq_kind(&raw, Cnc, &mut NullMeter))
     });
     group.bench_function("wi_degree_descending", |b| {
-        b.iter(|| seq_bmp(&degree_ordered, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).run_seq_kind(&degree_ordered, Cnc, &mut NullMeter))
     });
     group.bench_function("wi_core_descending", |b| {
-        b.iter(|| seq_bmp(&core_ordered, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).run_seq_kind(&core_ordered, Cnc, &mut NullMeter))
     });
     group.bench_function("ba_raw_ids", |b| {
-        b.iter(|| seq_bmp(&ba, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).run_seq_kind(&ba, Cnc, &mut NullMeter))
     });
     group.finish();
 }

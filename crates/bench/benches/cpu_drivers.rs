@@ -1,14 +1,15 @@
-//! Wall-clock benchmarks of the whole-graph CPU drivers (the real rayon
+//! Wall-clock benchmarks of whole-graph CPU passes (the real rayon
 //! backend) on the dataset analogues.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use cnc_cpu::{par_bmp, par_merge_baseline, par_mps, seq_bmp, seq_mps, BmpMode, ParConfig};
+use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::reorder;
 use cnc_intersect::{MpsConfig, NullMeter};
+use cnc_workload::WorkloadKind::Cnc;
 
 fn bench_drivers(c: &mut Criterion) {
     for d in [Dataset::TwS, Dataset::FrS] {
@@ -19,21 +20,31 @@ fn bench_drivers(c: &mut Criterion) {
         group.sample_size(20);
 
         group.bench_function("seq_mps", |b| {
-            b.iter(|| seq_mps(&g, &MpsConfig::default(), &mut NullMeter))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).run_seq_kind(&g, Cnc, &mut NullMeter))
         });
         group.bench_function("seq_bmp_rf", |b| {
-            b.iter(|| seq_bmp(&g, BmpMode::rf_scaled(g.num_vertices()), &mut NullMeter))
+            b.iter(|| {
+                CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())).run_seq_kind(
+                    &g,
+                    Cnc,
+                    &mut NullMeter,
+                )
+            })
         });
         let par = ParConfig::default();
         group.bench_function("par_baseline_m", |b| {
-            b.iter(|| par_merge_baseline(&g, &par))
+            b.iter(|| CpuKernel::Merge.run_par_kind(&g, &par, Cnc))
         });
         group.bench_function("par_mps", |b| {
-            b.iter(|| par_mps(&g, &MpsConfig::default(), &par))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).run_par_kind(&g, &par, Cnc))
         });
-        group.bench_function("par_bmp", |b| b.iter(|| par_bmp(&g, BmpMode::Plain, &par)));
+        group.bench_function("par_bmp", |b| {
+            b.iter(|| CpuKernel::Bmp(BmpMode::Plain).run_par_kind(&g, &par, Cnc))
+        });
         group.bench_function("par_bmp_rf", |b| {
-            b.iter(|| par_bmp(&g, BmpMode::rf_scaled(g.num_vertices()), &par))
+            b.iter(|| {
+                CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())).run_par_kind(&g, &par, Cnc)
+            })
         });
         group.finish();
     }
@@ -55,7 +66,7 @@ fn bench_simd_levels(c: &mut Criterion) {
             &level,
             |b, &level| {
                 let cfg = MpsConfig::with_simd(level);
-                b.iter(|| seq_mps(&g, &cfg, &mut NullMeter))
+                b.iter(|| CpuKernel::Mps(cfg).run_seq_kind(&g, Cnc, &mut NullMeter))
             },
         );
     }

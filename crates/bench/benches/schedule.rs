@@ -5,17 +5,18 @@
 //! (balance should cost nothing).
 //!
 //! Also measures the single-thread effect of the prepared reverse-edge
-//! index: `run_range` with the O(1) `rev[eid]` load versus the per-edge
+//! index: a sequential pass with the O(1) `rev[eid]` load versus the per-edge
 //! binary search over `N(v)`.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use cnc_cpu::{par_bmp, par_mps, BmpMode, CpuKernel, ParConfig};
+use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::reorder;
 use cnc_intersect::{MpsConfig, NullMeter};
+use cnc_workload::WorkloadKind::Cnc;
 
 fn bench_schedule_policies(c: &mut Criterion) {
     // TW is the skewed hub-web analogue; FR is the near-uniform control.
@@ -32,16 +33,16 @@ fn bench_schedule_policies(c: &mut Criterion) {
         group.throughput(Throughput::Elements(edges));
         group.sample_size(20);
         group.bench_function("uniform/bmp", |b| {
-            b.iter(|| par_bmp(&g, BmpMode::Plain, &uniform))
+            b.iter(|| CpuKernel::Bmp(BmpMode::Plain).run_par_kind(&g, &uniform, Cnc))
         });
         group.bench_function("balanced/bmp", |b| {
-            b.iter(|| par_bmp(&g, BmpMode::Plain, &balanced))
+            b.iter(|| CpuKernel::Bmp(BmpMode::Plain).run_par_kind(&g, &balanced, Cnc))
         });
         group.bench_function("uniform/mps", |b| {
-            b.iter(|| par_mps(&g, &MpsConfig::default(), &uniform))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).run_par_kind(&g, &uniform, Cnc))
         });
         group.bench_function("balanced/mps", |b| {
-            b.iter(|| par_mps(&g, &MpsConfig::default(), &balanced))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).run_par_kind(&g, &balanced, Cnc))
         });
         group.finish();
     }
@@ -60,10 +61,10 @@ fn bench_reverse_index(c: &mut Criterion) {
     group.throughput(Throughput::Elements(searched.num_directed_edges() as u64));
     group.sample_size(10);
     group.bench_function("binary_search", |b| {
-        b.iter(|| kernel.run_seq(&searched, &mut NullMeter))
+        b.iter(|| kernel.run_seq_kind(&searched, Cnc, &mut NullMeter))
     });
     group.bench_function("rev_index", |b| {
-        b.iter(|| kernel.run_seq(&indexed, &mut NullMeter))
+        b.iter(|| kernel.run_seq_kind(&indexed, Cnc, &mut NullMeter))
     });
     group.finish();
 }

@@ -13,11 +13,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cnc_cpu::{seq_bmp, seq_mps, BmpMode};
+use cnc_cpu::{BmpMode, CpuKernel};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_intersect::{
     bmp_count_tier, gallop_lower_bound_tier, Bitmap, MpsConfig, NullMeter, SimdTier,
 };
+use cnc_workload::WorkloadKind::Cnc;
 
 fn sorted_set(rng: &mut StdRng, len: usize, universe: u32) -> Vec<u32> {
     let mut v: Vec<u32> = (0..len * 2).map(|_| rng.gen_range(0..universe)).collect();
@@ -106,12 +107,20 @@ fn bench_end_to_end(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("seq_bmp", tier.label()),
                 &tier,
-                |bench, _| bench.iter(|| seq_bmp(&g, BmpMode::Plain, &mut NullMeter)),
+                |bench, _| {
+                    bench.iter(|| {
+                        CpuKernel::Bmp(BmpMode::Plain).run_seq_kind(&g, Cnc, &mut NullMeter)
+                    })
+                },
             );
             group.bench_with_input(
                 BenchmarkId::new("seq_mps", tier.label()),
                 &tier,
-                |bench, _| bench.iter(|| seq_mps(&g, &MpsConfig::default(), &mut NullMeter)),
+                |bench, _| {
+                    bench.iter(|| {
+                        CpuKernel::Mps(MpsConfig::default()).run_seq_kind(&g, Cnc, &mut NullMeter)
+                    })
+                },
             );
         }
         group.finish();

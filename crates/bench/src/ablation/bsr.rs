@@ -13,9 +13,11 @@
 //! The paper chose the dynamic dense bitmap over BSR because BSR "requires
 //! graph reordering … performed offline" to make states compact; this
 //! implementation exists as the faithful comparator (see the
-//! `ablation_bsr` bench).
+//! `ablation_index` bench).
 
-use crate::meter::Meter;
+use cnc_intersect::Meter;
+
+use super::debug_check_sorted;
 
 /// Word width of the state mask.
 const BITS: u32 = 32;
@@ -30,7 +32,7 @@ pub struct BsrSet {
 impl BsrSet {
     /// Build from a strictly increasing slice.
     pub fn from_sorted(values: &[u32]) -> Self {
-        crate::debug_check_sorted(values);
+        debug_check_sorted(values);
         let mut base = Vec::new();
         let mut state = Vec::new();
         for &v in values {
@@ -139,8 +141,7 @@ pub fn bsr_intersect<M: Meter>(a: &BsrSet, b: &BsrSet, meter: &mut M) -> BsrSet 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meter::{CountingMeter, NullMeter};
-    use crate::reference_count;
+    use cnc_intersect::{reference_count, CountingMeter, NullMeter};
 
     #[test]
     fn roundtrip() {

@@ -8,7 +8,9 @@
 //! bench). The table is open-addressed with linear probing and a
 //! power-of-two capacity, rebuilt per indexed set like BMP's bitmap.
 
-use crate::meter::Meter;
+use cnc_intersect::Meter;
+
+use super::debug_check_sorted;
 
 /// Sentinel for an empty slot (vertex ids are `< u32::MAX` by construction:
 /// ids live in `[0, |V|)` and `|V| ≤ u32::MAX`).
@@ -140,7 +142,7 @@ impl HashIndex {
 /// Indexed nested-loop count: probe each element of `arr` against the index
 /// (the hash-table analogue of `bmp_count`).
 pub fn hash_count<M: Meter>(index: &HashIndex, arr: &[u32], meter: &mut M) -> u32 {
-    crate::debug_check_sorted(arr);
+    debug_check_sorted(arr);
     let mut c = 0u32;
     for &w in arr {
         c += u32::from(index.contains(w));
@@ -155,8 +157,7 @@ pub fn hash_count<M: Meter>(index: &HashIndex, arr: &[u32], meter: &mut M) -> u3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meter::NullMeter;
-    use crate::reference_count;
+    use cnc_intersect::{reference_count, NullMeter};
 
     #[test]
     fn insert_contains_basic() {

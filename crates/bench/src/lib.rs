@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablation;
 pub mod experiments;
 pub mod output;
 pub mod profiles;

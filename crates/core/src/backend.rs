@@ -17,8 +17,8 @@
 //! * [`GpuSimBackend`] — the simulated GPU.
 //!
 //! All CPU-side execution (including the modeled processors' functional
-//! runs) goes through `cnc_cpu::CpuKernel`, i.e. the one generic
-//! `EdgeRangeDriver` loop.
+//! runs) goes through `cnc_cpu::execute`, i.e. the one source-grouped
+//! loop.
 
 use cnc_cpu::{CpuKernel, ParConfig};
 use cnc_gpu::{GpuAlgo, GpuRunConfig, GpuRunner};
@@ -75,13 +75,7 @@ impl Backend for CpuSeqBackend {
         let (output, work) = match ObsContext::current() {
             Some(ctx) => {
                 let mut meter = CountingMeter::new();
-                let output = {
-                    // Match the parallel skeleton's span tree:
-                    // execute → workload → kernel.
-                    let _w = ctx.span("workload");
-                    let _s = ctx.span("kernel");
-                    plan.cpu_kernel.run_seq_kind(g, plan.workload, &mut meter)
-                };
+                let output = plan.cpu_kernel.run_seq_kind(g, plan.workload, &mut meter);
                 meter.counts.record_to(&*ctx);
                 (output, Some(meter.counts))
             }
@@ -116,9 +110,8 @@ impl Backend for CpuParBackend {
         let g = prepared.execution_graph(plan.reorder);
         let cfg = plan.partitioning.unwrap_or(self.cfg);
         // Observed runs take the metered parallel path (identical counts by
-        // construction — every driver mode runs the same `run_range` loop)
-        // and record the merged per-task tallies. The workload and kernel
-        // spans open inside the parallel skeleton itself.
+        // construction — every run goes through the same `execute`) and
+        // record the merged per-task tallies.
         let (output, work) = match ObsContext::current() {
             Some(ctx) => {
                 let (output, work) = plan.cpu_kernel.run_par_metered_kind(g, &cfg, plan.workload);
@@ -137,8 +130,8 @@ impl Backend for CpuParBackend {
 }
 
 /// A modeled shared-memory processor (the paper's CPU server or KNL):
-/// exact counts from the instrumented unified driver, elapsed time from the
-/// machine model.
+/// exact counts from a metered sequential pass through `cnc_cpu::execute`,
+/// elapsed time from the machine model.
 #[derive(Debug, Clone)]
 pub struct ModeledBackend {
     /// Short label (`cpu-model` / `knl`).

@@ -12,8 +12,9 @@
 //! 2. sort by source and deduplicate — duplicate queries in one batch are
 //!    answered by a single kernel probe;
 //! 3. execute the unique pairs as one cost-balanced, source-aligned
-//!    schedule (`cnc_cpu::count_pairs`), building per-source kernel state
-//!    once per source per batch;
+//!    schedule (`BatchCounter::count_pairs`, the same `cnc_cpu::execute`
+//!    as a bulk pass), building per-source kernel state once per source
+//!    per batch;
 //! 4. scatter the counts back to the callers' query order.
 //!
 //! `topk` / `scan` queries are answered from a lazily computed, cached bulk
@@ -367,6 +368,36 @@ mod tests {
             stats.created
         );
         assert!(stats.reused > 0);
+    }
+
+    #[test]
+    fn count_batch_opens_one_execute_span_and_nothing_beneath() {
+        // The daemon always installs a context; a batch must not grow its
+        // span tree beyond the one `execute` span.
+        let (s, want) = session(Algorithm::bmp_rf());
+        let g = s.prepared().graph().clone();
+        let queries: Vec<(u32, u32)> = g.iter_edges().map(|(_, u, v)| (u, v)).collect();
+        let ctx = Arc::new(ObsContext::new());
+        let out = {
+            let _installed = ctx.install();
+            s.count_batch(&queries)
+        };
+        for (q, &(u, v)) in queries.iter().enumerate() {
+            assert_eq!(
+                out.answers[q],
+                Some(want[g.edge_offset(u, v).expect("edge")])
+            );
+        }
+        let tree = ctx.recorder().tree();
+        assert_eq!(tree.len(), 1, "{tree:?}");
+        assert_eq!(tree[0].name, "execute");
+        assert!(tree[0].children.is_empty(), "{:?}", tree[0].children);
+        let counters = ctx.counters();
+        assert!(counters.get(cnc_obs::Counter::DriverTasks) > 0);
+        assert_eq!(
+            counters.get(cnc_obs::Counter::WorkloadEdgesVisited),
+            out.unique_pairs as u64
+        );
     }
 
     #[test]

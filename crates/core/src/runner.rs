@@ -710,9 +710,12 @@ mod tests {
         // Ground truth: a plain metered run of the same plan.
         let pg = PreparedGraph::from_csr(g.clone(), runner.reorder_policy());
         let plan = runner.plan(&pg).unwrap();
-        let (want_counts, want_work) = plan
-            .cpu_kernel
-            .run_par_metered(pg.graph(), &cnc_cpu::ParConfig::default());
+        let (want, want_work) = plan.cpu_kernel.run_par_metered_kind(
+            pg.graph(),
+            &cnc_cpu::ParConfig::default(),
+            WorkloadKind::Cnc,
+        );
+        let want_counts = want.into_edge_counts().expect("cnc output");
         // Observed run: counters must equal the meter totals, counts must be
         // untouched by the instrumentation.
         let ctx = std::sync::Arc::new(ObsContext::new());

@@ -1,138 +1,34 @@
-//! Batch-of-edges execution: the serve layer's point-query executor.
+//! Point-query batches: the serve layer's executor.
 //!
-//! An all-edge pass visits every `u < v` pair exactly once, grouped by the
-//! source `u`, so per-source kernel state (BMP's bitmap) is built once per
-//! source. A flood of *point* queries answered one at a time loses that
-//! amortization: every `count(u, v)` request pays its own `begin_source` /
-//! `end_source` round trip. This module restores the bulk-pass shape for an
-//! arbitrary *list* of pairs:
-//!
-//! * [`run_pairs`] is the sequential loop — the pair-list analogue of
-//!   [`run_range`](crate::run_range): walk a source-grouped pair list,
-//!   rebuild kernel state only when the source changes;
-//! * [`pair_task_ranges`] cuts the list into cost-balanced tasks whose
-//!   boundaries always land between source groups (the same pricing the
-//!   balanced edge-range schedule uses, applied to the batch);
-//! * [`BatchCounter`] owns the kernel dispatch **and the kernel pool**, so
-//!   consecutive batches reuse the same `|V|`-bit bitmaps instead of
-//!   reallocating them per batch — at steady state the pool holds one
-//!   kernel per worker, however many batches have been served.
+//! An all-edge pass visits every `u < v` pair grouped by source, so
+//! per-source kernel state (BMP's bitmap) is built once per source. Point
+//! queries answered one at a time lose that amortization. A
+//! [`BatchCounter`] restores it for an arbitrary *list* of pairs: the list
+//! is cut into cost-balanced tasks on source-group boundaries (the
+//! balanced schedule's cut routine) and run through the same [`execute`]
+//! as a bulk pass, with a [`KernelPool`] that outlives the batch — at
+//! steady state it holds one bitmap per worker, however many batches have
+//! been served.
 //!
 //! Pairs are counted as given: `count(u, v) = |N(u) ∩ N(v)|` with `u` as
-//! the kernel's source vertex. Callers wanting the edge-range driver's cost
-//! profile should canonicalize to `u < v` and sort by `u` (the serve layer
-//! does both); the functions here only require *grouping* by source.
-
-use std::ops::Range;
+//! the kernel's source vertex. The list only has to be *grouped* by
+//! source; canonicalizing to `u < v` and sorting by `u` (the serve layer
+//! does both) gives the bulk pass's cost profile.
 
 use cnc_graph::CsrGraph;
-use cnc_intersect::{
-    BmpKernel, CostModel, MergeKernel, Meter, MpsKernel, NullMeter, PairKernel, RfKernel,
-};
-use rayon::prelude::*;
+use cnc_intersect::NullMeter;
+use cnc_obs::ObsContext;
+use cnc_workload::PairCountWorkload;
 
-use crate::driver::{BmpMode, CloneFactory, CpuKernel, KernelFactory, RangeTally};
-use crate::pool::{BitmapPool, PoolStats};
+use crate::driver::{execute, CpuKernel, KernelPool, WorkList};
+use crate::pool::PoolStats;
+use crate::schedule::pair_task_ranges;
 
-/// Count every `(u, v)` pair of a source-grouped list, amortizing
-/// per-source kernel state across each group exactly like the edge-range
-/// loop. Results land in `out` (same length as `pairs`); the returned
-/// [`RangeTally`] reports visits and `begin_source` rebuilds.
-///
-/// # Panics
-/// If `out.len() != pairs.len()` (debug builds).
-pub fn run_pairs<K: PairKernel, M: Meter>(
-    g: &CsrGraph,
-    pairs: &[(u32, u32)],
-    kernel: &mut K,
-    meter: &mut M,
-    out: &mut [u32],
-) -> RangeTally {
-    debug_assert_eq!(pairs.len(), out.len());
-    let mut pu: Option<u32> = None;
-    let mut tally = RangeTally::default();
-    for (i, &(u, v)) in pairs.iter().enumerate() {
-        if pu != Some(u) {
-            if let Some(p) = pu {
-                kernel.end_source(g.neighbors(p), meter);
-            }
-            kernel.begin_source(g.neighbors(u), meter);
-            tally.rebuilds += 1;
-            pu = Some(u);
-        }
-        out[i] = kernel.count(g.neighbors(u), g.neighbors(v), meter);
-        tally.visited += 1;
-    }
-    if let Some(p) = pu {
-        kernel.end_source(g.neighbors(p), meter);
-    }
-    tally
-}
-
-/// Cost-balanced, source-aligned decomposition of a source-grouped pair
-/// list into at most `want` contiguous tasks.
-///
-/// Each pair is priced with the kernel's [`CostModel`] (`pair_cost` plus
-/// one unit of loop overhead), the once-per-source setup cost is charged at
-/// every group start, and cut points snap forward to the next group
-/// boundary — so no task ever re-pays `begin_source` for a source another
-/// task already indexed. Degenerate (empty) tasks are merged away.
-pub fn pair_task_ranges(
-    g: &CsrGraph,
-    pairs: &[(u32, u32)],
-    model: &CostModel,
-    want: usize,
-) -> Vec<Range<usize>> {
-    let n = pairs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let want = want.max(1);
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(0u64);
-    for (i, &(u, v)) in pairs.iter().enumerate() {
-        let mut cost = 1 + model.pair_cost(g.degree(u), g.degree(v));
-        if i == 0 || pairs[i - 1].0 != u {
-            cost = cost.saturating_add(model.source_cost(g.degree(u)));
-        }
-        prefix.push(prefix[i].saturating_add(cost));
-    }
-    let total = prefix[n];
-    let mut bounds: Vec<usize> = vec![0];
-    for k in 1..want {
-        let target = ((total as u128 * k as u128) / want as u128) as u64;
-        let mut cut = prefix.partition_point(|&c| c < target).min(n);
-        while cut > 0 && cut < n && pairs[cut].0 == pairs[cut - 1].0 {
-            cut += 1;
-        }
-        if cut > *bounds.last().expect("bounds starts non-empty") && cut < n {
-            bounds.push(cut);
-        }
-    }
-    bounds.push(n);
-    bounds.windows(2).map(|w| w[0]..w[1]).collect()
-}
-
-/// Which kernel pool a [`BatchCounter`] persists across batches.
-enum PoolVariant {
-    Merge(CloneFactory<MergeKernel>),
-    Mps(CloneFactory<MpsKernel>),
-    Bmp(BitmapPool<BmpKernel>),
-    Rf(BitmapPool<RfKernel>),
-}
-
-/// A resident batch executor: one kernel dispatch plus one long-lived
-/// kernel pool, shared by every batch it counts.
-///
-/// The edge-range driver builds its [`BitmapPool`] per call — fine for one
-/// bulk pass, wasteful for a server answering thousands of small batches.
-/// A `BatchCounter` is built once per (graph, plan) and reused: bitmaps are
-/// allocated the first time a worker needs one and then recycled, so
-/// [`pool_stats`](BatchCounter::pool_stats) stays bounded by the worker
-/// count however many batches run.
+/// A resident batch executor: one kernel choice plus one long-lived
+/// [`KernelPool`], shared by every batch it counts.
 pub struct BatchCounter {
     kernel: CpuKernel,
-    pool: PoolVariant,
+    pool: KernelPool,
 }
 
 impl std::fmt::Debug for BatchCounter {
@@ -149,97 +45,44 @@ impl BatchCounter {
     /// # Panics
     /// On an invalid RF ratio — validate the kernel at plan time.
     pub fn new(kernel: CpuKernel, num_vertices: usize) -> Self {
-        let pool = match kernel {
-            CpuKernel::Merge => PoolVariant::Merge(CloneFactory(MergeKernel)),
-            CpuKernel::Mps(cfg) => PoolVariant::Mps(CloneFactory(MpsKernel::new(cfg))),
-            CpuKernel::Bmp(BmpMode::Plain) => {
-                PoolVariant::Bmp(BitmapPool::new(move || BmpKernel::new(num_vertices)))
-            }
-            CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }) => {
-                PoolVariant::Rf(BitmapPool::new(move || {
-                    RfKernel::prevalidated(num_vertices.max(1), ratio)
-                }))
-            }
-        };
-        Self { kernel, pool }
-    }
-
-    /// The kernel this executor dispatches to.
-    pub fn kernel(&self) -> CpuKernel {
-        self.kernel
+        Self {
+            kernel,
+            pool: KernelPool::new(kernel, num_vertices),
+        }
     }
 
     /// Pool usage so far, for kernels with per-source state (`None` for
     /// the stateless merge family). `created` staying at the worker count
     /// across many batches is the reuse evidence.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        match &self.pool {
-            PoolVariant::Merge(_) | PoolVariant::Mps(_) => None,
-            PoolVariant::Bmp(p) => Some(p.stats()),
-            PoolVariant::Rf(p) => Some(p.stats()),
-        }
+        self.pool.stats()
     }
 
     /// Count one source-grouped batch of pairs, decomposed into at most
     /// `tasks` cost-balanced source-aligned tasks run in parallel. Returns
     /// one count per pair, in order; the reduced tally is recorded into the
-    /// ambient observability context, if any.
+    /// ambient observability context, if any (no spans are opened).
     pub fn count_pairs(&self, g: &CsrGraph, pairs: &[(u32, u32)], tasks: usize) -> Vec<u32> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
         let ranges = pair_task_ranges(g, pairs, &self.kernel.cost_model(), tasks);
-        let (out, tally) = match &self.pool {
-            PoolVariant::Merge(f) => run_tasks(g, pairs, &ranges, f),
-            PoolVariant::Mps(f) => run_tasks(g, pairs, &ranges, f),
-            PoolVariant::Bmp(p) => run_tasks(g, pairs, &ranges, p),
-            PoolVariant::Rf(p) => run_tasks(g, pairs, &ranges, p),
-        };
-        if let Some(ctx) = cnc_obs::ObsContext::current() {
-            use cnc_obs::Counter as C;
-            ctx.add(C::DriverTasks, ranges.len() as u64);
-            ctx.add(C::KernelSourceRebuilds, tally.rebuilds);
-            ctx.add(C::WorkloadEdgesVisited, tally.visited);
+        let work = WorkList::Pairs(pairs, &ranges);
+        let workload = PairCountWorkload::new(pairs.len());
+        let (counts, tally) = execute(g, work, &self.pool, &workload, &mut NullMeter, None);
+        if let Some(ctx) = ObsContext::current() {
+            tally.record_to(&*ctx);
         }
-        out
+        counts
     }
-}
-
-/// Run every task range of a batch in parallel, borrowing one kernel per
-/// task from `factory`, and stitch the per-task outputs back into pair
-/// order.
-fn run_tasks<F: KernelFactory>(
-    g: &CsrGraph,
-    pairs: &[(u32, u32)],
-    ranges: &[Range<usize>],
-    factory: &F,
-) -> (Vec<u32>, RangeTally) {
-    let parts: Vec<(usize, Vec<u32>, RangeTally)> = (0..ranges.len())
-        .into_par_iter()
-        .map(|k| {
-            let r = ranges[k].clone();
-            let mut kernel = factory.acquire();
-            let mut out = vec![0u32; r.len()];
-            let tally = run_pairs(g, &pairs[r.clone()], &mut kernel, &mut NullMeter, &mut out);
-            factory.release(kernel);
-            (r.start, out, tally)
-        })
-        .collect();
-    let mut out = vec![0u32; pairs.len()];
-    let mut tally = RangeTally::default();
-    for (start, part, t) in parts {
-        out[start..start + part.len()].copy_from_slice(&part);
-        tally.accumulate(&t);
-    }
-    (out, tally)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BmpMode;
     use cnc_graph::generators;
     use cnc_intersect::MpsConfig;
+    use cnc_obs::Counter;
     use rand::{Rng, SeedableRng, StdRng};
+    use std::sync::Arc;
 
     fn test_graph() -> CsrGraph {
         CsrGraph::from_edge_list(&generators::hub_web(300, 6.0, 3, 0.5, 11))
@@ -263,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn run_pairs_matches_reference_for_every_kernel() {
+    fn count_pairs_matches_reference_for_every_kernel() {
         let g = test_graph();
         let pairs = all_pairs(&g);
         let want: Vec<u32> = pairs
@@ -304,46 +147,25 @@ mod tests {
     }
 
     #[test]
-    fn task_ranges_tile_and_respect_groups() {
-        let g = test_graph();
-        let pairs = all_pairs(&g);
-        for want in [1usize, 2, 7, 16, 10_000] {
-            for model in [CostModel::Merge, CostModel::Bmp] {
-                let ranges = pair_task_ranges(&g, &pairs, &model, want);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next);
-                    assert!(r.end > r.start, "no empty tasks");
-                    // Interior cuts never split a source group.
-                    if r.start > 0 {
-                        assert_ne!(
-                            pairs[r.start].0,
-                            pairs[r.start - 1].0,
-                            "cut at {} splits source {}",
-                            r.start,
-                            pairs[r.start].0
-                        );
-                    }
-                    next = r.end;
-                }
-                assert_eq!(next, pairs.len());
-                assert!(ranges.len() <= want);
-            }
-        }
-        assert!(pair_task_ranges(&g, &[], &CostModel::Merge, 8).is_empty());
-    }
-
-    #[test]
     fn batched_execution_rebuilds_once_per_source_group() {
         let g = test_graph();
         let pairs = all_pairs(&g);
         let sources: std::collections::HashSet<u32> = pairs.iter().map(|&(u, _)| u).collect();
-        let mut kernel = BmpKernel::new(g.num_vertices());
-        let mut out = vec![0u32; pairs.len()];
-        let tally = run_pairs(&g, &pairs, &mut kernel, &mut NullMeter, &mut out);
-        assert_eq!(tally.rebuilds, sources.len() as u64);
-        assert_eq!(tally.visited, pairs.len() as u64);
-        assert!(kernel.is_reset(), "last source must be torn down");
+        let counter = BatchCounter::new(CpuKernel::Bmp(BmpMode::Plain), g.num_vertices());
+        let ctx = Arc::new(ObsContext::new());
+        {
+            let _installed = ctx.install();
+            counter.count_pairs(&g, &pairs, 1);
+        }
+        let snap = ctx.counters();
+        assert_eq!(snap.get(Counter::DriverTasks), 1);
+        assert_eq!(
+            snap.get(Counter::KernelSourceRebuilds),
+            sources.len() as u64
+        );
+        assert_eq!(snap.get(Counter::WorkloadEdgesVisited), pairs.len() as u64);
+        // Pair lists open no spans (the serve daemon's tree stays bounded).
+        assert!(ctx.recorder().tree().is_empty());
     }
 
     #[test]

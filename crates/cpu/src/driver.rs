@@ -1,33 +1,24 @@
-//! The one edge-range task loop behind every CPU driver.
+//! The execution core behind every CPU run: one source-grouped loop, one
+//! [`CpuKernel`] → kernel dispatch and one [`execute`].
 //!
-//! The paper's Algorithm 3 runs the same skeleton for every workload: the
-//! edge-offset range `[0, |E|)` is cut into tasks (see
-//! [`SchedulePolicy`](crate::SchedulePolicy) — fixed `|T|`-sized chunks or
-//! cost-balanced source-aligned cuts), each task finds the source of each
-//! offset with the amortized `FindSrc` stash, and visits every covered
-//! `u < v` pair through the active [`Workload`] (CNC scatters counts into
-//! both directed slots; triangle / k-clique counting reduce task-local
-//! tallies). The per-algorithm counting strategy stays captured by
-//! [`PairKernel`] in `cnc-intersect` — including its per-source state
-//! (BMP's bitmap index, rebuilt only when the source changes).
+//! The paper's Algorithm 3 runs the same skeleton for every workload: a
+//! list of tasks, each walking its items in source order with the
+//! amortized `FindSrc` stash, rebuilding the kernel's per-source state
+//! (BMP's bitmap index) only when the source changes, and visiting every
+//! covered pair through the active [`Workload`]. Here that skeleton is
+//! written once and serves every entry:
 //!
-//! [`run_range`] is that skeleton, written exactly once and generic over
-//! the workload. [`EdgeRangeDriver`] instantiates it three ways:
+//! * a **bulk pass** (`cpu-seq`, `cpu`) is the whole edge range cut by a
+//!   [`Schedule`] — a sequential run is the one-task list `[0..|E|]`;
+//! * a **shard block** is the one-range list `[start..end]`;
+//! * a **serve batch** is a source-grouped pair list ([`WorkList::Pairs`])
+//!   cut on source-group boundaries by the same cost-balanced routine;
+//! * the KNL / CPU machine model's profiling run is a metered sequential
+//!   pass.
 //!
-//! * [`run_seq_workload`](EdgeRangeDriver::run_seq_workload) — the whole
-//!   range as one task, work reported to the caller's [`Meter`] (this is
-//!   what the KNL/CPU machine-model profiler executes, via the CNC-pinned
-//!   [`run_seq`](EdgeRangeDriver::run_seq));
-//! * [`run_par_workload`](EdgeRangeDriver::run_par_workload) — rayon task
-//!   split, unmetered;
-//! * [`run_par_metered_workload`](EdgeRangeDriver::run_par_metered_workload)
-//!   — rayon task split with a per-task [`CountingMeter`], tallies reduced
-//!   lock-free at the end.
-//!
-//! Kernels with per-source state are shared across tasks through a
-//! [`KernelFactory`]; [`BitmapPool`] implements it so BMP tasks borrow (and
-//! return clean) bitmap kernels, and [`CloneFactory`] serves the stateless
-//! merge family.
+//! Metering is the [`TaskMeter`] type parameter: every task owns a fresh
+//! meter and the run folds them together, so [`NullMeter`] compiles to the
+//! unmetered loop.
 
 use std::ops::Range;
 
@@ -36,14 +27,14 @@ use cnc_intersect::{
     validate_rf_ratio, BmpKernel, CostModel, CountingMeter, MergeKernel, Meter, MpsConfig,
     MpsKernel, NullMeter, PairKernel, RfKernel, RfRatioError, WorkCounts,
 };
+use cnc_obs::{Counter as C, MetricsSink, ObsContext, SpanId};
 use cnc_workload::{
     CncWorkload, KCliqueWorkload, TriangleWorkload, Workload, WorkloadKind, WorkloadOutput,
 };
 use rayon::prelude::*;
 
-use crate::pool::BitmapPool;
-use crate::schedule::Schedule;
-use crate::ParConfig;
+use crate::pool::{BitmapPool, PoolStats};
+use crate::schedule::{ParConfig, Schedule};
 
 /// BMP index flavor: plain `|V|`-bit bitmap or the range-filtered variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,57 +82,70 @@ impl BmpMode {
     }
 }
 
-/// Per-range bookkeeping returned by [`run_range`]: the observability
-/// tallies every execution mode reduces over its tasks.
+/// Per-task bookkeeping of the loop, reduced over a run's tasks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RangeTally {
-    /// `begin_source` transitions the range incurred: one per distinct
-    /// source under source-aligned scheduling, more when cuts land
-    /// mid-source and the same source is re-indexed by several tasks.
-    /// Always zero for workloads that bypass the kernel's per-source state.
+    /// `begin_source` transitions: one per distinct source under
+    /// source-aligned tasks, more when cuts land mid-source and the same
+    /// source is re-indexed by several tasks. Always zero for workloads
+    /// that bypass the kernel's per-source state.
     pub rebuilds: u64,
-    /// Covered canonical pairs visited.
+    /// Covered pairs visited.
     pub visited: u64,
-    /// Canonical pairs skipped by the workload's cover predicate.
+    /// Pairs skipped by the workload's cover predicate.
     pub skipped: u64,
 }
 
 impl RangeTally {
-    /// Fold another range's tally into this one (parallel reduction).
+    /// Fold another task's tally into this one (parallel reduction).
     pub fn accumulate(&mut self, other: &RangeTally) {
         self.rebuilds += other.rebuilds;
         self.visited += other.visited;
         self.skipped += other.skipped;
     }
+
+    /// Record this tally under `kernel.source_rebuilds` and `workload.*`.
+    pub fn record_to(&self, sink: &dyn MetricsSink) {
+        sink.add(C::KernelSourceRebuilds, self.rebuilds);
+        sink.add(C::WorkloadEdgesVisited, self.visited);
+        sink.add(C::WorkloadEdgesSkipped, self.skipped);
+    }
 }
 
-/// **The** edge-range task loop (Algorithm 3 lines 6–24).
-///
-/// Walks `range`, resolves sources with the `FindSrc` stash, drives the
-/// kernel's per-source state with the `pu_tls` rebuild-on-change logic
-/// (skipped entirely when the workload never probes the kernel), and calls
-/// [`Workload::visit`] for every covered canonical (`u < v`) pair. Every
-/// sequential, parallel and metered CPU driver — and the KNL / CPU
-/// machine-model profiler — executes this function and nothing else.
-pub fn run_range<W: Workload, K: PairKernel, M: Meter>(
+/// What one execution walks, already cut into tasks.
+#[derive(Debug, Clone, Copy)]
+pub enum WorkList<'a> {
+    /// Directed edge offsets, one range per task. Non-canonical (`u >= v`)
+    /// slots are skipped; a visit's item is the edge offset.
+    Edges(&'a [Range<usize>]),
+    /// A source-grouped pair list and the index ranges of its tasks. Pairs
+    /// are visited as given; a visit's item is the pair's index.
+    Pairs(&'a [(u32, u32)], &'a [Range<usize>]),
+}
+
+impl<'a> WorkList<'a> {
+    fn tasks(&self) -> &'a [Range<usize>] {
+        match *self {
+            WorkList::Edges(tasks) | WorkList::Pairs(_, tasks) => tasks,
+        }
+    }
+}
+
+/// **The** source-grouped loop (Algorithm 3 lines 6–24): visits each
+/// covered `(item, u, v)` through the workload, driving the kernel's
+/// per-source state with the `pu_tls` rebuild-on-change logic (skipped
+/// entirely when the workload never probes the kernel).
+fn run_items<W: Workload, K: PairKernel, M: Meter>(
     g: &CsrGraph,
-    range: Range<usize>,
+    items: impl Iterator<Item = (usize, u32, u32)>,
     workload: &W,
     shared: &W::Shared,
-    acc: &mut W::Accum,
-    kernel: &mut K,
-    meter: &mut M,
+    (acc, kernel, meter): (&mut W::Accum, &mut K, &mut M),
 ) -> RangeTally {
     let uses_kernel = workload.uses_kernel();
-    let mut u_tls = 0u32; // FindSrc stash (Algorithm 3 line 8)
     let mut pu: Option<u32> = None; // pu_tls (Algorithm 3 line 19)
     let mut tally = RangeTally::default();
-    for eid in range {
-        let u = g.find_src(eid, &mut u_tls);
-        let v = g.dst()[eid];
-        if u >= v {
-            continue;
-        }
+    for (item, u, v) in items {
         if !workload.covers(g, u, v) {
             tally.skipped += 1;
             continue;
@@ -154,7 +158,7 @@ pub fn run_range<W: Workload, K: PairKernel, M: Meter>(
             tally.rebuilds += 1;
             pu = Some(u);
         }
-        workload.visit(g, shared, acc, eid, u, v, kernel, meter);
+        workload.visit(g, shared, acc, item, u, v, kernel, meter);
         tally.visited += 1;
     }
     if let Some(p) = pu {
@@ -163,17 +167,29 @@ pub fn run_range<W: Workload, K: PairKernel, M: Meter>(
     tally
 }
 
-/// Hands kernels to parallel tasks and takes them back.
-///
-/// Stateful kernels are expensive (BMP's bitmap has `|V|` bits), so tasks
-/// borrow them from a pool; stateless ones are cloned. Released kernels
-/// must be reset ([`PairKernel::is_reset`]).
-pub trait KernelFactory: Sync {
-    /// The kernel type this factory produces.
+/// A meter one task owns: built fresh per task and folded into the run's
+/// meter when the task ends.
+pub trait TaskMeter: Meter + Default + Send {
+    /// Fold a finished task's tallies into this meter.
+    fn absorb(&mut self, task: Self);
+}
+
+impl TaskMeter for NullMeter {
+    #[inline(always)]
+    fn absorb(&mut self, _task: Self) {}
+}
+
+impl TaskMeter for CountingMeter {
+    fn absorb(&mut self, task: Self) {
+        self.counts.merge(&task.counts);
+    }
+}
+
+/// Hands kernels to tasks and takes them back clean
+/// ([`PairKernel::is_reset`]).
+trait KernelFactory: Sync {
     type Kernel: PairKernel;
-    /// Borrow a reset kernel for one task.
     fn acquire(&self) -> Self::Kernel;
-    /// Return a reset kernel after the task.
     fn release(&self, kernel: Self::Kernel);
 }
 
@@ -192,9 +208,8 @@ impl<K: PairKernel + Send> KernelFactory for BitmapPool<K> {
     }
 }
 
-/// Factory for stateless kernels (merge family): clone per task, drop after.
-#[derive(Debug, Clone, Copy)]
-pub struct CloneFactory<K>(pub K);
+/// Stateless kernels (the merge family): cloned per task, dropped after.
+struct CloneFactory<K>(K);
 
 impl<K: PairKernel + Clone + Sync> KernelFactory for CloneFactory<K> {
     type Kernel = K;
@@ -206,209 +221,159 @@ impl<K: PairKernel + Clone + Sync> KernelFactory for CloneFactory<K> {
     fn release(&self, _kernel: K) {}
 }
 
-/// The generic driver: owns the task decomposition, scatter mirroring and
-/// kernel borrowing for one graph, and instantiates [`run_range`] per
-/// execution mode.
-pub struct EdgeRangeDriver<'g> {
-    g: &'g CsrGraph,
+/// The kernels a run's tasks borrow: the one dispatch from [`CpuKernel`]
+/// to a kernel type. Stateful kernels (BMP's `|V|`-bit bitmap) are pooled,
+/// so a pool kept across runs — the serve layer keeps one per session —
+/// allocates one bitmap per worker however many runs it serves.
+pub struct KernelPool(Pool);
+
+enum Pool {
+    Merge(CloneFactory<MergeKernel>),
+    Mps(CloneFactory<MpsKernel>),
+    Bmp(BitmapPool<BmpKernel>),
+    Rf(BitmapPool<RfKernel>),
 }
 
-impl<'g> EdgeRangeDriver<'g> {
-    /// A driver over `g`'s directed edge-offset range.
-    pub fn new(g: &'g CsrGraph) -> Self {
-        Self { g }
+impl KernelPool {
+    /// Kernels of type `kernel` over graphs of `num_vertices` vertices.
+    ///
+    /// # Panics
+    /// On an invalid RF ratio (when the first kernel is built) — validate
+    /// the kernel at plan time.
+    pub fn new(kernel: CpuKernel, num_vertices: usize) -> Self {
+        let n = num_vertices;
+        KernelPool(match kernel {
+            CpuKernel::Merge => Pool::Merge(CloneFactory(MergeKernel)),
+            CpuKernel::Mps(cfg) => Pool::Mps(CloneFactory(MpsKernel::new(cfg))),
+            CpuKernel::Bmp(BmpMode::Plain) => Pool::Bmp(BitmapPool::new(move || BmpKernel::new(n))),
+            CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }) => {
+                Pool::Rf(BitmapPool::new(move || {
+                    RfKernel::prevalidated(n.max(1), ratio)
+                }))
+            }
+        })
     }
 
-    /// Sequential execution of any workload: the whole edge range as one
-    /// task, all work reported to `meter`.
-    pub fn run_seq_workload<W: Workload, K: PairKernel, M: Meter>(
-        &self,
-        workload: &W,
-        kernel: &mut K,
-        meter: &mut M,
-    ) -> W::Output {
-        let g = self.g;
-        let m = g.num_directed_edges();
-        let shared = workload.new_shared(g);
-        let mut acc = workload.new_accum(g);
-        let tally = run_range(g, 0..m, workload, &shared, &mut acc, kernel, meter);
-        Self::record_tally(&cnc_obs::ObsContext::current(), &tally);
-        workload.finish(g, shared, acc)
-    }
-
-    /// Sequential CNC execution (the historical driver entry point).
-    pub fn run_seq<K: PairKernel, M: Meter>(&self, kernel: &mut K, meter: &mut M) -> Vec<u32> {
-        self.run_seq_workload(&CncWorkload, kernel, meter)
-    }
-
-    /// Parallel execution of any workload (Algorithm 3): unmetered.
-    pub fn run_par_workload<W: Workload, F: KernelFactory>(
-        &self,
-        workload: &W,
-        factory: &F,
-        cfg: &ParConfig,
-        model: &CostModel,
-    ) -> W::Output {
-        self.par_drive(workload, factory, cfg, model, false).0
-    }
-
-    /// Parallel CNC execution (the historical driver entry point).
-    pub fn run_par<F: KernelFactory>(
-        &self,
-        factory: &F,
-        cfg: &ParConfig,
-        model: &CostModel,
-    ) -> Vec<u32> {
-        self.run_par_workload(&CncWorkload, factory, cfg, model)
-    }
-
-    /// Parallel execution of any workload with per-task [`CountingMeter`]s,
-    /// tallies reduced lock-free and returned alongside the output.
-    pub fn run_par_metered_workload<W: Workload, F: KernelFactory>(
-        &self,
-        workload: &W,
-        factory: &F,
-        cfg: &ParConfig,
-        model: &CostModel,
-    ) -> (W::Output, WorkCounts) {
-        self.par_drive(workload, factory, cfg, model, true)
-    }
-
-    /// Parallel metered CNC execution (the historical driver entry point).
-    pub fn run_par_metered<F: KernelFactory>(
-        &self,
-        factory: &F,
-        cfg: &ParConfig,
-        model: &CostModel,
-    ) -> (Vec<u32>, WorkCounts) {
-        self.run_par_metered_workload(&CncWorkload, factory, cfg, model)
-    }
-
-    /// Record one execution's reduced [`RangeTally`] into the ambient
-    /// observability context, if any.
-    fn record_tally(obs: &Option<std::sync::Arc<cnc_obs::ObsContext>>, tally: &RangeTally) {
-        if let Some(ctx) = obs.as_ref() {
-            use cnc_obs::Counter as C;
-            ctx.add(C::KernelSourceRebuilds, tally.rebuilds);
-            ctx.add(C::WorkloadEdgesVisited, tally.visited);
-            ctx.add(C::WorkloadEdgesSkipped, tally.skipped);
+    /// Bitmap usage so far (`None` for the stateless merge family).
+    pub(crate) fn stats(&self) -> Option<PoolStats> {
+        match &self.0 {
+            Pool::Merge(_) | Pool::Mps(_) => None,
+            Pool::Bmp(p) => Some(p.stats()),
+            Pool::Rf(p) => Some(p.stats()),
         }
     }
+}
 
-    /// Shared parallel skeleton: decompose the edge range under the
-    /// config's schedule policy (priced through the workload's cost hooks),
-    /// borrow a kernel per task, accumulate through the workload's shared /
-    /// per-task state, optionally meter. Per-task accumulators and tallies
-    /// are combined with a rayon `map`/`reduce` of thread-local values — no
-    /// lock on the hot path.
-    fn par_drive<W: Workload, F: KernelFactory>(
-        &self,
-        workload: &W,
-        factory: &F,
-        cfg: &ParConfig,
-        model: &CostModel,
-        metered: bool,
-    ) -> (W::Output, WorkCounts) {
-        let g = self.g;
-        let m = g.num_directed_edges();
-        let shared = workload.new_shared(g);
-        let mut merged = workload.new_accum(g);
-        let mut total = WorkCounts::default();
-        if m > 0 {
-            // Ambient observability: rayon workers do not see the installing
-            // thread's context, so capture it (and the id of a "kernel" span
-            // that nests under this call's "workload" span) here and hand
-            // both to every task explicitly. `None` means every probe below
-            // is a no-op and the loop body is identical to the
-            // uninstrumented one.
-            let obs = cnc_obs::ObsContext::current();
-            // Cost estimates are only worth the O(E) pricing pass when
-            // someone is watching (the balanced policy prices sources
-            // either way, so its estimates are free).
-            let schedule = Schedule::compute(g, cfg.schedule, model, workload, obs.is_some());
-            let tasks = schedule.tasks();
-            // Span nesting is ambient on this thread: "workload" opens under
-            // the caller's span, "kernel" under "workload". Declaration
-            // order makes them close in reverse.
-            let _workload_span = obs.as_ref().map(|ctx| ctx.span("workload"));
-            let kernel_span = obs.as_ref().map(|ctx| {
-                use cnc_obs::Counter as C;
-                ctx.add(C::DriverTasks, tasks.len() as u64);
-                ctx.add(C::ScheduleTasks, tasks.len() as u64);
-                ctx.add(C::ScheduleEstCostMax, schedule.est_cost_max());
-                ctx.add(C::ScheduleEstCostMin, schedule.est_cost_min());
-                ctx.span("kernel")
+/// Run `work` with kernels from `kernels`, visiting through `workload`;
+/// returns the workload's output and the reduced [`RangeTally`].
+///
+/// Tasks run in parallel on `threads` workers (`None`: the ambient rayon
+/// pool; a one-task list runs on the calling thread). Each task's meter is
+/// folded into `meter`. With an [`ObsContext`] installed, the run adds its
+/// task count to `driver.tasks`, and each edge-range task opens a `task`
+/// span under the caller's innermost span. Pair lists open no spans: they
+/// are point-query batches inside a long-lived daemon, whose span tree
+/// must not grow per batch. Recording the tally is the caller's choice.
+pub fn execute<W: Workload, M: TaskMeter>(
+    g: &CsrGraph,
+    work: WorkList<'_>,
+    kernels: &KernelPool,
+    workload: &W,
+    meter: &mut M,
+    threads: Option<usize>,
+) -> (W::Output, RangeTally) {
+    let obs = ObsContext::current();
+    let spans = match work {
+        WorkList::Edges(_) => obs.as_deref().map(|ctx| (ctx, ctx.recorder().current())),
+        WorkList::Pairs(..) => None,
+    };
+    let shared = workload.new_shared(g);
+    let (acc, task_meters, tally) = with_threads(threads, || match &kernels.0 {
+        Pool::Merge(f) => run_task_list(g, work, f, workload, &shared, spans),
+        Pool::Mps(f) => run_task_list(g, work, f, workload, &shared, spans),
+        Pool::Bmp(p) => run_task_list(g, work, p, workload, &shared, spans),
+        Pool::Rf(p) => run_task_list(g, work, p, workload, &shared, spans),
+    });
+    meter.absorb(task_meters);
+    if let Some(ctx) = &obs {
+        ctx.add(C::DriverTasks, work.tasks().len() as u64);
+    }
+    (workload.finish(g, shared, acc), tally)
+}
+
+/// The one parallel task runner: acquire a kernel, feed the task's items
+/// (edge offsets resolved to canonical pairs, or a slice of the pair list)
+/// through the loop with a task-local accumulator and meter, release the
+/// kernel. Accumulators, meters and tallies reduce pairwise — no lock on
+/// the hot path.
+fn run_task_list<W: Workload, F: KernelFactory, M: TaskMeter>(
+    g: &CsrGraph,
+    work: WorkList<'_>,
+    factory: &F,
+    workload: &W,
+    shared: &W::Shared,
+    spans: Option<(&ObsContext, Option<SpanId>)>,
+) -> (W::Accum, M, RangeTally) {
+    let tasks = work.tasks();
+    (0..tasks.len())
+        .into_par_iter()
+        .map(|k| {
+            let _task_span = spans.map(|(ctx, parent)| {
+                let mut s = ctx.span_under("task", parent);
+                s.set_items(tasks[k].len() as u64);
+                s
             });
-            let parent = kernel_span.as_ref().map(|s| s.id());
-            let obs = &obs;
-            let shared_ref = &shared;
-            let run = || {
-                (0..tasks.len())
-                    .into_par_iter()
-                    .map(|k| {
-                        let range = tasks[k].clone();
-                        let _task_span = obs.as_ref().map(|ctx| {
-                            let mut s = ctx.span_under("task", parent);
-                            s.set_items(range.len() as u64);
-                            s
-                        });
-                        let mut kernel = factory.acquire();
-                        let mut acc = workload.new_accum(g);
-                        let (work, tally) = if metered {
-                            let mut meter = CountingMeter::new();
-                            let tally = run_range(
-                                g,
-                                range,
-                                workload,
-                                shared_ref,
-                                &mut acc,
-                                &mut kernel,
-                                &mut meter,
-                            );
-                            (meter.counts, tally)
-                        } else {
-                            let tally = run_range(
-                                g,
-                                range,
-                                workload,
-                                shared_ref,
-                                &mut acc,
-                                &mut kernel,
-                                &mut NullMeter,
-                            );
-                            (WorkCounts::default(), tally)
-                        };
-                        factory.release(kernel);
-                        (acc, work, tally)
-                    })
-                    .reduce(
-                        || {
-                            (
-                                workload.new_accum(g),
-                                WorkCounts::default(),
-                                RangeTally::default(),
-                            )
-                        },
-                        |mut a, b| {
-                            workload.merge(&mut a.0, b.0);
-                            a.1.merge(&b.1);
-                            a.2.accumulate(&b.2);
-                            a
-                        },
-                    )
+            let mut kernel = factory.acquire();
+            let (mut acc, mut meter) = (workload.new_accum(g), M::default());
+            let task = (&mut acc, &mut kernel, &mut meter);
+            let range = tasks[k].clone();
+            let tally = match work {
+                WorkList::Edges(_) => {
+                    let mut u_tls = 0u32; // FindSrc stash (Algorithm 3 line 8)
+                    let items = range.filter_map(|eid| {
+                        let u = g.find_src(eid, &mut u_tls);
+                        let v = g.dst()[eid];
+                        (u < v).then_some((eid, u, v))
+                    });
+                    run_items(g, items, workload, shared, task)
+                }
+                WorkList::Pairs(pairs, _) => {
+                    let items = range
+                        .clone()
+                        .zip(&pairs[range])
+                        .map(|(i, &(u, v))| (i, u, v));
+                    run_items(g, items, workload, shared, task)
+                }
             };
-            let (acc, work, tally) = crate::with_threads(cfg.threads, run);
-            Self::record_tally(obs, &tally);
-            merged = acc;
-            total = work;
-        }
-        (workload.finish(g, shared, merged), total)
+            factory.release(kernel);
+            (acc, meter, tally)
+        })
+        .reduce(
+            || (workload.new_accum(g), M::default(), RangeTally::default()),
+            |mut a, b| {
+                workload.merge(&mut a.0, b.0);
+                a.1.absorb(b.1);
+                a.2.accumulate(&b.2);
+                a
+            },
+        )
+}
+
+/// Run `f` on a dedicated rayon pool of `threads` workers (`None`: the
+/// ambient pool).
+fn with_threads<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
+    match threads {
+        None => f(),
+        Some(t) => rayon::ThreadPoolBuilder::new()
+            .num_threads(t)
+            .build()
+            .expect("failed to build rayon pool")
+            .install(f),
     }
 }
 
-/// The platform-side algorithm dispatch: one value selects the kernel for
-/// every execution mode. The named driver functions (`seq_mps`, `par_bmp`,
-/// …) are thin wrappers over this.
+/// The platform-side algorithm choice: one value selects the kernel for
+/// every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuKernel {
     /// Baseline plain merge (**M**).
@@ -439,329 +404,119 @@ impl CpuKernel {
         }
     }
 
-    /// Sequential execution of any workload on `g`, work reported to
-    /// `meter`.
-    pub fn run_seq_workload<W: Workload, M: Meter>(
-        &self,
-        workload: &W,
-        g: &CsrGraph,
-        meter: &mut M,
-    ) -> W::Output {
-        let drv = EdgeRangeDriver::new(g);
-        match self {
-            CpuKernel::Merge => drv.run_seq_workload(workload, &mut MergeKernel, meter),
-            CpuKernel::Mps(cfg) => drv.run_seq_workload(workload, &mut MpsKernel::new(*cfg), meter),
-            CpuKernel::Bmp(BmpMode::Plain) => {
-                drv.run_seq_workload(workload, &mut BmpKernel::new(g.num_vertices()), meter)
-            }
-            CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }) => {
-                let mut k = RfKernel::prevalidated(g.num_vertices().max(1), *ratio);
-                drv.run_seq_workload(workload, &mut k, meter)
-            }
-        }
-    }
-
-    /// Sequential CNC execution on `g`, work reported to `meter`.
-    pub fn run_seq<M: Meter>(&self, g: &CsrGraph, meter: &mut M) -> Vec<u32> {
-        self.run_seq_workload(&CncWorkload, g, meter)
-    }
-
-    /// Sequential execution of one edge-offset `range` of `g` through
-    /// [`run_range`], with caller-owned shared / accumulator state. This is
-    /// the shard worker's entry point: the coordinator cuts the edge range
-    /// on source boundaries ([`cut_source_blocks`](crate::cut_source_blocks))
-    /// and each worker process drives exactly its block, so every kernel
-    /// sees the same source-aligned ranges a balanced thread schedule would.
-    pub fn run_range_workload<W: Workload, M: Meter>(
-        &self,
-        workload: &W,
-        g: &CsrGraph,
-        range: Range<usize>,
-        shared: &W::Shared,
-        acc: &mut W::Accum,
-        meter: &mut M,
-    ) -> RangeTally {
-        match self {
-            CpuKernel::Merge => run_range(g, range, workload, shared, acc, &mut MergeKernel, meter),
-            CpuKernel::Mps(cfg) => run_range(
-                g,
-                range,
-                workload,
-                shared,
-                acc,
-                &mut MpsKernel::new(*cfg),
-                meter,
-            ),
-            CpuKernel::Bmp(BmpMode::Plain) => run_range(
-                g,
-                range,
-                workload,
-                shared,
-                acc,
-                &mut BmpKernel::new(g.num_vertices()),
-                meter,
-            ),
-            CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }) => {
-                let mut k = RfKernel::prevalidated(g.num_vertices().max(1), *ratio);
-                run_range(g, range, workload, shared, acc, &mut k, meter)
-            }
-        }
-    }
-
-    /// Parallel execution of any workload on `g` (Algorithm 3), unmetered.
-    pub fn run_par_workload<W: Workload>(
-        &self,
-        workload: &W,
-        g: &CsrGraph,
-        cfg: &ParConfig,
-    ) -> W::Output {
-        let drv = EdgeRangeDriver::new(g);
-        let n = g.num_vertices();
-        let model = self.cost_model();
-        match self {
-            CpuKernel::Merge => {
-                drv.run_par_workload(workload, &CloneFactory(MergeKernel), cfg, &model)
-            }
-            CpuKernel::Mps(mps) => {
-                drv.run_par_workload(workload, &CloneFactory(MpsKernel::new(*mps)), cfg, &model)
-            }
-            CpuKernel::Bmp(BmpMode::Plain) => {
-                let pool = BitmapPool::new(move || BmpKernel::new(n));
-                drv.run_par_workload(workload, &pool, cfg, &model)
-            }
-            CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }) => {
-                let ratio = *ratio;
-                let pool = BitmapPool::new(move || RfKernel::prevalidated(n.max(1), ratio));
-                drv.run_par_workload(workload, &pool, cfg, &model)
-            }
-        }
-    }
-
-    /// Parallel CNC execution on `g` (Algorithm 3), unmetered.
-    pub fn run_par(&self, g: &CsrGraph, cfg: &ParConfig) -> Vec<u32> {
-        self.run_par_workload(&CncWorkload, g, cfg)
-    }
-
-    /// Parallel execution of any workload with merged per-task work
-    /// tallies.
-    pub fn run_par_metered_workload<W: Workload>(
-        &self,
-        workload: &W,
-        g: &CsrGraph,
-        cfg: &ParConfig,
-    ) -> (W::Output, WorkCounts) {
-        let drv = EdgeRangeDriver::new(g);
-        let n = g.num_vertices();
-        let model = self.cost_model();
-        match self {
-            CpuKernel::Merge => {
-                drv.run_par_metered_workload(workload, &CloneFactory(MergeKernel), cfg, &model)
-            }
-            CpuKernel::Mps(mps) => drv.run_par_metered_workload(
-                workload,
-                &CloneFactory(MpsKernel::new(*mps)),
-                cfg,
-                &model,
-            ),
-            CpuKernel::Bmp(BmpMode::Plain) => {
-                let pool = BitmapPool::new(move || BmpKernel::new(n));
-                drv.run_par_metered_workload(workload, &pool, cfg, &model)
-            }
-            CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }) => {
-                let ratio = *ratio;
-                let pool = BitmapPool::new(move || RfKernel::prevalidated(n.max(1), ratio));
-                drv.run_par_metered_workload(workload, &pool, cfg, &model)
-            }
-        }
-    }
-
-    /// Parallel CNC execution with merged per-task work tallies.
-    pub fn run_par_metered(&self, g: &CsrGraph, cfg: &ParConfig) -> (Vec<u32>, WorkCounts) {
-        self.run_par_metered_workload(&CncWorkload, g, cfg)
-    }
-
-    /// Sequential execution of the workload described by `kind`, dispatched
-    /// to the matching strategy object and type-erased into a
-    /// [`WorkloadOutput`].
-    pub fn run_seq_kind<M: Meter>(
+    /// Sequential pass of the workload `kind` over `g` (one task), work
+    /// reported to `meter`.
+    pub fn run_seq_kind<M: TaskMeter>(
         &self,
         g: &CsrGraph,
         kind: WorkloadKind,
         meter: &mut M,
     ) -> WorkloadOutput {
-        match kind {
-            WorkloadKind::Cnc => {
-                WorkloadOutput::EdgeCounts(self.run_seq_workload(&CncWorkload, g, meter))
-            }
-            WorkloadKind::Triangle => {
-                WorkloadOutput::Global(self.run_seq_workload(&TriangleWorkload, g, meter))
-            }
-            WorkloadKind::KClique { k } => {
-                let w = KCliqueWorkload::new(k).expect("clique size validated at plan time");
-                WorkloadOutput::CliqueCounts {
-                    k,
-                    counts: self.run_seq_workload(&w, g, meter),
-                }
-            }
-        }
+        self.run_kind(g, kind, None, meter)
     }
 
-    /// Parallel execution of the workload described by `kind`, type-erased
-    /// into a [`WorkloadOutput`].
+    /// Parallel pass of the workload `kind` over `g` (Algorithm 3),
+    /// unmetered.
     pub fn run_par_kind(
         &self,
         g: &CsrGraph,
         cfg: &ParConfig,
         kind: WorkloadKind,
     ) -> WorkloadOutput {
-        match kind {
-            WorkloadKind::Cnc => {
-                WorkloadOutput::EdgeCounts(self.run_par_workload(&CncWorkload, g, cfg))
-            }
-            WorkloadKind::Triangle => {
-                WorkloadOutput::Global(self.run_par_workload(&TriangleWorkload, g, cfg))
-            }
-            WorkloadKind::KClique { k } => {
-                let w = KCliqueWorkload::new(k).expect("clique size validated at plan time");
-                WorkloadOutput::CliqueCounts {
-                    k,
-                    counts: self.run_par_workload(&w, g, cfg),
-                }
-            }
-        }
+        self.run_kind(g, kind, Some(cfg), &mut NullMeter)
     }
 
-    /// Parallel metered execution of the workload described by `kind`,
-    /// type-erased into a [`WorkloadOutput`].
+    /// Parallel pass of the workload `kind` over `g` with merged per-task
+    /// work tallies.
     pub fn run_par_metered_kind(
         &self,
         g: &CsrGraph,
         cfg: &ParConfig,
         kind: WorkloadKind,
     ) -> (WorkloadOutput, WorkCounts) {
+        let mut meter = CountingMeter::new();
+        let output = self.run_kind(g, kind, Some(cfg), &mut meter);
+        (output, meter.counts)
+    }
+
+    /// The one dispatch from [`WorkloadKind`] to a workload.
+    fn run_kind<M: TaskMeter>(
+        &self,
+        g: &CsrGraph,
+        kind: WorkloadKind,
+        cfg: Option<&ParConfig>,
+        meter: &mut M,
+    ) -> WorkloadOutput {
         match kind {
-            WorkloadKind::Cnc => {
-                let (c, w) = self.run_par_metered_workload(&CncWorkload, g, cfg);
-                (WorkloadOutput::EdgeCounts(c), w)
-            }
+            WorkloadKind::Cnc => WorkloadOutput::EdgeCounts(self.pass(g, &CncWorkload, cfg, meter)),
             WorkloadKind::Triangle => {
-                let (t, w) = self.run_par_metered_workload(&TriangleWorkload, g, cfg);
-                (WorkloadOutput::Global(t), w)
+                WorkloadOutput::Global(self.pass(g, &TriangleWorkload, cfg, meter))
             }
             WorkloadKind::KClique { k } => {
-                let wl = KCliqueWorkload::new(k).expect("clique size validated at plan time");
-                let (counts, w) = self.run_par_metered_workload(&wl, g, cfg);
-                (WorkloadOutput::CliqueCounts { k, counts }, w)
+                let w = KCliqueWorkload::new(k).expect("clique size validated at plan time");
+                WorkloadOutput::CliqueCounts {
+                    k,
+                    counts: self.pass(g, &w, cfg, meter),
+                }
             }
         }
+    }
+
+    /// A bulk pass over every edge: one task when `cfg` is `None`, the
+    /// config's schedule otherwise. Observed passes nest `workload` →
+    /// `kernel` → `task` spans under the caller's span and record the
+    /// tally (and, when scheduled, the `schedule.*` counters).
+    fn pass<W: Workload, M: TaskMeter>(
+        &self,
+        g: &CsrGraph,
+        workload: &W,
+        cfg: Option<&ParConfig>,
+        meter: &mut M,
+    ) -> W::Output {
+        let obs = ObsContext::current();
+        let (tasks, threads) = match cfg {
+            // A sequential run is a one-task list.
+            None => (std::iter::once(0..g.num_directed_edges()).collect(), None),
+            Some(cfg) => {
+                // Estimates are only worth the uniform policy's O(E)
+                // pricing pass when someone is watching.
+                let s =
+                    Schedule::compute(g, cfg.schedule, &self.cost_model(), workload, obs.is_some());
+                if let Some(ctx) = &obs {
+                    ctx.add(C::ScheduleTasks, s.tasks.len() as u64);
+                    ctx.add(C::ScheduleEstCostMax, s.est_cost_max());
+                    ctx.add(C::ScheduleEstCostMin, s.est_cost_min());
+                }
+                (s.tasks, cfg.threads)
+            }
+        };
+        // A scheduled pass over no edges opens no spans.
+        let spans = obs.as_deref().filter(|_| !tasks.is_empty());
+        let _workload_span = spans.map(|ctx| ctx.span("workload"));
+        let _kernel_span = spans.map(|ctx| ctx.span("kernel"));
+        let kernels = KernelPool::new(*self, g.num_vertices());
+        let (output, tally) = execute(
+            g,
+            WorkList::Edges(&tasks),
+            &kernels,
+            workload,
+            meter,
+            threads,
+        );
+        if let Some(ctx) = &obs {
+            tally.record_to(&**ctx);
+        }
+        output
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnc_graph::{generators, EdgeList};
-
-    fn oracle(g: &CsrGraph) -> Vec<u32> {
-        let mut cnt = vec![0u32; g.num_directed_edges()];
-        for (eid, u, v) in g.iter_edges() {
-            cnt[eid] = cnc_intersect::reference_count(g.neighbors(u), g.neighbors(v));
-        }
-        cnt
-    }
 
     #[test]
-    fn every_kernel_every_mode_is_exact() {
-        let g = CsrGraph::from_edge_list(&generators::hub_web(250, 5.0, 2, 0.5, 2));
-        let want = oracle(&g);
-        for cfg in [ParConfig::with_task_size(53), ParConfig::balanced(7)] {
-            for kernel in [
-                CpuKernel::Merge,
-                CpuKernel::Mps(MpsConfig::default()),
-                CpuKernel::Bmp(BmpMode::Plain),
-                CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())),
-            ] {
-                assert_eq!(kernel.run_seq(&g, &mut NullMeter), want, "{kernel:?} seq");
-                assert_eq!(kernel.run_par(&g, &cfg), want, "{kernel:?} par {cfg:?}");
-                let (counts, work) = kernel.run_par_metered(&g, &cfg);
-                assert_eq!(counts, want, "{kernel:?} par_metered {cfg:?}");
-                assert!(work.total_ops() > 0, "{kernel:?} reported no work");
-            }
-        }
-    }
-
-    #[test]
-    fn seq_and_metered_par_report_identical_work() {
-        // Uniform metering: meter_reverse and kernel work are recorded on
-        // every path, so for kernels without per-source state the parallel
-        // decomposition must not change a single tally.
-        let g = CsrGraph::from_edge_list(&generators::chung_lu(200, 9.0, 2.2, 6));
-        let kernel = CpuKernel::Mps(MpsConfig::default());
-        let mut seq_meter = CountingMeter::new();
-        kernel.run_seq(&g, &mut seq_meter);
-        for cfg in [ParConfig::with_task_size(61), ParConfig::balanced(9)] {
-            let (_, par_work) = kernel.run_par_metered(&g, &cfg);
-            assert_eq!(par_work, seq_meter.counts, "{cfg:?}");
-        }
-    }
-
-    #[test]
-    fn reverse_index_removes_random_probe_metering() {
-        // Acceptance: on a graph carrying the prepared reverse-edge index
-        // the mirror store is a streamed O(1) load — the merge kernel does
-        // no other random accesses, so the whole tally must show zero.
-        let mut g = CsrGraph::from_edge_list(&generators::hub_web(200, 5.0, 2, 0.5, 4));
-        let mut searched = CountingMeter::new();
-        CpuKernel::Merge.run_seq(&g, &mut searched);
-        g.build_reverse_index();
-        let mut indexed = CountingMeter::new();
-        let counts = CpuKernel::Merge.run_seq(&g, &mut indexed);
-        assert_eq!(counts, oracle(&g));
-        assert!(
-            searched.counts.rand_accesses > 0,
-            "binary-search fallback must meter random probes"
-        );
-        assert_eq!(
-            indexed.counts.rand_accesses, 0,
-            "reverse index must eliminate every random probe"
-        );
-        assert!(indexed.counts.seq_bytes > searched.counts.seq_bytes);
-    }
-
-    #[test]
-    fn empty_range_never_touches_kernel() {
-        let g = CsrGraph::from_edge_list(&EdgeList::new(0));
-        for kernel in [CpuKernel::Merge, CpuKernel::Bmp(BmpMode::Plain)] {
-            assert!(kernel.run_seq(&g, &mut NullMeter).is_empty());
-            assert!(kernel.run_par(&g, &ParConfig::default()).is_empty());
-        }
-    }
-
-    #[test]
-    fn validate_rejects_bad_rf_ratios() {
-        assert!(CpuKernel::Bmp(BmpMode::RangeFiltered { ratio: 0 })
-            .validate()
-            .is_err());
-        assert!(CpuKernel::Bmp(BmpMode::RangeFiltered { ratio: 48 })
-            .validate()
-            .is_err());
-        assert!(CpuKernel::Bmp(BmpMode::rf_default()).validate().is_ok());
-        assert!(CpuKernel::Merge.validate().is_ok());
-        assert!(BmpMode::range_filtered(100).is_err());
-        assert_eq!(
-            BmpMode::range_filtered(64),
-            Ok(BmpMode::RangeFiltered { ratio: 64 })
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn run_with_bad_ratio_panics_with_clear_message() {
-        // Invalid ratios are a plan-construction bug (Plan::validate rejects
-        // them); the kernel constructor still refuses to build a broken
-        // filter if one slips through.
-        let g = CsrGraph::from_edge_list(&generators::gnm(20, 40, 1));
-        let _ =
-            CpuKernel::Bmp(BmpMode::RangeFiltered { ratio: 3 }).run_par(&g, &ParConfig::default());
+    fn with_threads_runs_closure() {
+        assert_eq!(with_threads(None, || 41 + 1), 42);
+        assert_eq!(with_threads(Some(2), rayon::current_num_threads), 2);
     }
 }

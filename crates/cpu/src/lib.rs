@@ -1,4 +1,4 @@
-//! Multicore CPU drivers for all-edge common neighbor counting.
+//! Multicore CPU execution of all-edge common neighbor counting.
 //!
 //! This crate ports the paper's OpenMP skeleton (Algorithm 3) to rayon:
 //! the edge-offset range `[0, |E|)` is decomposed into tasks by a
@@ -11,19 +11,16 @@
 //! * for BMP, the bitmap index of the current source's neighbor list,
 //!   rebuilt only when the source changes.
 //!
-//! That skeleton is written exactly once — [`run_range`], wrapped by the
-//! generic [`EdgeRangeDriver`] — and instantiated per algorithm through the
-//! `PairKernel` strategies of `cnc-intersect`. [`CpuKernel`] is the
-//! platform-side dispatch; the named drivers are thin wrappers over it,
-//! provided in sequential and parallel forms:
+//! That skeleton is written exactly once: one source-grouped loop, one
+//! [`CpuKernel`] → kernel dispatch ([`KernelPool`]) and one [`execute`],
+//! instantiated per algorithm through the `PairKernel` strategies of
+//! `cnc-intersect`. Bulk passes enter through
+//! [`CpuKernel::run_seq_kind`] (one task) and
+//! [`CpuKernel::run_par_kind`] / [`CpuKernel::run_par_metered_kind`] (a
+//! [`Schedule`]); serve batches through [`BatchCounter`]; shard blocks and
+//! the machine-model profiler call [`execute`] with a one-range list.
 //!
-//! | driver | paper name | kernel |
-//! |--------|------------|--------|
-//! | [`seq_merge_baseline`] / [`par_merge_baseline`] | **M** | plain merge |
-//! | [`seq_mps`] / [`par_mps`] | **MPS** | hybrid VB / pivot-skip |
-//! | [`seq_bmp`] / [`par_bmp`] | **BMP** (+**RF**) | dynamic bitmap index |
-//!
-//! All drivers return one `u32` count per *directed* edge slot of the CSR
+//! CNC runs return one `u32` count per *directed* edge slot of the CSR
 //! (`cnt[e(u,v)]` for every `(u,v)`), with the symmetric assignment
 //! technique applied: only `u < v` pairs are intersected and the result is
 //! mirrored to `e(v,u)`.
@@ -34,47 +31,12 @@
 
 mod batch;
 mod driver;
-mod par;
-mod par_metered;
 mod pool;
 mod schedule;
-mod seq;
 
-pub use batch::{pair_task_ranges, run_pairs, BatchCounter};
-pub use driver::{
-    run_range, BmpMode, CloneFactory, CpuKernel, EdgeRangeDriver, KernelFactory, RangeTally,
-};
-pub use par::{par_bmp, par_merge_baseline, par_mps, ParConfig};
-pub use par_metered::{par_bmp_metered, par_mps_metered};
+pub use batch::BatchCounter;
+pub use driver::{execute, BmpMode, CpuKernel, KernelPool, RangeTally, TaskMeter, WorkList};
 pub use pool::{BitmapPool, PoolStats};
-// The scatter target moved to `cnc-workload` (it is the CNC workload's
-// shared state); re-exported here for source compatibility.
-pub use cnc_workload::ScatterVec;
-pub use schedule::{cut_source_blocks, RangeBlock, Schedule, SchedulePolicy, DEFAULT_TASK_SIZE};
-pub use seq::{seq_bmp, seq_merge_baseline, seq_mps};
-
-/// Run a closure on a dedicated rayon pool with `threads` workers.
-///
-/// Used by benchmarks and the thread-scaling experiments; `None` uses the
-/// global pool.
-pub fn with_threads<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
-    match threads {
-        None => f(),
-        Some(t) => rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .expect("failed to build rayon pool")
-            .install(f),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn with_threads_runs_closure() {
-        assert_eq!(with_threads(None, || 41 + 1), 42);
-        assert_eq!(with_threads(Some(2), rayon::current_num_threads), 2);
-    }
-}
+pub use schedule::{
+    cut_source_blocks, ParConfig, RangeBlock, Schedule, SchedulePolicy, DEFAULT_TASK_SIZE,
+};

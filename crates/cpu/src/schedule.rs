@@ -1,6 +1,6 @@
-//! Workload-aware task decomposition for the edge-range driver.
+//! Workload-aware task decomposition of the edge range.
 //!
-//! The parallel driver splits the directed edge range `0..m` into tasks.
+//! A parallel pass splits the directed edge range `0..m` into tasks.
 //! How it splits matters twice over:
 //!
 //! * **Balance** — uniform edge counts are not uniform work. A hub source
@@ -16,7 +16,8 @@
 //! byte-for-byte and stays the default. [`SchedulePolicy::Balanced`] prices
 //! every source with the kernel's [`CostModel`], prefix-sums the costs, and
 //! binary-searches near-equal cut points that always land on source
-//! boundaries.
+//! boundaries. Serve batches cut their source-grouped pair lists with the
+//! same routine ([`pair_task_ranges`]).
 
 use std::ops::Range;
 
@@ -48,6 +49,37 @@ pub enum SchedulePolicy {
 /// The historical default chunk size of the uniform policy.
 pub const DEFAULT_TASK_SIZE: usize = 8192;
 
+/// Parallel execution parameters for the Algorithm 3 skeleton.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ParConfig {
+    /// How the edge range is decomposed into tasks. The uniform policy is
+    /// the Section 4 trade-off (large tasks amortize scheduling, small
+    /// tasks balance load); the balanced policy prices sources with the
+    /// kernel's cost model and cuts on source boundaries.
+    pub schedule: SchedulePolicy,
+    /// Worker threads; `None` uses the ambient rayon pool.
+    pub threads: Option<usize>,
+}
+
+impl ParConfig {
+    /// Uniform chunks with an explicit task size (clamped to ≥ 1).
+    pub fn with_task_size(task_size: usize) -> Self {
+        Self {
+            schedule: SchedulePolicy::uniform(task_size),
+            threads: None,
+        }
+    }
+
+    /// Cost-balanced, source-aligned decomposition into at most `tasks`
+    /// tasks (clamped to ≥ 1).
+    pub fn balanced(tasks: usize) -> Self {
+        Self {
+            schedule: SchedulePolicy::balanced(tasks),
+            threads: None,
+        }
+    }
+}
+
 impl Default for SchedulePolicy {
     fn default() -> Self {
         SchedulePolicy::Uniform {
@@ -78,7 +110,7 @@ impl SchedulePolicy {
 /// zero when estimates were not requested).
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    tasks: Vec<Range<usize>>,
+    pub(crate) tasks: Vec<Range<usize>>,
     est_cost_max: u64,
     est_cost_min: u64,
 }
@@ -133,7 +165,6 @@ impl Schedule {
                 }
             }
             SchedulePolicy::Balanced { tasks: want } => {
-                let want = want.max(1);
                 let prefix = source_cost_prefix(g, model, workload);
                 let bounds = balanced_bounds(g, &prefix, want);
                 let tasks: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
@@ -190,7 +221,7 @@ pub fn cut_source_blocks<W: Workload>(
         return Vec::new();
     }
     let prefix = source_cost_prefix(g, model, workload);
-    let bounds = balanced_bounds(g, &prefix, blocks.max(1));
+    let bounds = balanced_bounds(g, &prefix, blocks);
     bounds
         .windows(2)
         .map(|w| RangeBlock {
@@ -200,29 +231,74 @@ pub fn cut_source_blocks<W: Workload>(
         .collect()
 }
 
-/// Source-aligned cut points for a cost-balanced decomposition into at
-/// most `want` pieces: `bounds[0] = 0`, `bounds.last() = m`, interior
-/// bounds snap the ideal `k/want`-of-total cost points to the first
-/// source boundary at or past them, dropping degenerate (empty) cuts.
-/// Shared by [`SchedulePolicy::Balanced`] and [`cut_source_blocks`] so
-/// thread tasks and process shards agree byte-for-byte.
+/// Source-aligned cut points of `g`'s edge range for a cost-balanced
+/// decomposition into at most `want` pieces. Shared by
+/// [`SchedulePolicy::Balanced`] and [`cut_source_blocks`] so thread tasks
+/// and process shards agree byte-for-byte.
 fn balanced_bounds(g: &CsrGraph, prefix: &[u64], want: usize) -> Vec<usize> {
-    let m = g.num_directed_edges();
-    let n = g.num_vertices();
-    let total = prefix[n];
     let offsets = g.offsets();
+    balanced_cuts(prefix, want, g.num_directed_edges(), |s| offsets[s])
+}
+
+/// Cost-balanced, source-aligned decomposition of a source-grouped pair
+/// list into at most `want` contiguous tasks — a serve batch's schedule.
+///
+/// Each pair costs one unit of loop overhead plus the model's
+/// `pair_cost`, each group start adds the once-per-source `source_cost`,
+/// and cuts snap forward to the next group boundary, so no task re-pays
+/// `begin_source` for a source another task already indexed.
+pub(crate) fn pair_task_ranges(
+    g: &CsrGraph,
+    pairs: &[(u32, u32)],
+    model: &CostModel,
+    want: usize,
+) -> Vec<Range<usize>> {
+    let n = pairs.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut prefix = Vec::with_capacity(n + 1);
+    prefix.push(0u64);
+    for (i, &(u, v)) in pairs.iter().enumerate() {
+        let mut cost = 1 + model.pair_cost(g.degree(u), g.degree(v));
+        if i == 0 || pairs[i - 1].0 != u {
+            cost = cost.saturating_add(model.source_cost(g.degree(u)));
+        }
+        prefix.push(prefix[i].saturating_add(cost));
+    }
+    let snap = |mut cut: usize| {
+        while cut > 0 && cut < n && pairs[cut].0 == pairs[cut - 1].0 {
+            cut += 1;
+        }
+        cut
+    };
+    let bounds = balanced_cuts(&prefix, want, n, snap);
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// The one cost-balanced cut routine. `prefix` prefix-sums the cost of
+/// consecutive items; the ideal cut at `k/want` of the total is found by
+/// `partition_point`, and `snap` maps that item index forward to the next
+/// group boundary in `0..=end`. Returns the bounds `0 < … < end`, with
+/// degenerate (empty) pieces dropped.
+fn balanced_cuts(
+    prefix: &[u64],
+    want: usize,
+    end: usize,
+    snap: impl Fn(usize) -> usize,
+) -> Vec<usize> {
+    let items = prefix.len() - 1;
+    let total = prefix[items];
+    let want = want.max(1);
     let mut bounds: Vec<usize> = vec![0];
     for k in 1..want {
-        // Ideal cut at cost k/want of the total; snap to the first
-        // source boundary at or past it.
         let target = ((total as u128 * k as u128) / want as u128) as u64;
-        let s = prefix.partition_point(|&c| c < target).min(n);
-        let cut = offsets[s];
-        if cut > *bounds.last().expect("bounds starts non-empty") && cut < m {
+        let cut = snap(prefix.partition_point(|&c| c < target).min(items));
+        if cut > *bounds.last().expect("bounds starts non-empty") && cut < end {
             bounds.push(cut);
         }
     }
-    bounds.push(m);
+    bounds.push(end);
     bounds
 }
 
@@ -481,6 +557,40 @@ mod tests {
         }
         let empty = CsrGraph::from_edge_list(&EdgeList::from_pairs(std::iter::empty()));
         assert!(cut_source_blocks(&empty, &CostModel::Merge, &CncWorkload, 4).is_empty());
+    }
+
+    #[test]
+    fn pair_task_ranges_tile_and_respect_groups() {
+        let g = hub_graph();
+        let pairs: Vec<(u32, u32)> = g
+            .iter_edges()
+            .filter(|&(_, u, v)| u < v)
+            .map(|(_, u, v)| (u, v))
+            .collect();
+        for want in [1usize, 2, 7, 16, 10_000] {
+            for model in [CostModel::Merge, CostModel::Bmp] {
+                let ranges = pair_task_ranges(&g, &pairs, &model, want);
+                let mut next = 0;
+                for r in &ranges {
+                    assert_eq!(r.start, next);
+                    assert!(r.end > r.start, "no empty tasks");
+                    // Interior cuts never split a source group.
+                    if r.start > 0 {
+                        assert_ne!(
+                            pairs[r.start].0,
+                            pairs[r.start - 1].0,
+                            "cut at {} splits source {}",
+                            r.start,
+                            pairs[r.start].0
+                        );
+                    }
+                    next = r.end;
+                }
+                assert_eq!(next, pairs.len());
+                assert!(ranges.len() <= want);
+            }
+        }
+        assert!(pair_task_ranges(&g, &[], &CostModel::Merge, 8).is_empty());
     }
 
     #[test]

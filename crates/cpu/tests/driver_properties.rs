@@ -1,4 +1,4 @@
-//! Property-based tests for the unified edge-range driver: the task
+//! Property-based tests for the execution core: the task
 //! decomposition and the meter choice must never change the answer.
 //!
 //! For any random graph, any task size (including degenerate ones: a task
@@ -9,8 +9,26 @@
 
 use cnc_cpu::{BmpMode, CpuKernel, ParConfig, Schedule, SchedulePolicy};
 use cnc_graph::{generators, CsrGraph};
-use cnc_intersect::{MpsConfig, NullMeter};
+use cnc_intersect::{MpsConfig, NullMeter, WorkCounts};
+use cnc_workload::{WorkloadKind, WorkloadOutput};
 use proptest::prelude::*;
+
+fn counts(out: WorkloadOutput) -> Vec<u32> {
+    out.into_edge_counts().expect("cnc output")
+}
+
+fn seq_counts(kernel: CpuKernel, g: &CsrGraph) -> Vec<u32> {
+    counts(kernel.run_seq_kind(g, WorkloadKind::Cnc, &mut NullMeter))
+}
+
+fn par_counts(kernel: CpuKernel, g: &CsrGraph, cfg: &ParConfig) -> Vec<u32> {
+    counts(kernel.run_par_kind(g, cfg, WorkloadKind::Cnc))
+}
+
+fn metered_counts(kernel: CpuKernel, g: &CsrGraph, cfg: &ParConfig) -> (Vec<u32>, WorkCounts) {
+    let (out, work) = kernel.run_par_metered_kind(g, cfg, WorkloadKind::Cnc);
+    (counts(out), work)
+}
 
 fn kernels(num_vertices: usize) -> Vec<CpuKernel> {
     vec![
@@ -51,9 +69,9 @@ proptest! {
         let g = CsrGraph::from_edge_list(&generators::gnm(n, n * edge_factor, seed));
         let cfg = ParConfig { schedule: p, threads: None };
         for kernel in kernels(g.num_vertices()) {
-            let seq = kernel.run_seq(&g, &mut NullMeter);
-            let par = kernel.run_par(&g, &cfg);
-            let (metered, work) = kernel.run_par_metered(&g, &cfg);
+            let seq = seq_counts(kernel, &g);
+            let par = par_counts(kernel, &g, &cfg);
+            let (metered, work) = metered_counts(kernel, &g, &cfg);
             prop_assert_eq!(&par, &seq, "NullMeter par diverged: {:?} {:?}", kernel, p);
             prop_assert_eq!(&metered, &seq, "CountingMeter par diverged: {:?} {:?}", kernel, p);
             // Any split of the range does the same intersections.
@@ -72,9 +90,9 @@ proptest! {
         let g = CsrGraph::from_edge_list(&generators::hub_web(80, 4.0, hubs, 0.5, seed));
         let cfg = ParConfig { schedule: p, threads: None };
         for kernel in kernels(g.num_vertices()) {
-            let seq = kernel.run_seq(&g, &mut NullMeter);
-            let (metered, _) = kernel.run_par_metered(&g, &cfg);
-            prop_assert_eq!(&kernel.run_par(&g, &cfg), &seq);
+            let seq = seq_counts(kernel, &g);
+            let (metered, _) = metered_counts(kernel, &g, &cfg);
+            prop_assert_eq!(&par_counts(kernel, &g, &cfg), &seq);
             prop_assert_eq!(&metered, &seq);
         }
     }

@@ -9,12 +9,13 @@ use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::generators;
 use cnc_graph::CsrGraph;
 use cnc_obs::{Counter, ObsContext};
+use cnc_workload::WorkloadKind;
 
 /// Run `kernel` under an installed context and return its counter snapshot.
 fn observed_run(g: &CsrGraph, kernel: CpuKernel, cfg: &ParConfig) -> cnc_obs::CounterSnapshot {
     let ctx = Arc::new(ObsContext::new());
     let guard = ctx.install();
-    let _ = kernel.run_par(g, cfg);
+    let _ = kernel.run_par_kind(g, cfg, WorkloadKind::Cnc);
     drop(guard);
     ctx.counters()
 }

@@ -61,10 +61,8 @@
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 mod bitmap;
-mod bsr;
 mod collect;
 mod cost;
-mod hash_index;
 mod kernel;
 mod merge;
 mod meter;
@@ -76,10 +74,8 @@ mod simd;
 mod vb;
 
 pub use bitmap::{bmp_count, bmp_count_tier, Bitmap};
-pub use bsr::{bsr_count, bsr_intersect, BsrSet};
 pub use collect::{merge_collect, mps_collect, ps_collect};
 pub use cost::CostModel;
-pub use hash_index::{hash_count, HashIndex};
 pub use kernel::{BmpKernel, MergeKernel, MpsKernel, PairKernel, RfKernel};
 pub use merge::merge_count;
 pub use meter::{CountingMeter, Meter, NullMeter, WorkCounts};

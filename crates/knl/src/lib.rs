@@ -5,8 +5,8 @@
 //! two-step simulation (see DESIGN.md's substitution table):
 //!
 //! 1. **Functional execution with exact instrumentation.** The real
-//!    algorithm (`cnc-cpu`'s sequential drivers with the real kernels from
-//!    `cnc-intersect`) runs over the graph with a `CountingMeter`,
+//!    algorithm (a one-task pass through `cnc_cpu::execute` with the real
+//!    kernels from `cnc-intersect`) runs over the graph with a `CountingMeter`,
 //!    producing both the exact common-neighbor counts *and* the exact tally
 //!    of scalar/vector operations, streamed bytes and random accesses the
 //!    algorithm performs. Nothing about the work is estimated.

@@ -1,9 +1,11 @@
 //! Exact work profiles of the counting algorithms on a concrete graph.
 
-use cnc_cpu::{BmpMode, CpuKernel};
+use cnc_cpu::{execute, BmpMode, CpuKernel, KernelPool, WorkList};
 use cnc_graph::{CsrGraph, PreparedGraph};
 use cnc_intersect::{Bitmap, CountingMeter, MpsConfig, RfBitmap, WorkCounts};
 use cnc_machine::WorkProfile;
+use cnc_obs::ObsContext;
+use cnc_workload::CncWorkload;
 
 use crate::runner::ModeledAlgo;
 
@@ -49,7 +51,7 @@ fn to_profile(counts: &WorkCounts, ws_bytes: f64, replicated: bool) -> WorkProfi
 }
 
 /// The CPU-side kernel dispatch equivalent to a modeled algorithm: modeled
-/// processors execute the same unified edge-range driver as the real CPU.
+/// processors execute the same source-grouped loop as the real CPU.
 pub fn cpu_kernel_of(algo: &ModeledAlgo) -> CpuKernel {
     match algo {
         ModeledAlgo::MergeBaseline => CpuKernel::Merge,
@@ -64,18 +66,21 @@ pub fn cpu_kernel_of(algo: &ModeledAlgo) -> CpuKernel {
 /// Execute `algo` on `g` (sequentially, fully instrumented) and return the
 /// exact counts plus the raw work tallies.
 ///
-/// This routes through `cnc_cpu::CpuKernel::run_seq` — the same
-/// `EdgeRangeDriver` loop as every real-CPU driver — with a
-/// [`CountingMeter`], so profiles are deterministic and exactly match the
-/// work of a single-task run.
+/// This is a one-task pass through `cnc_cpu::execute` — the same loop as
+/// every real-CPU run — with a [`CountingMeter`], so profiles are
+/// deterministic and exactly match the work of a single-task run.
 pub fn counts_and_work_of(g: &CsrGraph, algo: &ModeledAlgo) -> (Vec<u32>, WorkCounts) {
     let mut meter = CountingMeter::new();
-    let counts = cnc_obs::ObsContext::scoped("modeled_count", || {
-        cpu_kernel_of(algo).run_seq(g, &mut meter)
+    let kernels = KernelPool::new(cpu_kernel_of(algo), g.num_vertices());
+    let whole = 0..g.num_directed_edges();
+    let work = WorkList::Edges(std::slice::from_ref(&whole));
+    let (counts, tally) = ObsContext::scoped("modeled_count", || {
+        execute(g, work, &kernels, &CncWorkload, &mut meter, None)
     });
     // Modeled runs always meter; mirror the tallies into the ambient
     // observability context so `--metrics` reports agree with the profile.
-    if let Some(ctx) = cnc_obs::ObsContext::current() {
+    if let Some(ctx) = ObsContext::current() {
+        tally.record_to(&*ctx);
         meter.counts.record_to(&*ctx);
     }
     (counts, meter.counts)

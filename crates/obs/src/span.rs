@@ -115,6 +115,12 @@ impl SpanRecorder {
         self.open(name, parent, false)
     }
 
+    /// This thread's innermost open span: the parent to hand to
+    /// [`span_under`](Self::span_under) for work run on other threads.
+    pub fn current(&self) -> Option<SpanId> {
+        CURRENT_SPAN.with(|c| c.get())
+    }
+
     fn open(&self, name: &'static str, parent: Option<SpanId>, track: bool) -> SpanGuard<'_> {
         let id = SpanId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let prev = if track {

@@ -5,8 +5,8 @@
 //! coordinator points it at (memory-mapping warm caches, so N workers share
 //! the page cache instead of re-preparing N times), plans exactly like a
 //! single-process run, executes its assigned `[start, end)` directed edge
-//! range through the generic edge-range driver, and streams its results
-//! back over stdout using the [`crate::protocol`] frames.
+//! range as a one-range list through `cnc_cpu::execute`, and streams its
+//! results back over stdout using the [`crate::protocol`] frames.
 //!
 //! Determinism note: the worker runs the *full-length* [`ScatterVec`] the
 //! CNC workload always runs — the visit writes both `eid` and its mirror —
@@ -16,15 +16,17 @@
 //! to a single-process run by construction, not by accident of scheduling.
 
 use std::io::Write;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cnc_core::{Algorithm, Platform, Runner};
-use cnc_graph::prepare;
+use cnc_cpu::{execute, CpuKernel, KernelPool, RangeTally, WorkList};
+use cnc_graph::{prepare, CsrGraph};
 use cnc_intersect::CountingMeter;
 use cnc_obs::{ObsContext, RunReport};
-use cnc_workload::{CncWorkload, Workload};
+use cnc_workload::CncWorkload;
 
 use crate::protocol::{
     encode_msg, write_frame, ShardTally, WorkerMsg, COUNTS_PER_FRAME, SHARD_WIRE_VERSION,
@@ -131,45 +133,13 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
         ));
     }
 
-    // Execute the range. The ScatterVec spans all |E| directed slots so the
-    // mirror writes land wherever they belong; the wire only carries this
-    // worker's section plus the out-of-range spills.
-    let workload = CncWorkload;
-    let shared = workload.new_shared(g);
-    // CNC's accumulator is `()`; the binding drives the generic API.
-    #[allow(clippy::let_unit_value)]
-    let mut acc = workload.new_accum(g);
     let mut meter = CountingMeter::default();
-    let tally = {
+    let (counts, spills, tally) = {
         let mut s = ctx.span("execute");
         s.set_items((args.end - args.start) as u64);
-        plan.cpu_kernel.run_range_workload(
-            &workload,
-            g,
-            args.start..args.end,
-            &shared,
-            &mut acc,
-            &mut meter,
-        )
+        count_block(g, plan.cpu_kernel, args.start..args.end, &mut meter)
     };
     meter.counts.record_to(&*ctx);
-    let counts = workload.finish(g, shared, acc);
-
-    // Collect the spills: re-walk the range's canonical pairs and pick out
-    // every mirror slot that falls outside [start, end).
-    let mut spills: Vec<(u64, u32)> = Vec::new();
-    let mut u_hint = 0u32;
-    for eid in args.start..args.end {
-        let u = g.find_src(eid, &mut u_hint);
-        let v = g.neighbors(u)[eid - g.offsets()[u as usize]];
-        if u >= v {
-            continue;
-        }
-        let rev = g.reverse_offset(u, eid);
-        if rev < args.start || rev >= args.end {
-            spills.push((rev as u64, counts[rev]));
-        }
-    }
 
     // Stream the section. Under fault injection, die after half the chunks
     // with the pipe flushed — the coordinator must observe a genuine
@@ -210,6 +180,36 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
     out.flush().map_err(|e| format!("flush failed: {e}"))
 }
 
+/// Count one block as a one-range list through the same `execute` as a
+/// bulk pass. The CNC scatter target spans all `|E|` directed slots, so
+/// mirror writes land wherever they belong; the returned spills are the
+/// ones outside the block, which the wire carries beside its section.
+fn count_block(
+    g: &CsrGraph,
+    kernel: CpuKernel,
+    block: Range<usize>,
+    meter: &mut CountingMeter,
+) -> (Vec<u32>, Vec<(u64, u32)>, RangeTally) {
+    let kernels = KernelPool::new(kernel, g.num_vertices());
+    let work = WorkList::Edges(std::slice::from_ref(&block));
+    let (counts, tally) = execute(g, work, &kernels, &CncWorkload, meter, None);
+    // Re-walk the block's canonical pairs and pick out every mirror slot
+    // that falls outside it.
+    let mut spills: Vec<(u64, u32)> = Vec::new();
+    let mut u_hint = 0u32;
+    for eid in block.clone() {
+        let u = g.find_src(eid, &mut u_hint);
+        if u >= g.dst()[eid] {
+            continue;
+        }
+        let rev = g.reverse_offset(u, eid);
+        if !block.contains(&rev) {
+            spills.push((rev as u64, counts[rev]));
+        }
+    }
+    (counts, spills, tally)
+}
+
 fn send(out: &mut impl Write, msg: &WorkerMsg) -> Result<(), String> {
     write_frame(out, &encode_msg(msg)).map_err(|e| format!("worker stream write failed: {e}"))
 }
@@ -217,6 +217,50 @@ fn send(out: &mut impl Write, msg: &WorkerMsg) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn single_block_call_reproduces_the_bulk_pass() {
+        use cnc_cpu::{cut_source_blocks, BmpMode};
+        use cnc_graph::datasets::{Dataset, Scale};
+        use cnc_intersect::{MpsConfig, NullMeter};
+        use cnc_workload::WorkloadKind;
+
+        let g = Dataset::TwS.build(Scale::Tiny);
+        for kernel in [
+            CpuKernel::Merge,
+            CpuKernel::Mps(MpsConfig::default()),
+            CpuKernel::Bmp(BmpMode::Plain),
+            CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())),
+        ] {
+            let bulk = kernel
+                .run_seq_kind(&g, WorkloadKind::Cnc, &mut NullMeter)
+                .into_edge_counts()
+                .expect("cnc output");
+            for workers in [1, 3, 4] {
+                let blocks = cut_source_blocks(&g, &kernel.cost_model(), &CncWorkload, workers);
+                // Assemble as the coordinator does: every block's section,
+                // then every block's spills (mirror writes outside it).
+                let mut assembled = vec![0u32; bulk.len()];
+                let mut spilled = Vec::new();
+                for b in &blocks {
+                    let mut meter = CountingMeter::default();
+                    let (counts, spills, tally) =
+                        count_block(&g, kernel, b.range.clone(), &mut meter);
+                    assert!(tally.visited > 0 && meter.counts.intersections == tally.visited);
+                    assembled[b.range.clone()].copy_from_slice(&counts[b.range.clone()]);
+                    for &(slot, c) in &spills {
+                        assert!(!b.range.contains(&(slot as usize)), "spill inside block");
+                        assert_eq!(c, bulk[slot as usize], "{kernel:?} mirror write {slot}");
+                    }
+                    spilled.extend(spills);
+                }
+                for (slot, c) in spilled {
+                    assembled[slot as usize] = c;
+                }
+                assert_eq!(assembled, bulk, "{kernel:?} {workers} workers");
+            }
+        }
+    }
 
     #[test]
     fn fail_spec_parsing_matches_exact_pairs() {

@@ -3,7 +3,7 @@
 use cnc_graph::CsrGraph;
 use cnc_intersect::{Meter, PairKernel};
 
-use crate::{ScatterVec, Workload, WorkloadKind};
+use crate::{ScatterVec, Workload};
 
 /// Cost of the `e(v,u)` mirror lookup (the symmetric-assignment technique),
 /// reported to the meter.
@@ -40,10 +40,6 @@ impl Workload for CncWorkload {
     type Accum = ();
     type Output = Vec<u32>;
 
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::Cnc
-    }
-
     fn new_shared(&self, g: &CsrGraph) -> ScatterVec {
         ScatterVec::new(g.num_directed_edges())
     }
@@ -66,6 +62,56 @@ impl Workload for CncWorkload {
         shared.set(eid, c);
         shared.set(g.reverse_offset(u, eid), c);
         meter_reverse(g.has_reverse_index(), g.degree(v), meter);
+    }
+
+    fn merge(&self, _into: &mut (), _from: ()) {}
+
+    fn finish(&self, _g: &CsrGraph, shared: ScatterVec, _acc: ()) -> Vec<u32> {
+        shared.into_vec()
+    }
+}
+
+/// Common-neighbor counts of an explicit pair list — a point-query batch:
+/// pair `i`'s `|N(u) ∩ N(v)|` lands in slot `i` of the output, counted as
+/// given (no canonicalization, no mirror). The loop walks the list in its
+/// source-grouped order, so per-source kernel state is built once per
+/// group exactly as in a bulk pass.
+#[derive(Debug, Clone, Copy)]
+pub struct PairCountWorkload {
+    len: usize,
+}
+
+impl PairCountWorkload {
+    /// A workload over a list of `len` pairs.
+    pub fn new(len: usize) -> Self {
+        Self { len }
+    }
+}
+
+impl Workload for PairCountWorkload {
+    type Shared = ScatterVec;
+    type Accum = ();
+    type Output = Vec<u32>;
+
+    fn new_shared(&self, _g: &CsrGraph) -> ScatterVec {
+        ScatterVec::new(self.len)
+    }
+
+    fn new_accum(&self, _g: &CsrGraph) {}
+
+    #[inline]
+    fn visit<K: PairKernel, M: Meter>(
+        &self,
+        g: &CsrGraph,
+        shared: &ScatterVec,
+        _acc: &mut (),
+        item: usize,
+        u: u32,
+        v: u32,
+        kernel: &mut K,
+        meter: &mut M,
+    ) {
+        shared.set(item, kernel.count(g.neighbors(u), g.neighbors(v), meter));
     }
 
     fn merge(&self, _into: &mut (), _from: ()) {}

@@ -54,10 +54,6 @@ impl Workload for KCliqueWorkload {
     type Accum = KCliqueAccum;
     type Output = Vec<u64>;
 
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::KClique { k: self.k }
-    }
-
     fn new_shared(&self, _g: &CsrGraph) {}
 
     fn new_accum(&self, _g: &CsrGraph) -> KCliqueAccum {

@@ -1,4 +1,4 @@
-//! The workload abstraction over the edge-range driver.
+//! The workload abstraction over the source-grouped loop.
 //!
 //! The paper's machinery — the `FindSrc` stash, per-source kernel state,
 //! source-aligned cost-balanced scheduling — is workload-agnostic in shape:
@@ -23,10 +23,12 @@
 //!    schedule's per-source pricing (k-clique multiplies by its recursion
 //!    depth; triangle counting prices only cover edges).
 //!
-//! The driver in `cnc-cpu` stays the *only* edge-range loop; it is generic
-//! over this trait. [`WorkloadKind`] is the plan-level value describing
-//! which workload runs, and [`WorkloadOutput`] the type-erased result that
-//! flows through `Backend::execute` and the CLI.
+//! The source-grouped loop in `cnc-cpu` is the *only* traversal; it is
+//! generic over this trait, and walks either the directed edge range (bulk
+//! passes, shard blocks) or an explicit pair list (point-query batches,
+//! [`PairCountWorkload`]). [`WorkloadKind`] is the plan-level value
+//! describing which workload runs, and [`WorkloadOutput`] the type-erased
+//! result that flows through `Backend::execute` and the CLI.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -38,7 +40,7 @@ mod kind;
 mod scatter;
 mod triangle;
 
-pub use cnc::{meter_reverse, CncWorkload};
+pub use cnc::{meter_reverse, CncWorkload, PairCountWorkload};
 pub use kclique::{KCliqueAccum, KCliqueWorkload};
 pub use kind::{WorkloadError, WorkloadKind, WorkloadOutput};
 pub use scatter::ScatterVec;
@@ -47,11 +49,12 @@ pub use triangle::TriangleWorkload;
 use cnc_graph::CsrGraph;
 use cnc_intersect::{CostModel, Meter, PairKernel};
 
-/// A counting workload executed by the edge-range driver.
+/// A counting workload executed by the source-grouped loop.
 ///
-/// The driver walks a contiguous range of directed edge offsets, skips
-/// non-canonical (`u >= v`) slots, maintains the kernel's per-source state,
-/// and calls [`visit`](Workload::visit) for every covered canonical pair.
+/// The loop walks a task's items — a contiguous range of directed edge
+/// offsets (skipping non-canonical `u >= v` slots) or a slice of a
+/// source-grouped pair list — maintains the kernel's per-source state, and
+/// calls [`visit`](Workload::visit) for every covered pair.
 /// Implementations must be cheap to share across rayon tasks (`Sync`) and
 /// must keep [`visit`](Workload::visit) free of cross-task coordination:
 /// all mutation goes through the task-local `Accum` or the disjoint-write
@@ -66,9 +69,6 @@ pub trait Workload: Sync {
     type Accum: Send;
     /// The workload's final result type.
     type Output;
-
-    /// The plan-level descriptor of this workload.
-    fn kind(&self) -> WorkloadKind;
 
     /// Build the per-run shared state for `g`.
     fn new_shared(&self, g: &CsrGraph) -> Self::Shared;
@@ -96,7 +96,9 @@ pub trait Workload: Sync {
         true
     }
 
-    /// Process one covered canonical pair `(u, v)` at edge offset `eid`.
+    /// Process one covered pair `(u, v)`. `item` is the pair's edge offset
+    /// when the loop walks the edge range, its index when it walks a pair
+    /// list.
     ///
     /// When [`uses_kernel`](Workload::uses_kernel) is `true`, `kernel` has
     /// `begin_source(N(u))` applied. All work performed must be reported
@@ -107,7 +109,7 @@ pub trait Workload: Sync {
         g: &CsrGraph,
         shared: &Self::Shared,
         acc: &mut Self::Accum,
-        eid: usize,
+        item: usize,
         u: u32,
         v: u32,
         kernel: &mut K,

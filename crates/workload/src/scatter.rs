@@ -12,8 +12,9 @@
 //!
 //! [`ScatterVec`] encapsulates the one `unsafe` block this requires, and in
 //! debug builds verifies the exactly-once discipline with an atomic flag per
-//! slot. It lives in this crate because it is the CNC workload's
-//! [`Shared`](crate::Workload::Shared) state; `cnc-cpu` re-exports it.
+//! slot. It lives in this crate because it is the
+//! [`Shared`](crate::Workload::Shared) state of the CNC and pair-count
+//! workloads.
 
 use std::cell::UnsafeCell;
 

@@ -3,7 +3,7 @@
 use cnc_graph::CsrGraph;
 use cnc_intersect::{Meter, PairKernel};
 
-use crate::{Workload, WorkloadKind};
+use crate::Workload;
 
 /// Global triangle counting over *cover edges* (Bader-style edge cover
 /// pruning specialized to triangles): a canonical pair is visited only when
@@ -26,10 +26,6 @@ impl Workload for TriangleWorkload {
     type Shared = ();
     type Accum = u64;
     type Output = u64;
-
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::Triangle
-    }
 
     fn new_shared(&self, _g: &CsrGraph) {}
 
