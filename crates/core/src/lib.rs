@@ -58,6 +58,6 @@ pub use plan::{KernelSubstitution, Plan, PlanError};
 pub use runner::{
     Algorithm, CncResult, Platform, RfChoice, RunDetail, RunOutput, RunStats, Runner,
 };
-pub use scan::{scan, scan_parallel, try_scan, try_scan_parallel, Role, ScanError, ScanResult};
+pub use scan::{try_scan, Role, ScanError, ScanResult};
 pub use truss::{truss_decomposition, TrussError, TrussResult};
 pub use verify::{reference_counts, verify_counts, VerifyError};

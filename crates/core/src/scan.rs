@@ -88,35 +88,20 @@ impl std::fmt::Display for ScanError {
 
 impl std::error::Error for ScanError {}
 
-fn check_scan_params(eps: f64, mu: usize) -> Result<(), ScanError> {
+/// Run SCAN over a graph with precomputed counts.
+///
+/// `eps ∈ (0, 1]` is the similarity threshold, `mu ≥ 2` the core size
+/// (counting the vertex itself, per the original definition).
+///
+/// # Errors
+/// [`ScanError`] for an `eps` or `mu` out of range.
+pub fn try_scan(view: &CncView<'_>, eps: f64, mu: usize) -> Result<ScanResult, ScanError> {
     if !(0.0..=1.0).contains(&eps) {
         return Err(ScanError::EpsOutOfRange(eps));
     }
     if mu < 2 {
         return Err(ScanError::MuTooSmall(mu));
     }
-    Ok(())
-}
-
-/// Run SCAN over a graph with precomputed counts.
-///
-/// `eps ∈ (0, 1]` is the similarity threshold, `mu ≥ 2` the core size
-/// (counting the vertex itself, per the original definition).
-///
-/// # Panics
-/// On out-of-range `eps`/`mu` — see [`try_scan`] for the non-panicking
-/// form.
-pub fn scan(view: &CncView<'_>, eps: f64, mu: usize) -> ScanResult {
-    try_scan(view, eps, mu).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`scan`] with parameter validation as a typed error instead of a panic.
-pub fn try_scan(view: &CncView<'_>, eps: f64, mu: usize) -> Result<ScanResult, ScanError> {
-    check_scan_params(eps, mu)?;
-    Ok(scan_impl(view, eps, mu))
-}
-
-fn scan_impl(view: &CncView<'_>, eps: f64, mu: usize) -> ScanResult {
     let g: &CsrGraph = view.graph();
     let n = g.num_vertices();
 
@@ -199,178 +184,13 @@ fn scan_impl(view: &CncView<'_>, eps: f64, mu: usize) -> ScanResult {
         })
         .collect();
 
-    ScanResult {
+    Ok(ScanResult {
         cluster,
         role,
         num_clusters,
         eps,
         mu,
-    }
-}
-
-/// A sequential union-find with path halving (the cluster-merging core of
-/// the parallel SCAN below).
-#[derive(Debug)]
-struct UnionFind {
-    parent: Vec<u32>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n as u32).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Union by smaller root id keeps cluster numbering deterministic.
-            let (lo, hi) = (ra.min(rb), ra.max(rb));
-            self.parent[hi as usize] = lo;
-        }
-    }
-}
-
-/// Parallel SCAN: identical output to [`scan`], with the two embarrassingly
-/// parallel phases (per-edge similarity thresholding, per-vertex core
-/// detection) on rayon and the cluster merge as a union-find sweep — the
-/// structure of the pruning-based parallel SCAN family the paper's
-/// citation \[9\] describes (minus the pruning, which the precomputed
-/// counts make unnecessary).
-///
-/// # Panics
-/// On out-of-range `eps`/`mu` — see [`try_scan_parallel`] for the
-/// non-panicking form.
-pub fn scan_parallel(view: &CncView<'_>, eps: f64, mu: usize) -> ScanResult {
-    try_scan_parallel(view, eps, mu).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`scan_parallel`] with parameter validation as a typed error instead of
-/// a panic.
-pub fn try_scan_parallel(view: &CncView<'_>, eps: f64, mu: usize) -> Result<ScanResult, ScanError> {
-    check_scan_params(eps, mu)?;
-    Ok(scan_parallel_impl(view, eps, mu))
-}
-
-fn scan_parallel_impl(view: &CncView<'_>, eps: f64, mu: usize) -> ScanResult {
-    use rayon::prelude::*;
-    let g: &CsrGraph = view.graph();
-    let n = g.num_vertices();
-
-    // Phase 1 (parallel): strong-edge flags.
-    let strong: Vec<bool> = (0..g.num_directed_edges())
-        .into_par_iter()
-        .map(|eid| view.structural_similarity(eid) >= eps)
-        .collect();
-    // Phase 2 (parallel): cores.
-    let is_core: Vec<bool> = (0..n as u32)
-        .into_par_iter()
-        .map(|u| {
-            let strong_deg = g.offset_range(u).filter(|&eid| strong[eid]).count();
-            strong_deg + 1 >= mu
-        })
-        .collect();
-    // Phase 3: union cores over strong core-core edges.
-    let mut uf = UnionFind::new(n);
-    for u in 0..n as u32 {
-        if !is_core[u as usize] {
-            continue;
-        }
-        for eid in g.offset_range(u) {
-            let v = g.dst()[eid];
-            if strong[eid] && v > u && is_core[v as usize] {
-                uf.union(u, v);
-            }
-        }
-    }
-    // Phase 4: number clusters by root order (matching the sequential DFS's
-    // seed order: the smallest core id of a component is its seed) and
-    // attach borders.
-    let mut cluster = vec![-1i32; n];
-    let mut num_clusters = 0usize;
-    let mut root_to_id: std::collections::HashMap<u32, i32> = std::collections::HashMap::new();
-    for u in 0..n as u32 {
-        if is_core[u as usize] {
-            let root = uf.find(u);
-            let id = *root_to_id.entry(root).or_insert_with(|| {
-                let id = num_clusters as i32;
-                num_clusters += 1;
-                id
-            });
-            cluster[u as usize] = id;
-        }
-    }
-    // Borders: non-cores strongly connected to a core take the smallest
-    // adjacent core's cluster — identical to the DFS attachment because a
-    // non-core reached from several clusters is taken by the first
-    // (smallest-seed) cluster that reaches it in seed order.
-    let border_of: Vec<i32> = (0..n as u32)
-        .into_par_iter()
-        .map(|u| {
-            if is_core[u as usize] {
-                return cluster[u as usize];
-            }
-            g.offset_range(u)
-                .filter(|&eid| strong[eid] && is_core[g.dst()[eid] as usize])
-                .map(|eid| cluster[g.dst()[eid] as usize])
-                .min()
-                .unwrap_or(-1)
-        })
-        .collect();
-    let cluster: Vec<i32> = border_of;
-
-    let role: Vec<Role> = (0..n as u32)
-        .into_par_iter()
-        .map(|u| {
-            if cluster[u as usize] != -1 {
-                if is_core[u as usize] {
-                    Role::Core
-                } else {
-                    Role::Border
-                }
-            } else {
-                let mut seen: Option<i32> = None;
-                let mut bridges = false;
-                for &v in g.neighbors(u) {
-                    let c = cluster[v as usize];
-                    if c == -1 {
-                        continue;
-                    }
-                    match seen {
-                        None => seen = Some(c),
-                        Some(s) if s != c => {
-                            bridges = true;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                if bridges {
-                    Role::Hub
-                } else {
-                    Role::Outlier
-                }
-            }
-        })
-        .collect();
-
-    ScanResult {
-        cluster,
-        role,
-        num_clusters,
-        eps,
-        mu,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -382,7 +202,7 @@ mod tests {
     fn run_scan(g: &CsrGraph, eps: f64, mu: usize) -> ScanResult {
         let counts = reference_counts(g);
         let view = CncView::new(g, &counts);
-        scan(&view, eps, mu)
+        try_scan(&view, eps, mu).expect("valid SCAN parameters")
     }
 
     #[test]
@@ -466,10 +286,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mu must be at least 2")]
     fn mu_validation() {
         let g = CsrGraph::from_edge_list(&generators::complete(3));
-        let _ = run_scan(&g, 0.5, 1);
+        let counts = reference_counts(&g);
+        let err = try_scan(&CncView::new(&g, &counts), 0.5, 1).unwrap_err();
+        assert_eq!(err, ScanError::MuTooSmall(1));
+        assert_eq!(err.to_string(), "mu must be at least 2, got 1");
     }
 
     #[test]
@@ -486,7 +308,7 @@ mod tests {
             ScanError::MuTooSmall(0)
         );
         assert_eq!(
-            try_scan_parallel(&view, -0.1, 2).unwrap_err(),
+            try_scan(&view, -0.1, 2).unwrap_err(),
             ScanError::EpsOutOfRange(-0.1)
         );
         assert!(try_scan(&view, 0.5, 2).is_ok());
@@ -498,25 +320,5 @@ mod tests {
         let a = run_scan(&g, 0.5, 3);
         let b = run_scan(&g, 0.5, 3);
         assert_eq!(a.cluster, b.cluster);
-    }
-
-    #[test]
-    fn parallel_scan_equals_sequential() {
-        for (el, eps, mu) in [
-            (generators::clique_chain(4, 8), 0.6, 3usize),
-            (generators::chung_lu(300, 9.0, 2.2, 7), 0.5, 3),
-            (generators::hub_web(250, 5.0, 2, 0.4, 2), 0.4, 4),
-            (generators::gnm(200, 900, 1), 0.3, 2),
-            (generators::path(30), 0.9, 3),
-        ] {
-            let g = CsrGraph::from_edge_list(&el);
-            let counts = reference_counts(&g);
-            let view = CncView::new(&g, &counts);
-            let seq = scan(&view, eps, mu);
-            let par = scan_parallel(&view, eps, mu);
-            assert_eq!(seq.num_clusters, par.num_clusters, "eps={eps} mu={mu}");
-            assert_eq!(seq.cluster, par.cluster, "eps={eps} mu={mu}");
-            assert_eq!(seq.role, par.role, "eps={eps} mu={mu}");
-        }
     }
 }

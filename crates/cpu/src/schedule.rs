@@ -504,10 +504,11 @@ mod tests {
 
     #[test]
     fn pruning_workload_reshapes_the_pricing() {
-        // A star plus a short tail: every star edge has a degree-1 endpoint,
-        // so the triangle workload covers almost nothing and its priced
-        // total (balanced(1) ⇒ est_cost_max = whole-range cost) drops
-        // strictly below CNC's on the same graph and model.
+        // A star plus a short tail: a star edge (0, v) with v > 3 ends at a
+        // leaf whose list stops below v, so the triangle workload covers
+        // almost nothing and its priced total (balanced(1) ⇒ est_cost_max
+        // = whole-range cost) drops strictly below CNC's on the same graph
+        // and model.
         let g = CsrGraph::from_edge_list(&EdgeList::from_pairs(
             (1u32..60).map(|v| (0, v)).chain([(1, 2), (2, 3)]),
         ));

@@ -47,10 +47,12 @@ pub trait PairKernel {
     /// Tear down per-source state for `nu = N(u)` (no-op for merge kernels).
     fn end_source<M: Meter>(&mut self, nu: &[u32], meter: &mut M);
 
-    /// Count `|N(u) ∩ N(v)|` for the current source.
+    /// Count `|nu ∩ nv|` for the current source.
     ///
-    /// `nu` is the same slice last passed to `begin_source`; index kernels
-    /// ignore it and probe their per-source structure instead.
+    /// `nu` is the slice last passed to `begin_source`, or a suffix of it
+    /// that keeps every element `nv` can hold (the triangle workload passes
+    /// `N(u)` past `v` with `nv` = `N(v)` past `v`); index kernels ignore it
+    /// and probe their per-source structure instead.
     fn count<M: Meter>(&mut self, nu: &[u32], nv: &[u32], meter: &mut M) -> u32;
 
     /// True if all per-source state is cleared (the pool-release contract).

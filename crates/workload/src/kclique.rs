@@ -3,15 +3,18 @@
 use cnc_graph::CsrGraph;
 use cnc_intersect::{merge_collect, merge_count, CostModel, Meter, PairKernel};
 
+use crate::oriented::{above, closes_above, past_edge, upper_index};
 use crate::{Workload, WorkloadError, WorkloadKind};
 
 /// Count cliques of sizes `3..=k` (with `k` in `3..=5`).
 ///
 /// Every k-clique `{v1 < v2 < … < vk}` is discovered exactly once, at the
-/// canonical edge `(v1, v2)`: the visit intersects `N(u) ∩ N(v)`, keeps
-/// only candidates greater than `v`, and expands in ascending order through
-/// [`merge_collect`]/[`merge_count`] — so each level of the recursion pins
-/// the next-smallest vertex of the clique.
+/// canonical edge `(v1, v2)`: the visit intersects `N(u)` past `v` with
+/// `N(v)` past `v` (the oriented suffixes the triangle workload counts
+/// on, read from a per-pass upper-neighbour index), so every candidate is
+/// above `v`, and expands in ascending order through
+/// [`merge_collect`]/[`merge_count`] against `N(w)` past `w` — so each
+/// level of the recursion pins the next-smallest vertex of the clique.
 ///
 /// This workload never probes the driver-managed [`PairKernel`] per-source
 /// state ([`uses_kernel`](Workload::uses_kernel) is `false`); it recurses
@@ -50,11 +53,13 @@ pub struct KCliqueAccum {
 }
 
 impl Workload for KCliqueWorkload {
-    type Shared = ();
+    type Shared = Box<[usize]>;
     type Accum = KCliqueAccum;
     type Output = Vec<u64>;
 
-    fn new_shared(&self, _g: &CsrGraph) {}
+    fn new_shared(&self, g: &CsrGraph) -> Box<[usize]> {
+        upper_index(g)
+    }
 
     fn new_accum(&self, _g: &CsrGraph) -> KCliqueAccum {
         KCliqueAccum::default()
@@ -62,11 +67,8 @@ impl Workload for KCliqueWorkload {
 
     #[inline]
     fn covers(&self, g: &CsrGraph, u: u32, v: u32) -> bool {
-        // The output reports every size 3..=k, so the prune bound is the one
-        // for the *smallest* size: both endpoints of a triangle edge need
-        // degree >= 2. A k-1 bound would drop triangles from the tally.
-        let need = (WorkloadKind::MIN_CLIQUE_K - 1) as usize;
-        g.degree(u) >= need && g.degree(v) >= need
+        // Every clique found at (u, v) has a third vertex above v.
+        closes_above(g, u, v)
     }
 
     #[inline]
@@ -78,9 +80,9 @@ impl Workload for KCliqueWorkload {
     fn visit<K: PairKernel, M: Meter>(
         &self,
         g: &CsrGraph,
-        _shared: &(),
+        upper: &Box<[usize]>,
         acc: &mut KCliqueAccum,
-        _eid: usize,
+        eid: usize,
         u: u32,
         v: u32,
         _kernel: &mut K,
@@ -91,18 +93,19 @@ impl Workload for KCliqueWorkload {
             scratch0,
             scratch1,
         } = acc;
-        merge_collect(g.neighbors(u), g.neighbors(v), scratch0, meter);
-        // Candidates must extend the clique upward: keep w > v only.
-        let start = scratch0.partition_point(|&w| w <= v);
-        let cand = &scratch0[start..];
+        // Both suffixes lie above v, so every candidate extends the clique
+        // upward.
+        merge_collect(past_edge(g, eid, u, v), above(g, upper, v), scratch0, meter);
+        let cand: &[u32] = scratch0;
         counts[0] += cand.len() as u64;
         if self.k >= 4 {
             for (i, &w) in cand.iter().enumerate() {
-                merge_collect(&cand[i + 1..], g.neighbors(w), scratch1, meter);
+                merge_collect(&cand[i + 1..], above(g, upper, w), scratch1, meter);
                 counts[1] += scratch1.len() as u64;
                 if self.k == 5 {
                     for (j, &x) in scratch1.iter().enumerate() {
-                        counts[2] += merge_count(&scratch1[j + 1..], g.neighbors(x), meter) as u64;
+                        counts[2] +=
+                            merge_count(&scratch1[j + 1..], above(g, upper, x), meter) as u64;
                     }
                 }
             }
@@ -115,7 +118,7 @@ impl Workload for KCliqueWorkload {
         }
     }
 
-    fn finish(&self, _g: &CsrGraph, _shared: (), acc: KCliqueAccum) -> Vec<u64> {
+    fn finish(&self, _g: &CsrGraph, _upper: Box<[usize]>, acc: KCliqueAccum) -> Vec<u64> {
         acc.counts[..=(self.k - 3) as usize].to_vec()
     }
 
@@ -142,14 +145,15 @@ mod tests {
 
     fn run(g: &CsrGraph, k: u8) -> Vec<u64> {
         let w = KCliqueWorkload::new(k).unwrap();
+        let upper = w.new_shared(g);
         let mut acc = w.new_accum(g);
         let mut kernel = MergeKernel;
         for (eid, u, v) in g.iter_edges() {
             if u < v && w.covers(g, u, v) {
-                w.visit(g, &(), &mut acc, eid, u, v, &mut kernel, &mut NullMeter);
+                w.visit(g, &upper, &mut acc, eid, u, v, &mut kernel, &mut NullMeter);
             }
         }
-        w.finish(g, (), acc)
+        w.finish(g, upper, acc)
     }
 
     fn complete_graph(n: u32) -> CsrGraph {

@@ -38,9 +38,10 @@ pub enum WorkloadKind {
     /// default. Output: one `u32` per directed edge slot.
     #[default]
     Cnc,
-    /// Cover-edge triangle counting: canonical pairs whose endpoints both
-    /// have degree ≥ 2 are intersected and the counts reduced to one global
-    /// triangle total (each triangle closes exactly three cover edges).
+    /// Triangle counting on oriented suffixes: each canonical pair `(u, v)`
+    /// intersects `N(u)` past `v` with `N(v)` past `v`, so the triangle
+    /// `u < v < w` is counted once, at `(u, v)`, and the counts sum to one
+    /// global triangle total.
     Triangle,
     /// k-clique counting via ordered recursion through the collect-flavored
     /// intersection kernels. Output: one count per clique size `3..=k`.

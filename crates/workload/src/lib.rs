@@ -21,7 +21,7 @@
 //!    are priced or visited, and [`Workload::pair_cost`] /
 //!    [`Workload::source_cost`] let a workload reshape the balanced
 //!    schedule's per-source pricing (k-clique multiplies by its recursion
-//!    depth; triangle counting prices only cover edges).
+//!    depth; triangle counting prices only covered pairs).
 //!
 //! The source-grouped loop in `cnc-cpu` is the *only* traversal; it is
 //! generic over this trait, and walks either the directed edge range (bulk
@@ -37,6 +37,7 @@
 mod cnc;
 mod kclique;
 mod kind;
+mod oriented;
 mod scatter;
 mod triangle;
 

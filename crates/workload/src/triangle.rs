@@ -1,33 +1,33 @@
-//! Cover-edge triangle counting on the CNC traversal skeleton.
+//! Triangle counting on oriented suffixes over the CNC traversal skeleton.
 
 use cnc_graph::CsrGraph;
 use cnc_intersect::{Meter, PairKernel};
 
+use crate::oriented::{above, closes_above, past_edge, upper_index};
 use crate::Workload;
 
-/// Global triangle counting over *cover edges* (Bader-style edge cover
-/// pruning specialized to triangles): a canonical pair is visited only when
-/// both endpoints have degree ≥ 2, because an edge with a degree-1 endpoint
-/// cannot close a triangle. Skipped edges contribute zero to the sum *and*
-/// zero to the balanced schedule's per-source pricing, so on leaf-heavy
-/// power-law graphs the task decomposition visibly differs from CNC's.
+/// Global triangle counting, each triangle counted once.
 ///
-/// Each visited pair contributes `|N(u) ∩ N(v)|` through the same
-/// [`PairKernel`] CNC uses; every triangle has exactly three canonical
-/// edges, all covered, so the global total is the sum divided by three.
+/// The canonical edge `(u, v)` intersects `N(u)` past `v` with `N(v)` past
+/// `v` through the same [`PairKernel`] CNC uses, so the triangle
+/// `u < v < w` is counted at `(u, v)` only and the sum is the total. The
+/// per-pass shared state is the upper-neighbour index, which reads
+/// `N(v)` past `v` without a search; `N(u)` past `v` starts right after
+/// the edge's own slot. An edge is visited only when both lists reach past
+/// `v` (an O(1) test of their last entries); skipped edges contribute
+/// nothing to the sum *and* nothing to the balanced schedule's per-source
+/// pricing, so the task decomposition differs from CNC's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TriangleWorkload;
 
-/// The degree below which an endpoint disqualifies its edges from covering
-/// any triangle.
-const MIN_COVER_DEGREE: usize = 2;
-
 impl Workload for TriangleWorkload {
-    type Shared = ();
+    type Shared = Box<[usize]>;
     type Accum = u64;
     type Output = u64;
 
-    fn new_shared(&self, _g: &CsrGraph) {}
+    fn new_shared(&self, g: &CsrGraph) -> Box<[usize]> {
+        upper_index(g)
+    }
 
     fn new_accum(&self, _g: &CsrGraph) -> u64 {
         0
@@ -35,31 +35,31 @@ impl Workload for TriangleWorkload {
 
     #[inline]
     fn covers(&self, g: &CsrGraph, u: u32, v: u32) -> bool {
-        g.degree(u) >= MIN_COVER_DEGREE && g.degree(v) >= MIN_COVER_DEGREE
+        closes_above(g, u, v)
     }
 
     #[inline]
     fn visit<K: PairKernel, M: Meter>(
         &self,
         g: &CsrGraph,
-        _shared: &(),
+        upper: &Box<[usize]>,
         acc: &mut u64,
-        _eid: usize,
+        eid: usize,
         u: u32,
         v: u32,
         kernel: &mut K,
         meter: &mut M,
     ) {
-        *acc += kernel.count(g.neighbors(u), g.neighbors(v), meter) as u64;
+        let (nu, nv) = (past_edge(g, eid, u, v), above(g, upper, v));
+        *acc += kernel.count(nu, nv, meter) as u64;
     }
 
     fn merge(&self, into: &mut u64, from: u64) {
         *into += from;
     }
 
-    fn finish(&self, _g: &CsrGraph, _shared: (), acc: u64) -> u64 {
-        debug_assert_eq!(acc % 3, 0, "3T invariant: every triangle counted thrice");
-        acc / 3
+    fn finish(&self, _g: &CsrGraph, _upper: Box<[usize]>, acc: u64) -> u64 {
+        acc
     }
 }
 
@@ -70,26 +70,28 @@ mod tests {
 
     fn run(g: &CsrGraph) -> u64 {
         let w = TriangleWorkload;
+        let upper = w.new_shared(g);
         let mut acc = w.new_accum(g);
         let mut kernel = MergeKernel;
         for (eid, u, v) in g.iter_edges() {
             if u < v && w.covers(g, u, v) {
-                w.visit(g, &(), &mut acc, eid, u, v, &mut kernel, &mut NullMeter);
+                w.visit(g, &upper, &mut acc, eid, u, v, &mut kernel, &mut NullMeter);
             }
         }
-        w.finish(g, (), acc)
+        w.finish(g, upper, acc)
     }
 
     #[test]
     fn triangle_with_pendant_edges() {
-        // Triangle 0-1-2 plus pendants 3 and 4: pendant edges are not
-        // covered, and the count is exactly 1.
+        // Triangle 0-1-2 plus the path 2-3-4: only (0, 1) has both lists
+        // reaching past its upper endpoint, and the count is exactly 1.
         let g = CsrGraph::from_undirected_pairs(
             5,
             [(0u32, 1), (0, 2), (1, 2), (2, 3), (3, 4)].into_iter(),
         );
         let w = TriangleWorkload;
-        assert!(!w.covers(&g, 3, 4), "degree-1 endpoint must prune");
+        assert!(!w.covers(&g, 3, 4), "N(4) ends below 4");
+        assert!(!w.covers(&g, 1, 2), "N(1) ends at 2");
         assert!(w.covers(&g, 0, 1));
         assert_eq!(run(&g), 1);
     }

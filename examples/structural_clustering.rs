@@ -5,13 +5,13 @@
 //! SCAN (Xu et al., KDD'07) clusters vertices by *structural similarity*
 //! `σ(u,v) = (|N(u) ∩ N(v)| + 2) / sqrt((d_u+1)(d_v+1))`; the k-truss
 //! peels edges by triangle support. Both are direct functions of the
-//! counts this library produces — see `cnc_core::{scan, truss}`.
+//! counts this library produces — see `cnc_core::{try_scan, truss_decomposition}`.
 //!
 //! ```text
 //! cargo run --release --example structural_clustering
 //! ```
 
-use cnc_core::{scan, truss_decomposition, Algorithm, Platform, Role, Runner};
+use cnc_core::{truss_decomposition, try_scan, Algorithm, Platform, Role, Runner};
 use cnc_graph::{generators, CsrGraph, EdgeList};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
 
     // Step 2 — SCAN with the usual parameters.
     let (eps, mu) = (0.6, 3);
-    let clusters = scan(&view, eps, mu);
+    let clusters = try_scan(&view, eps, mu).expect("ε and μ are in range");
     println!(
         "SCAN(ε={eps}, μ={mu}): {} clusters — {} cores, {} borders, {} hubs, {} outliers",
         clusters.num_clusters,

@@ -4,8 +4,9 @@
 //! (preparation, scheduling, the unified edge-range driver, both kernel
 //! families), so any disagreement with a from-scratch enumeration points at
 //! the shared machinery. Every tiny paper analogue and a proptest corpus of
-//! random multigraph-ish pair lists run under both reorder policies, both
-//! kernel families, and both schedule shapes.
+//! random multigraph-ish pair lists run under both reorder policies and
+//! every schedule shape; triangle counting runs every kernel, because its
+//! oriented suffixes reach each kernel's skew paths differently.
 
 use cnc_core::{Algorithm, Platform, Runner, WorkloadKind, WorkloadOutput};
 use cnc_cpu::{ParConfig, SchedulePolicy};
@@ -59,19 +60,34 @@ fn naive_kcliques(g: &CsrGraph, k: u8) -> Vec<u64> {
     counts
 }
 
-/// Both real CPU platforms, with the parallel one under both schedule
-/// shapes (uniform chunks and cost-balanced source-aligned tasks).
+/// Both real CPU platforms, with the parallel one under three schedule
+/// shapes: default uniform chunks, three-edge chunks (tasks start
+/// mid-source, so `N(u)` past `v` must come from the edge offset rather
+/// than the source start) and cost-balanced source-aligned tasks.
 fn cpu_platforms() -> Vec<Platform> {
-    vec![
-        Platform::CpuSequential,
+    let parallel = [
+        SchedulePolicy::default(),
+        SchedulePolicy::uniform(3),
+        SchedulePolicy::balanced(13),
+    ]
+    .map(|schedule| {
         Platform::CpuParallel(ParConfig {
-            schedule: SchedulePolicy::default(),
+            schedule,
             threads: None,
-        }),
-        Platform::CpuParallel(ParConfig {
-            schedule: SchedulePolicy::balanced(13),
-            threads: None,
-        }),
+        })
+    });
+    std::iter::once(Platform::CpuSequential)
+        .chain(parallel)
+        .collect()
+}
+
+/// Every CPU kernel: the triangle workload probes each one.
+fn all_kernels() -> [Algorithm; 4] {
+    [
+        Algorithm::MergeBaseline,
+        Algorithm::mps(),
+        Algorithm::bmp(),
+        Algorithm::bmp_rf(),
     ]
 }
 
@@ -84,7 +100,7 @@ fn triangle_workload_matches_oracle_and_cnc_view_on_every_analogue() {
         let cnc = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&g);
         assert_eq!(cnc.view(&g).triangle_count(), want, "{}", d.name());
         for reorder in [false, true] {
-            for algo in [Algorithm::MergeBaseline, Algorithm::bmp_rf()] {
+            for algo in all_kernels() {
                 for platform in cpu_platforms() {
                     let r = Runner::new(platform.clone(), algo)
                         .workload(WorkloadKind::Triangle)
@@ -153,18 +169,21 @@ proptest! {
         let cliques = naive_kcliques(&g, 5);
         // kclique(3) and triangle count the same objects.
         prop_assert_eq!(cliques[0], tri);
-        for algo in [Algorithm::MergeBaseline, Algorithm::bmp_rf()] {
-            for platform in cpu_platforms() {
+        let want = WorkloadOutput::CliqueCounts { k: 5, counts: cliques };
+        for platform in cpu_platforms() {
+            for algo in all_kernels() {
                 let t = Runner::new(platform.clone(), algo)
                     .workload(WorkloadKind::Triangle)
                     .reorder(reorder)
                     .run(&g);
                 prop_assert_eq!(&t.output, &WorkloadOutput::Global(tri));
+            }
+            // k-clique never probes the kernel: two kernels suffice.
+            for algo in [Algorithm::MergeBaseline, Algorithm::bmp_rf()] {
                 let c = Runner::new(platform.clone(), algo)
                     .workload(WorkloadKind::KClique { k: 5 })
                     .reorder(reorder)
                     .run(&g);
-                let want = WorkloadOutput::CliqueCounts { k: 5, counts: cliques.clone() };
                 prop_assert_eq!(&c.output, &want);
             }
         }
