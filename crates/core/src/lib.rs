@@ -37,7 +37,6 @@
 pub mod analytics;
 pub mod backend;
 pub mod batch;
-pub mod incremental;
 pub mod plan;
 pub mod remap;
 pub mod runner;
@@ -53,7 +52,6 @@ pub use backend::{
 pub use batch::{BatchAnswers, BatchSession, EdgeCount};
 pub use cnc_graph::{PreparedGraph, ReorderPolicy};
 pub use cnc_workload::{WorkloadError, WorkloadKind, WorkloadOutput};
-pub use incremental::{IncrementalCnc, IncrementalError};
 pub use plan::{KernelSubstitution, Plan, PlanError};
 pub use runner::{
     Algorithm, CncResult, Platform, RfChoice, RunDetail, RunOutput, RunStats, Runner,

@@ -230,7 +230,7 @@ impl CsrGraph {
     /// [`CsrGraph::validate_structure`] check.
     ///
     /// This is the constructor for *integrity-protected* inputs — mapped
-    /// `CNCPREP2` sections whose per-section checksums already verified the
+    /// `CNCPREP4` sections whose per-section checksums already verified the
     /// bytes are exactly what [`crate::io::write_csr`]-style serialization of
     /// a valid graph produced. The `O(|E| log d)` symmetry probes of the full
     /// validation are skipped so warm loads stay cheap.

@@ -19,7 +19,6 @@
 use crate::csr::CsrGraph;
 use crate::edgelist::EdgeList;
 use crate::generators;
-use crate::stats::GraphStats;
 
 /// Size multiplier for the dataset analogues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,20 +151,13 @@ impl Dataset {
         }
     }
 
-    /// Generate and convert to CSR (through the parallel builder — the
+    /// Generate and convert to CSR through the parallel builder (the
     /// generators emit normalized lists, so the fan-out path applies
-    /// directly). When `CNC_PREP_MEM_BYTES` is set, the conversion instead
-    /// runs through the budgeted external-sort pipeline
-    /// ([`crate::stream::build_csr_bounded`]), which produces the identical
-    /// CSR while keeping the sort working set under the budget.
+    /// directly). The whole edge list is held in memory; bounded-memory
+    /// preparation is [`Dataset::prepare`]'s cold path under
+    /// `CNC_PREP_MEM_BYTES` ([`crate::stream`]).
     pub fn build(self, scale: Scale) -> CsrGraph {
-        let el = self.edge_list(scale);
-        if let Some(cfg) = crate::stream::StreamConfig::budgeted_from_env() {
-            if let Ok(g) = crate::stream::build_csr_bounded(el.num_vertices, el.iter(), &cfg) {
-                return g;
-            }
-        }
-        CsrGraph::from_edge_list_parallel(&el)
+        CsrGraph::from_edge_list_parallel(&self.edge_list(scale))
     }
 
     /// The shared prepared form of this dataset: reorder, remap tables and
@@ -177,13 +169,6 @@ impl Dataset {
         policy: crate::prepare::ReorderPolicy,
     ) -> std::sync::Arc<crate::prepare::PreparedGraph> {
         crate::prepare::prepared(self, scale, policy)
-    }
-
-    /// CSR plus its Table 1 statistics.
-    pub fn build_with_stats(self, scale: Scale) -> (CsrGraph, GraphStats) {
-        let g = self.build(scale);
-        let s = GraphStats::of(&g);
-        (g, s)
     }
 }
 

@@ -19,7 +19,7 @@
 //! * [`io`] — SNAP-style edge-list text I/O and a compact binary CSR format;
 //! * [`prepare`] — the one-shot preparation pipeline ([`PreparedGraph`]):
 //!   normalize → CSR → optional reorder → statistics, with a process-wide
-//!   memory cache and a zero-copy on-disk cache (`CNCPREP2`) so every
+//!   memory cache and a zero-copy on-disk cache (`CNCPREP4`) so every
 //!   consumer shares one immutable result;
 //! * [`mmap`] — in-tree `mmap(2)`/`flock(2)` bindings (the crate's only
 //!   `unsafe`) backing the zero-copy cache and its cross-process locking;

@@ -33,7 +33,7 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Alignment guaranteed for every section of the `CNCPREP2` cache format;
+/// Alignment guaranteed for every section of the `CNCPREP4` cache format;
 /// also satisfies every element type [`Pod`] is implemented for.
 pub const SECTION_ALIGN: usize = 64;
 

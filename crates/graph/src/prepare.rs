@@ -30,7 +30,7 @@
 //!   the remap table. A warm load `mmap`s the file and serves
 //!   the offset/adjacency/reverse arrays **zero-copy** straight out of the
 //!   page cache ([`map_prepared`]); platforms or files that cannot be mapped
-//!   fall back to an owned heap read, and stale (including old `CNCPREP2`),
+//!   fall back to an owned heap read, and stale (an older `CNCPREP` version),
 //!   corrupt or misaligned files are silently discarded and rebuilt.
 //!
 //! The cache is safe to share across processes: writers serialize through an
@@ -44,6 +44,7 @@
 //! Preparation work is observable through per-thread [`PrepareMetrics`]
 //! counters ([`metrics`]): tests prove single-shot preprocessing with them
 //! and the `repro` binary reports them as cache evidence.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -427,20 +428,37 @@ impl PreparedGraph {
 // loads the O(|E|) scans that computed them. The checksum is an FNV-style
 // multiply-xor fold over four interleaved u64 lanes (not byte-serial FNV:
 // the four independent multiply chains keep verification at memory speed,
-// which the warm path is benchmarked on). Bump the trailing magic digit on
-// any layout change: a stale file fails the magic check and is rebuilt —
-// the `CNCPREP2` → `CNCPREP3` bump added the reverse-index sections, and
-// `CNCPREP3` → `CNCPREP4` marks files producible by the out-of-core
-// streaming writer ([`crate::stream`]), which must emit byte-identical
-// images to [`write_prepared`]; the bump retires pre-streaming files in one
-// sweep so the differential guarantee holds for every cache file in the
-// wild.
+// which the warm path is benchmarked on).
+//
+// This module is the format's one encoder and its parser: the section
+// width table, `layout` (where every section sits and how long the file
+// is), `file_header` and `section_header` decide every byte that is not
+// payload. Two fillers supply the payloads: `write_prepared` serializes a
+// prepared graph's in-memory arrays one section at a time, and the
+// streaming writer (`crate::stream`) fills the laid-out payloads of a
+// mapped file in passes over sorted edges. Their images can therefore
+// differ only in payload bytes, which the streaming differential tests pin
+// equal on every dataset analogue and on arbitrary edge lists. Bump the
+// trailing magic digit on any layout change: a stale file fails the magic
+// check and is rebuilt — `CNCPREP2` → `CNCPREP3` added the reverse-index
+// sections, and `CNCPREP3` → `CNCPREP4` retired every file written before
+// the streaming writer existed.
 // ---------------------------------------------------------------------------
 
-pub(crate) const PREPARED_MAGIC: &[u8; 8] = b"CNCPREP4";
-pub(crate) const ALIGN: usize = mmap::SECTION_ALIGN;
-pub(crate) const HEADER_LEN: usize = 64;
-pub(crate) const SECTION_HEADER_LEN: usize = 64;
+const PREPARED_MAGIC: &[u8; 8] = b"CNCPREP4";
+const ALIGN: usize = mmap::SECTION_ALIGN;
+const HEADER_LEN: usize = 64;
+const SECTION_HEADER_LEN: usize = 64;
+
+/// Element width of every section in file order: offsets (u64), neighbors
+/// (u32) and reverse index (u64) of the original graph, then the same three
+/// of the relabeled graph and the new→old table (u32).
+const SECTION_WIDTHS: [usize; 7] = [8, 4, 8, 8, 4, 8, 4];
+
+/// The section widths of an image with or without the reorder sections.
+fn section_widths(reordered: bool) -> &'static [usize] {
+    &SECTION_WIDTHS[..if reordered { 7 } else { 3 }]
+}
 
 /// Name of the advisory lock file cache writers serialize on (one per cache
 /// directory).
@@ -449,10 +467,6 @@ pub const CACHE_LOCK_FILE: &str = ".cnc-cache.lock";
 /// Environment variable holding an automatic cache size cap in bytes: after
 /// every cache write, [`cache_gc`] trims the directory down to this budget.
 pub const CACHE_MAX_BYTES_ENV: &str = "CNC_CACHE_MAX_BYTES";
-
-pub(crate) fn align_up(x: usize) -> usize {
-    x.div_ceil(ALIGN) * ALIGN
-}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -466,7 +480,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// copies nothing. The tail (payloads are always a multiple of 4 bytes,
 /// not necessarily of 32) is zero-padded into one final word; folding in
 /// the length keeps images that differ only in trailing zeros distinct.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+fn checksum(bytes: &[u8]) -> u64 {
     let mut lanes = [
         FNV_OFFSET ^ 0x01,
         FNV_OFFSET ^ 0x10,
@@ -496,31 +510,98 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn write_section_header<W: Write>(
-    w: &mut W,
-    payload_len: u64,
-    checksum: u64,
-    elem_width: u64,
-) -> io::Result<()> {
+/// One section of a `CNCPREP4` image: where its payload sits and its
+/// element width. The section's header is the `SECTION_HEADER_LEN` bytes
+/// before the payload.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Section {
+    /// Payload byte offset within the file.
+    pub(crate) start: usize,
+    pub(crate) payload_len: usize,
+    pub(crate) elem_width: usize,
+}
+
+impl Section {
+    fn count(&self) -> usize {
+        self.payload_len / self.elem_width
+    }
+
+    pub(crate) fn bytes<'a>(&self, image: &'a [u8]) -> &'a [u8] {
+        &image[self.start..self.start + self.payload_len]
+    }
+
+    /// Where the section's header sits in the file.
+    pub(crate) fn header_range(&self) -> std::ops::Range<usize> {
+        self.start - SECTION_HEADER_LEN..self.start
+    }
+
+    /// Zero bytes between the payload's end and the next section boundary.
+    fn padding(&self) -> usize {
+        let end = self.start + self.payload_len;
+        end.next_multiple_of(ALIGN) - end
+    }
+}
+
+/// Every section of one image, placed, and the file's total length.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    pub(crate) sections: Vec<Section>,
+    pub(crate) len: usize,
+}
+
+/// Lay out the image of a graph with `n` vertices and `m_dir` directed edge
+/// slots, with the reorder sections when `reordered`. Errors (instead of
+/// wrapping) when a size does not fit `usize`.
+pub(crate) fn layout(n: usize, m_dir: usize, reordered: bool) -> io::Result<Layout> {
+    let place = || -> Option<Layout> {
+        let n1 = n.checked_add(1)?;
+        let elements = [n1, m_dir, m_dir, n1, m_dir, m_dir, n];
+        let mut sections = Vec::with_capacity(elements.len());
+        let mut pos = HEADER_LEN;
+        for (&count, &elem_width) in elements.iter().zip(section_widths(reordered)) {
+            let section = Section {
+                start: pos.checked_add(SECTION_HEADER_LEN)?,
+                payload_len: count.checked_mul(elem_width)?,
+                elem_width,
+            };
+            pos = section
+                .start
+                .checked_add(section.payload_len)?
+                .checked_next_multiple_of(ALIGN)?;
+            sections.push(section);
+        }
+        Some(Layout { sections, len: pos })
+    };
+    place().ok_or_else(|| invalid("graph too large for a CNCPREP4 image"))
+}
+
+/// The 64-byte file header of an image prepared under `policy`, sealed by
+/// its checksum.
+pub(crate) fn file_header(
+    policy: ReorderPolicy,
+    skew_pct: f64,
+    max_degree: u64,
+) -> [u8; HEADER_LEN] {
+    let reordered = matches!(policy, ReorderPolicy::DegreeDescending);
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(PREPARED_MAGIC);
+    header[8] = policy.byte();
+    header[9] = u8::from(reordered);
+    header[16..24].copy_from_slice(&(section_widths(reordered).len() as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&skew_pct.to_bits().to_le_bytes());
+    header[32..40].copy_from_slice(&max_degree.to_le_bytes());
+    let check = checksum(&header[..56]);
+    header[56..].copy_from_slice(&check.to_le_bytes());
+    header
+}
+
+/// The 64-byte header of a section holding `payload`.
+pub(crate) fn section_header(payload: &[u8], elem_width: usize) -> [u8; SECTION_HEADER_LEN] {
     let mut header = [0u8; SECTION_HEADER_LEN];
-    header[..8].copy_from_slice(&payload_len.to_le_bytes());
-    header[8..16].copy_from_slice(&checksum.to_le_bytes());
-    header[16..24].copy_from_slice(&elem_width.to_le_bytes());
-    w.write_all(&header)
-}
-
-fn write_padding<W: Write>(w: &mut W, payload_len: usize) -> io::Result<()> {
-    let pad = align_up(payload_len) - payload_len;
-    w.write_all(&[0u8; ALIGN][..pad])
-}
-
-/// One aligned, checksummed section: serialize the elements once into a
-/// payload buffer (the header's checksum precedes the payload on disk),
-/// checksum it, stream it out.
-fn write_section<W: Write>(w: &mut W, payload: &[u8], elem_width: u64) -> io::Result<()> {
-    write_section_header(w, payload.len() as u64, checksum(payload), elem_width)?;
-    w.write_all(payload)?;
-    write_padding(w, payload.len())
+    header[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[8..16].copy_from_slice(&checksum(payload).to_le_bytes());
+    header[16..24].copy_from_slice(&(elem_width as u64).to_le_bytes());
+    header
 }
 
 fn u64_payload(vals: &[usize]) -> Vec<u8> {
@@ -548,46 +629,37 @@ fn rev_payload(g: &CsrGraph) -> Vec<u8> {
 /// Serialize a prepared graph (CSR + reverse-edge index, policy, statistics,
 /// optional relabeled CSR + remap table) in the `CNCPREP4` cache format.
 pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()> {
+    let g = &pg.graph;
+    let layout = layout(
+        g.num_vertices(),
+        g.num_directed_edges(),
+        pg.reordered.is_some(),
+    )?;
     let mut w = BufWriter::new(writer);
-    let sections: u64 = if pg.reordered.is_some() { 7 } else { 3 };
-    let mut header = [0u8; HEADER_LEN];
-    header[..8].copy_from_slice(PREPARED_MAGIC);
-    header[8] = pg.policy.byte();
-    header[9] = pg.reordered.is_some() as u8;
-    header[16..24].copy_from_slice(&sections.to_le_bytes());
-    header[24..32].copy_from_slice(&pg.skew_pct.to_bits().to_le_bytes());
-    header[32..40].copy_from_slice(&(pg.stats.max_degree as u64).to_le_bytes());
-    let hcheck = checksum(&header[..56]);
-    header[56..64].copy_from_slice(&hcheck.to_le_bytes());
-    w.write_all(&header)?;
-    write_section(&mut w, &u64_payload(pg.graph.offsets()), 8)?;
-    write_section(&mut w, &u32_payload(pg.graph.dst()), 4)?;
-    write_section(&mut w, &rev_payload(&pg.graph), 8)?;
+    w.write_all(&file_header(
+        pg.policy,
+        pg.skew_pct,
+        pg.stats.max_degree as u64,
+    ))?;
+    // One section at a time: its payload is serialized once, because the
+    // header's checksum precedes it on disk.
+    let mut sections = layout.sections.iter();
+    let mut put = |payload: Vec<u8>| -> io::Result<()> {
+        let s = sections.next().expect("the layout places every section");
+        debug_assert_eq!(payload.len(), s.payload_len);
+        w.write_all(&section_header(&payload, s.elem_width))?;
+        w.write_all(&payload)?;
+        w.write_all(&[0u8; ALIGN][..s.padding()])
+    };
+    for g in std::iter::once(g).chain(pg.reordered.as_ref().map(|r| &r.graph)) {
+        put(u64_payload(g.offsets()))?;
+        put(u32_payload(g.dst()))?;
+        put(rev_payload(g))?;
+    }
     if let Some(r) = &pg.reordered {
-        write_section(&mut w, &u64_payload(r.graph.offsets()), 8)?;
-        write_section(&mut w, &u32_payload(r.graph.dst()), 4)?;
-        write_section(&mut w, &rev_payload(&r.graph), 8)?;
-        write_section(&mut w, &u32_payload(&r.new_to_old), 4)?;
+        put(u32_payload(&r.new_to_old))?;
     }
     w.flush()
-}
-
-/// A parsed (and checksum-verified) section of a `CNCPREP4` byte image.
-struct Section {
-    /// Payload byte range within the file.
-    start: usize,
-    payload_len: usize,
-    elem_width: usize,
-}
-
-impl Section {
-    fn count(&self) -> usize {
-        self.payload_len / self.elem_width
-    }
-
-    fn bytes<'a>(&self, image: &'a [u8]) -> &'a [u8] {
-        &image[self.start..self.start + self.payload_len]
-    }
 }
 
 fn read_u64_at(bytes: &[u8], at: usize) -> u64 {
@@ -618,11 +690,7 @@ fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared> {
     if has_reordered != matches!(policy, ReorderPolicy::DegreeDescending) {
         return Err(invalid("reorder sections inconsistent with policy byte"));
     }
-    let expected_widths: &[usize] = if has_reordered {
-        &[8, 4, 8, 8, 4, 8, 4]
-    } else {
-        &[8, 4, 8]
-    };
+    let expected_widths = section_widths(has_reordered);
     if read_u64_at(bytes, 16) != expected_widths.len() as u64 {
         return Err(invalid("section count inconsistent with header flags"));
     }
@@ -658,7 +726,7 @@ fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared> {
             payload_len,
             elem_width: width,
         });
-        pos = align_up(end);
+        pos = end.next_multiple_of(ALIGN);
     }
     if pos != bytes.len() {
         return Err(invalid("file length inconsistent with section table"));
@@ -712,19 +780,20 @@ fn build_reordered(
     if relabeled.num_directed_edges() != graph.num_directed_edges() {
         return Err(invalid("relabeled graph has a different edge count"));
     }
+    let new_ids = 0..u32::try_from(n).map_err(|_| invalid("|V| exceeds u32 vertex ids"))?;
     let mut seen = vec![false; n];
     let mut old_to_new = vec![0u32; n];
-    for (new_id, &old_id) in new_to_old.iter().enumerate() {
+    for (new_id, &old_id) in new_ids.zip(&new_to_old) {
         let Some(slot) = seen.get_mut(old_id as usize) else {
             return Err(invalid("remap table entry out of range"));
         };
         if std::mem::replace(slot, true) {
             return Err(invalid("remap table is not a permutation"));
         }
-        if graph.degree(old_id) != relabeled.degree(new_id as u32) {
+        if graph.degree(old_id) != relabeled.degree(new_id) {
             return Err(invalid("remap table does not preserve degrees"));
         }
-        old_to_new[old_id as usize] = new_id as u32;
+        old_to_new[old_id as usize] = new_id;
     }
     Ok(Reordered {
         graph: relabeled,

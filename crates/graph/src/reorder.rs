@@ -32,17 +32,30 @@ impl Reordered {
     }
 }
 
+/// The degree-descending relabel's `new → old` table: ids `0..n` by
+/// descending `degree`, ascending old id on ties (deterministic). Both the
+/// in-memory relabel and the streaming writer ([`crate::stream`]) take their
+/// order from here.
+pub(crate) fn degree_descending_order<D: Ord>(n: u32, degree: impl Fn(u32) -> D) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_by(|&a, &b| degree(b).cmp(&degree(a)).then_with(|| a.cmp(&b)));
+    order
+}
+
+/// The inverse of a relabel table: `old_to_new[new_to_old[i]] = i`.
+pub(crate) fn invert(new_to_old: &[u32]) -> Vec<u32> {
+    let mut old_to_new = vec![0u32; new_to_old.len()];
+    for (new_id, &old_id) in (0u32..).zip(new_to_old) {
+        old_to_new[old_id as usize] = new_id;
+    }
+    old_to_new
+}
+
 /// Relabel so vertex ids are in descending degree order.
 pub fn degree_descending(g: &CsrGraph) -> Reordered {
     let n = g.num_vertices();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    // Descending degree, ascending old id on ties: deterministic.
-    order.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then_with(|| a.cmp(&b)));
-    let new_to_old = order;
-    let mut old_to_new = vec![0u32; n];
-    for (new_id, &old_id) in new_to_old.iter().enumerate() {
-        old_to_new[old_id as usize] = new_id as u32;
-    }
+    let new_to_old = degree_descending_order(n as u32, |u| g.degree(u));
+    let old_to_new = invert(&new_to_old);
     // Remap edges; build the CSR from undirected pairs (u < v once each).
     let pairs = g
         .iter_edges()
@@ -145,10 +158,7 @@ pub fn core_descending(g: &CsrGraph) -> Reordered {
             .then_with(|| a.cmp(&b))
     });
     let new_to_old = order;
-    let mut old_to_new = vec![0u32; n];
-    for (new_id, &old_id) in new_to_old.iter().enumerate() {
-        old_to_new[old_id as usize] = new_id as u32;
-    }
+    let old_to_new = invert(&new_to_old);
     let pairs = g
         .iter_edges()
         .filter(|&(_, u, v)| u < v)

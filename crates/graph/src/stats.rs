@@ -40,46 +40,62 @@ impl GraphStats {
     }
 }
 
+/// Table 2's running tally over the all-edge counting's intersections (one
+/// per undirected edge, `u < v`): how many were seen and how many have a
+/// degree ratio above the threshold. [`skew_percentage`] feeds it from a CSR
+/// and the streaming writer ([`crate::stream`]) from its placement pass, so
+/// both store the same percentage.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SkewTally {
+    threshold: usize,
+    total: u64,
+    skewed: u64,
+}
+
+impl SkewTally {
+    pub(crate) fn new(threshold: u32) -> Self {
+        Self {
+            threshold: threshold as usize,
+            total: 0,
+            skewed: 0,
+        }
+    }
+
+    /// Count the intersection of one canonical pair by its endpoints'
+    /// degrees.
+    #[inline]
+    pub(crate) fn add(&mut self, du: usize, dv: usize) {
+        self.total += 1;
+        let (s, l) = if du < dv { (du, dv) } else { (dv, du) };
+        if s > 0 && l > self.threshold * s {
+            self.skewed += 1;
+        }
+    }
+
+    /// The skewed share in percent (0 when no pair was counted).
+    pub(crate) fn percentage(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            100.0 * self.skewed as f64 / self.total as f64
+        }
+    }
+}
+
 /// Table 2: percentage of the intersections performed by the all-edge
 /// counting (one per undirected edge, `u < v`) whose degree ratio exceeds
 /// `threshold`.
 pub fn skew_percentage(g: &CsrGraph, threshold: u32) -> f64 {
-    let mut total = 0u64;
-    let mut skewed = 0u64;
+    let mut tally = SkewTally::new(threshold);
     for u in 0..g.num_vertices() as u32 {
         let du = g.degree(u);
         for &v in g.neighbors(u) {
             if u < v {
-                total += 1;
-                let dv = g.degree(v);
-                let (s, l) = if du < dv { (du, dv) } else { (dv, du) };
-                if s > 0 && l > threshold as usize * s {
-                    skewed += 1;
-                }
+                tally.add(du, g.degree(v));
             }
         }
     }
-    if total == 0 {
-        0.0
-    } else {
-        100.0 * skewed as f64 / total as f64
-    }
-}
-
-/// Degree histogram in log₂ buckets (bucket `i` counts vertices with degree
-/// in `[2^i, 2^(i+1))`; bucket 0 also counts degree-0/1). Used to sanity
-/// check generated dataset analogues against the target shapes.
-pub fn degree_histogram_log2(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for u in 0..g.num_vertices() as u32 {
-        let d = g.degree(u);
-        let bucket = if d <= 1 { 0 } else { d.ilog2() as usize };
-        if bucket >= hist.len() {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
+    tally.percentage()
 }
 
 #[cfg(test)]
@@ -131,12 +147,5 @@ mod tests {
             skew_percentage(&web, 50) > skew_percentage(&uni, 50),
             "web-like graphs must show more degree skew"
         );
-    }
-
-    #[test]
-    fn histogram_counts_all_vertices() {
-        let g = crate::CsrGraph::from_edge_list(&generators::chung_lu(500, 8.0, 2.2, 4));
-        let h = degree_histogram_log2(&g);
-        assert_eq!(h.iter().sum::<usize>(), 500);
     }
 }

@@ -4,7 +4,7 @@
 //! [`GraphStore`] is the abstraction that lets a [`crate::CsrGraph`] serve
 //! its offset/adjacency arrays either from ordinary `Vec`s (cold builds,
 //! non-Unix platforms, misaligned caches) or directly out of a mapped
-//! `CNCPREP2` file ([`MappedSlice`]) without copying a byte. It dereferences
+//! `CNCPREP4` file ([`MappedSlice`]) without copying a byte. It dereferences
 //! to a slice, so every kernel, driver, backend and simulator downstream is
 //! untouched — they already consume `&[usize]` / `&[u32]`.
 

@@ -12,8 +12,8 @@
 //!   → external sort: budgeted buffer → spill runs  (budget bytes)
 //!   → k-way merge, cross-run dedup (re-iterable)
 //!   → pass 1: degree count                         (|V| words)
-//!   → pass 2: direct placement                     (|V| cursor words)
-//!   → CNCPREP4 sections written straight into the
+//!   → pass 2: direct placement + skew tally        (|V| cursor words)
+//!   → CNCPREP4 payloads filled straight into the
 //!     mmap'd cache file (offsets / dst / rev, plus
 //!     the relabeled triple + remap table when the
 //!     policy reorders)
@@ -27,16 +27,21 @@
 //! both directions through per-vertex cursors emits every neighbor run
 //! already ascending (for vertex `w`, the backward neighbors `u < w` arrive
 //! first in `u` order, then the forward neighbors in `v` order, all larger
-//! than `w`), so no per-run sort is ever needed and the output is
-//! **byte-identical** to [`crate::prepare::write_prepared`] serializing the
-//! in-memory builder's result — the property the differential test suite
-//! pins on every dataset analogue.
+//! than `w`), so no per-run sort is ever needed.
+//!
+//! This module only fills payloads. The file's layout, its file and section
+//! headers, the relabel order and the skew statistic come from the same
+//! definitions [`crate::prepare::write_prepared`] uses
+//! ([`crate::prepare`], [`crate::reorder`], [`crate::stats`]), so a streamed
+//! image is **byte-identical** to the in-memory writer's — the property the
+//! differential test suite pins on every dataset analogue.
 //!
 //! Work is accounted in [`crate::prepare::PrepareMetrics`] (`spill_runs`,
 //! `spill_bytes`, `stream_chunks`, `peak_resident_bytes`) and mirrored to
 //! the `cnc-obs` counters of the same names. All input-dependent failures —
 //! malformed text, truncated or vanished spill runs, unwritable output — are
 //! typed [`io::Error`]s, never panics.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use std::collections::BinaryHeap;
 use std::fs::{self, File};
@@ -44,18 +49,16 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::csr::CsrGraph;
 use crate::io::{parse_edge_line, read_exact_vec};
 use crate::mmap::MappedFileMut;
-use crate::prepare::{
-    align_up, bump, checksum, ReorderPolicy, HEADER_LEN, PREPARED_MAGIC, SECTION_HEADER_LEN,
-};
-use crate::stats::SKEW_THRESHOLD;
+use crate::prepare::{self, bump, ReorderPolicy, Section};
+use crate::reorder::{degree_descending_order, invert};
+use crate::stats::{SkewTally, SKEW_THRESHOLD};
 
 /// Environment variable holding the preparation memory budget in bytes.
-/// When set, the cache-miss path of [`crate::prepare::prepared_on_disk`] and
-/// [`crate::datasets::Dataset::build`] route through this module instead of
-/// the in-memory builder.
+/// When set, the cache-miss path of [`crate::prepare::prepared_on_disk`]
+/// routes through this module instead of the in-memory builder, and
+/// `cnc prepare` takes it as the default for `--mem-budget`.
 pub const PREP_MEM_BYTES_ENV: &str = "CNC_PREP_MEM_BYTES";
 
 /// Magic header of a spill run file: sorted, deduplicated canonical pairs.
@@ -789,32 +792,6 @@ fn read_u32_at(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte range"))
 }
 
-/// Placement of one section inside the file.
-#[derive(Debug, Clone, Copy)]
-struct SectionPlan {
-    header_at: usize,
-    payload_at: usize,
-    payload_len: usize,
-    elem_width: u64,
-}
-
-fn plan_sections(lens_widths: &[(usize, u64)]) -> (Vec<SectionPlan>, usize) {
-    let mut pos = HEADER_LEN;
-    let mut plans = Vec::with_capacity(lens_widths.len());
-    for &(payload_len, elem_width) in lens_widths {
-        let header_at = pos;
-        let payload_at = pos + SECTION_HEADER_LEN;
-        plans.push(SectionPlan {
-            header_at,
-            payload_at,
-            payload_len,
-            elem_width,
-        });
-        pos = align_up(payload_at + payload_len);
-    }
-    (plans, pos)
-}
-
 /// Degree-count pass: one merge iteration.
 fn degree_pass(sorted: &SortedEdges, n: usize) -> io::Result<(Vec<u32>, usize)> {
     let mut deg = vec![0u32; n];
@@ -828,54 +805,26 @@ fn degree_pass(sorted: &SortedEdges, n: usize) -> io::Result<(Vec<u32>, usize)> 
     Ok((deg, unique))
 }
 
-/// Replicate [`crate::stats::skew_percentage`] over the mapped sections —
-/// the same integer loops in the same order, so the resulting float is
-/// bit-identical to what the in-memory builder stores in the header.
-fn skew_pct_mapped(bytes: &[u8], deg: &[u32], dst_at: usize, threshold: u32) -> f64 {
-    let mut total = 0u64;
-    let mut skewed = 0u64;
-    let mut eid = 0usize;
-    for u in 0..deg.len() as u32 {
-        let du = deg[u as usize] as usize;
-        for _ in 0..du {
-            let v = read_u32_at(bytes, dst_at + eid * 4);
-            eid += 1;
-            if u < v {
-                total += 1;
-                let dv = deg[v as usize] as usize;
-                let (s, l) = if du < dv { (du, dv) } else { (dv, du) };
-                if s > 0 && l > threshold as usize * s {
-                    skewed += 1;
-                }
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        100.0 * skewed as f64 / total as f64
-    }
-}
-
 /// Write the offsets section (u64 prefix sums of `deg`) and return the
 /// cursor array (absolute element indices) the placement pass scatters
 /// through.
-fn write_offsets_section(bytes: &mut [u8], at: usize, deg: &[u32]) -> Vec<u64> {
+fn write_offsets_section(bytes: &mut [u8], at: usize, deg: &[u32]) -> Vec<usize> {
     let mut cursor = Vec::with_capacity(deg.len());
-    let mut acc = 0u64;
+    let mut acc = 0usize;
     put_u64(bytes, at, 0);
     for (u, &d) in deg.iter().enumerate() {
         cursor.push(acc);
-        acc += d as u64;
-        put_u64(bytes, at + (u + 1) * 8, acc);
+        acc += d as usize;
+        put_u64(bytes, at + (u + 1) * 8, acc as u64);
     }
     cursor
 }
 
 /// The streamed build core: consume `source` through an external sorter and
-/// assemble a complete `CNCPREP4` image at `out` via a growable write-mode
-/// mapping. Returns the summary; the caller owns tmp-name/rename protocol
-/// and metrics attribution.
+/// fill the payloads of a `CNCPREP4` image at `out` — laid out, and sealed
+/// with its headers, by [`crate::prepare`] — through a write-mode mapping.
+/// Returns the summary; the caller owns tmp-name/rename protocol and
+/// metrics attribution.
 fn build_to_path(
     mut source: Box<dyn EdgeSource + '_>,
     policy: ReorderPolicy,
@@ -901,63 +850,49 @@ fn build_to_path(
         .ok_or_else(|| invalid("directed edge count overflows"))?;
     peak.observe((deg.len() * 4) as u64 + sorted.resident_bytes());
 
-    // Fix the full file layout now that every section size is known.
+    // Every section size is known now: fix the file layout. File bytes
+    // arrive zero-filled, which is exactly the padding the format requires.
     let reordered = matches!(policy, ReorderPolicy::DegreeDescending);
-    let mut lens: Vec<(usize, u64)> = vec![((n + 1) * 8, 8), (m_dir * 4, 4), (m_dir * 8, 8)];
-    if reordered {
-        lens.extend_from_slice(&[((n + 1) * 8, 8), (m_dir * 4, 4), (m_dir * 8, 8), (n * 4, 4)]);
-    }
-    let (plans, total) = plan_sections(&lens);
-
-    // The mapping is created small and grown once the degree pass has sized
-    // the sections — file bytes beyond the old length arrive zero-filled,
-    // which is exactly the zero padding the format requires.
-    let mut map = MappedFileMut::create(out, HEADER_LEN)?;
-    map.grow(total)?;
+    let layout = prepare::layout(n, m_dir, reordered)?;
+    let sections = &layout.sections;
+    let mut map = MappedFileMut::create(out, layout.len)?;
     {
         let bytes = map.bytes_mut();
 
-        // Original offsets + pass 2: direct placement of both directions.
-        let cursor = write_offsets_section(bytes, plans[0].payload_at, &deg);
-        let dst_at = plans[1].payload_at;
+        // Original offsets + pass 2: direct placement of both directions,
+        // tallying each canonical pair's skew on the way (the degrees are
+        // final since pass 1).
+        let cursor = write_offsets_section(bytes, sections[0].start, &deg);
+        let dst_at = sections[1].start;
+        let mut skew = SkewTally::new(SKEW_THRESHOLD);
         {
             let mut cur = cursor.clone();
             peak.observe((deg.len() * 4 + cursor.len() * 8 * 2) as u64 + sorted.resident_bytes());
             for pair in sorted.iter()? {
                 let (u, v) = pair?;
-                put_u32(bytes, dst_at + cur[u as usize] as usize * 4, v);
-                cur[u as usize] += 1;
-                put_u32(bytes, dst_at + cur[v as usize] as usize * 4, u);
-                cur[v as usize] += 1;
+                let (u_at, v_at) = (u as usize, v as usize);
+                put_u32(bytes, dst_at + cur[u_at] * 4, v);
+                cur[u_at] += 1;
+                put_u32(bytes, dst_at + cur[v_at] * 4, u);
+                cur[v_at] += 1;
+                skew.add(deg[u_at] as usize, deg[v_at] as usize);
             }
             // The merged stream is globally sorted, so every neighbor run
             // was written ascending — no per-run sort pass.
         }
-        write_rev_walk(bytes, dst_at, plans[2].payload_at, m_dir, cursor.clone());
-
-        let max_degree = deg.iter().copied().max().unwrap_or(0) as u64;
-        let skew_pct = skew_pct_mapped(bytes, &deg, dst_at, SKEW_THRESHOLD);
+        write_rev_walk(bytes, dst_at, sections[2].start, m_dir, cursor.clone());
 
         if reordered {
-            relabel_sections(bytes, &plans, &deg, n, m_dir, &mut peak);
+            relabel_sections(bytes, sections, &deg, m_dir, &mut peak)?;
         }
 
-        // Section checksums, then the header (whose checksum seals the
-        // statistics fields).
-        for p in &plans {
-            let ck = checksum(&bytes[p.payload_at..p.payload_at + p.payload_len]);
-            put_u64(bytes, p.header_at, p.payload_len as u64);
-            put_u64(bytes, p.header_at + 8, ck);
-            put_u64(bytes, p.header_at + 16, p.elem_width);
+        let max_degree = deg.iter().copied().max().unwrap_or(0);
+        for s in sections {
+            let header = prepare::section_header(s.bytes(bytes), s.elem_width);
+            bytes[s.header_range()].copy_from_slice(&header);
         }
-        bytes[..8].copy_from_slice(PREPARED_MAGIC);
-        bytes[8] = policy.byte();
-        bytes[9] = reordered as u8;
-        put_u64(bytes, 16, plans.len() as u64);
-        put_u64(bytes, 24, skew_pct.to_bits());
-        put_u64(bytes, 32, max_degree);
-        let hcheck = checksum(&bytes[..56]);
-        put_u64(bytes, 56, hcheck);
+        let header = prepare::file_header(policy, skew.percentage(), u64::from(max_degree));
+        bytes[..header.len()].copy_from_slice(&header);
     }
     let file = map.into_file();
     file.sync_all()?;
@@ -970,7 +905,7 @@ fn build_to_path(
         spill_bytes: sorted.spill_bytes(),
         stream_chunks,
         peak_resident_bytes: peak.peak,
-        file_bytes: total as u64,
+        file_bytes: layout.len as u64,
     };
     bump(|m| {
         m.stream_chunks += summary.stream_chunks;
@@ -986,38 +921,31 @@ fn write_rev_walk(
     dst_at: usize,
     rev_at: usize,
     m_dir: usize,
-    mut cursor: Vec<u64>,
+    mut cursor: Vec<usize>,
 ) {
     for eid in 0..m_dir {
         let v = read_u32_at(bytes, dst_at + eid * 4) as usize;
-        put_u64(bytes, rev_at + eid * 8, cursor[v]);
+        put_u64(bytes, rev_at + eid * 8, cursor[v] as u64);
         cursor[v] += 1;
     }
 }
 
-/// Assemble the relabeled sections (offsets / dst / rev / new→old) for the
-/// degree-descending policy, replicating [`crate::reorder::degree_descending`]
-/// exactly: sort vertices by (degree descending, old id ascending), relabel
-/// each neighbor run through the inverse permutation, sort the single run.
+/// Fill the relabeled sections (offsets / dst / rev / new→old) for the
+/// degree-descending policy the way [`crate::reorder::degree_descending`]
+/// relabels: order vertices by [`degree_descending_order`], relabel each
+/// neighbor run through the inverse permutation, sort the single run.
 /// Peak scratch is O(|V|) plus one max-degree run buffer.
 fn relabel_sections(
     bytes: &mut [u8],
-    plans: &[SectionPlan],
+    sections: &[Section],
     deg: &[u32],
-    n: usize,
     m_dir: usize,
     peak: &mut Peak,
-) {
-    let mut new_to_old: Vec<u32> = (0..n as u32).collect();
-    new_to_old.sort_by(|&a, &b| {
-        deg[b as usize]
-            .cmp(&deg[a as usize])
-            .then_with(|| a.cmp(&b))
-    });
-    let mut old_to_new = vec![0u32; n];
-    for (new_id, &old_id) in new_to_old.iter().enumerate() {
-        old_to_new[old_id as usize] = new_id as u32;
-    }
+) -> io::Result<()> {
+    let n = deg.len();
+    let ids = u32::try_from(n).map_err(|_| invalid("|V| exceeds u32 vertex ids"))?;
+    let new_to_old = degree_descending_order(ids, |u| deg[u as usize]);
+    let old_to_new = invert(&new_to_old);
     let max_degree = deg.iter().copied().max().unwrap_or(0) as usize;
     peak.observe((deg.len() * 4 + n * 8 + n * 8 + n * 8 + max_degree * 4) as u64);
 
@@ -1027,23 +955,23 @@ fn relabel_sections(
     for &old_id in &new_to_old {
         deg2.push(deg[old_id as usize]);
     }
-    let cursor2 = write_offsets_section(bytes, plans[3].payload_at, &deg2);
+    let cursor2 = write_offsets_section(bytes, sections[3].start, &deg2);
 
     // Relabeled adjacency: map each original run through old→new, sort it.
-    let (src_dst_at, dst2_at) = (plans[1].payload_at, plans[4].payload_at);
+    let (src_dst_at, dst2_at) = (sections[1].start, sections[4].start);
     let mut run: Vec<u32> = Vec::with_capacity(max_degree);
-    let mut old_start = vec![0u64; n];
+    let mut old_start = vec![0usize; n];
     {
-        let mut acc = 0u64;
+        let mut acc = 0usize;
         for (u, &d) in deg.iter().enumerate() {
             old_start[u] = acc;
-            acc += d as u64;
+            acc += d as usize;
         }
     }
     let mut write_at = dst2_at;
     for &old_u in &new_to_old {
         let d = deg[old_u as usize] as usize;
-        let base = src_dst_at + old_start[old_u as usize] as usize * 4;
+        let base = src_dst_at + old_start[old_u as usize] * 4;
         run.clear();
         for k in 0..d {
             let v = read_u32_at(bytes, base + k * 4);
@@ -1056,12 +984,13 @@ fn relabel_sections(
         }
     }
 
-    write_rev_walk(bytes, dst2_at, plans[5].payload_at, m_dir, cursor2);
+    write_rev_walk(bytes, dst2_at, sections[5].start, m_dir, cursor2);
 
-    let nto_at = plans[6].payload_at;
+    let nto_at = sections[6].start;
     for (i, &old_id) in new_to_old.iter().enumerate() {
         put_u32(bytes, nto_at + i * 4, old_id);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1120,54 +1049,12 @@ pub fn prepare_pairs_to_file(
     build_to_path(source, policy, out, config)
 }
 
-/// Build an owned in-heap [`CsrGraph`] through the budgeted external sort —
-/// the bounded-memory replacement for
-/// [`crate::CsrGraph::from_edge_list_parallel`] that
-/// [`crate::datasets::Dataset::build`] switches to when
-/// [`PREP_MEM_BYTES_ENV`] is set. Produces exactly the same CSR.
-pub fn build_csr_bounded(
-    declared_vertices: usize,
-    pairs: impl Iterator<Item = (u32, u32)>,
-    config: &StreamConfig,
-) -> io::Result<CsrGraph> {
-    let mut sorter = ExternalSorter::new(config)?;
-    for (u, v) in pairs {
-        sorter.push(u, v)?;
-    }
-    let cap_bytes = (sorter.cap * 8) as u64;
-    let sorted = sorter.into_sorted()?;
-    let n = sorted.max_id_plus1().max(declared_vertices);
-    let (deg, unique) = degree_pass(&sorted, n)?;
-    let mut peak = Peak::default();
-    peak.observe(cap_bytes);
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for &d in &deg {
-        acc += d as usize;
-        offsets.push(acc);
-    }
-    let mut dst = vec![0u32; unique * 2];
-    let mut cursor: Vec<usize> = offsets[..n].to_vec();
-    peak.observe((deg.len() * 4 + offsets.len() * 8 + cursor.len() * 8 + dst.len() * 4) as u64);
-    for pair in sorted.iter()? {
-        let (u, v) = pair?;
-        dst[cursor[u as usize]] = v;
-        cursor[u as usize] += 1;
-        dst[cursor[v as usize]] = u;
-        cursor[v as usize] += 1;
-    }
-    bump(|m| m.peak_resident_bytes += peak.peak);
-    CsrGraph::try_from_stores_structural(offsets.into(), dst.into())
-        .map_err(|e| invalid(format!("streamed CSR failed validation: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
     use crate::prepare::{read_prepared, write_prepared, PreparedGraph};
-    use crate::EdgeList;
+    use crate::{CsrGraph, EdgeList};
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -1311,19 +1198,6 @@ mod tests {
         assert_eq!(back.graph(), pg.graph());
         for p in [text_in, text_out, bin_in, bin_out] {
             let _ = fs::remove_file(&p);
-        }
-    }
-
-    #[test]
-    fn bounded_csr_matches_parallel_builder() {
-        for el in [
-            generators::chung_lu(250, 10.0, 2.2, 5),
-            generators::gnm(300, 1100, 8),
-            EdgeList::new(0),
-        ] {
-            let want = CsrGraph::from_edge_list_parallel(&el);
-            let got = build_csr_bounded(el.num_vertices, el.iter(), &tiny_config(4096)).unwrap();
-            assert_eq!(got, want);
         }
     }
 

@@ -1,12 +1,14 @@
 //! The zero-copy cache path: mapped loads must be bit-identical to owned
-//! ones for every dataset analogue, `CNCPREP2` damage of any kind must be
-//! rejected (then silently rebuilt by the cache), the LRU garbage collector
+//! ones for every dataset analogue, `CNCPREP4` damage of any kind must be
+//! rejected (then silently rebuilt by the cache) or leave the loaded
+//! preparation unchanged, the LRU garbage collector
 //! must never evict a file a live reader holds, and a multi-process populate
 //! race must elect exactly one writer.
 
 #![cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
 
 use std::fs::{self, File};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -14,7 +16,7 @@ use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::prepare::{
     self, cache_path, map_prepared, prepared_on_disk, read_prepared, write_prepared,
 };
-use cnc_graph::{PreparedGraph, ReorderPolicy};
+use cnc_graph::{generators, PreparedGraph, ReorderPolicy};
 
 /// A unique throwaway cache directory per test (tests run concurrently and
 /// must not share disk state).
@@ -147,6 +149,62 @@ fn map_prepared_rejects_damage_without_panicking() {
     let rebuilt = prepared_on_disk(&dir, Dataset::LjS, Scale::Tiny, ReorderPolicy::None);
     assert_eq!(prepare::metrics().since(&before).graph_builds, 1);
     assert_eq!(rebuilt.graph(), pg.graph());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A load of a damaged image must be a typed `InvalidData` rejection or
+/// exactly the original preparation, down to the reverse indexes and the
+/// skew statistic's bits.
+fn assert_rejected_or_original(
+    loaded: io::Result<PreparedGraph>,
+    original: &PreparedGraph,
+    what: &str,
+) {
+    match loaded {
+        Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}"),
+        Ok(pg) => {
+            assert_same_preparation(&pg, original, what);
+            assert_eq!(
+                pg.graph().reverse_index(),
+                original.graph().reverse_index(),
+                "{what}: reverse index"
+            );
+            assert_eq!(
+                pg.reordered().map(|r| r.graph.reverse_index()),
+                original.reordered().map(|r| r.graph.reverse_index()),
+                "{what}: relabeled reverse index"
+            );
+            assert_eq!(
+                pg.skew_pct().to_bits(),
+                original.skew_pct().to_bits(),
+                "{what}: skew bits"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_byte_flip_is_rejected_or_harmless() {
+    // Invert each byte of a small image in turn, under both policies. Only
+    // reserved and padding bytes lie outside every checksum, so most flips
+    // must be rejected; none may panic or load a different preparation.
+    let dir = temp_dir("flips");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("flip.prep");
+    let el = generators::gnm(40, 90, 9);
+    for policy in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
+        let pg = PreparedGraph::from_edge_list(&el, policy);
+        let mut image = Vec::new();
+        write_prepared(&pg, &mut image).unwrap();
+        for at in 0..image.len() {
+            let mut damaged = image.clone();
+            damaged[at] ^= 0xff;
+            let what = format!("{} image, byte {at}", policy.tag());
+            assert_rejected_or_original(read_prepared(damaged.as_slice()), &pg, &what);
+            fs::write(&path, &damaged).unwrap();
+            assert_rejected_or_original(map_prepared(&path), &pg, &what);
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -52,7 +52,7 @@ fn mapped_storage_counts_identically_everywhere() {
     let owned = PreparedGraph::from_edge_list(&el, ReorderPolicy::DegreeDescending);
     let want = reference_counts(owned.graph());
 
-    // Round the preparation through a CNCPREP2 file and map it back.
+    // Round the preparation through a CNCPREP4 file and map it back.
     let dir = std::env::temp_dir().join(format!("cnc-agree-{}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join("or-s.prep");
