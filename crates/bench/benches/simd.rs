@@ -16,7 +16,8 @@ use rand::{Rng, SeedableRng};
 use cnc_cpu::{BmpMode, CpuKernel};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_intersect::{
-    bmp_count_tier, gallop_lower_bound_tier, Bitmap, MpsConfig, NullMeter, SimdTier,
+    bmp_count_tier, gallop_lower_bound_tier, rf_count_tier, scaled_rf_ratio, Bitmap, MpsConfig,
+    NullMeter, RfBitmap, SimdTier,
 };
 use cnc_workload::WorkloadKind::Cnc;
 
@@ -57,6 +58,33 @@ fn bench_bmp_probe(c: &mut Criterion) {
         );
     }
     group.finish();
+}
+
+/// Isolated range-filtered probe loop: one 4096-element probe array
+/// against a dense filter (20,000 ids scattered over 1M, most ranges set:
+/// the wide tiers gather) and a sparse one (2,000 ids in the first 32
+/// ranges: every tier runs the per-key loop), each tier.
+fn bench_rf_probe(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(13);
+    let n = 1_000_000usize;
+    let ratio = scaled_rf_ratio(n);
+    let dense = sorted_set(&mut rng, 20_000, n as u32);
+    let sparse = sorted_set(&mut rng, 2_000, 32 * ratio as u32);
+    let probe = sorted_set(&mut rng, 4096, n as u32);
+    for (label, indexed) in [("dense", &dense), ("sparse", &sparse)] {
+        let mut rf = RfBitmap::with_ratio(n, ratio);
+        rf.set_list(indexed, &mut NullMeter);
+        let mut group = c.benchmark_group(format!("simd_rf_probe_4096_{label}"));
+        group.throughput(Throughput::Elements(probe.len() as u64));
+        for tier in host_tiers() {
+            group.bench_with_input(
+                BenchmarkId::new("rf_count", tier.label()),
+                &tier,
+                |bench, &tier| bench.iter(|| rf_count_tier(&rf, &probe, tier, &mut NullMeter)),
+            );
+        }
+        group.finish();
+    }
 }
 
 /// Isolated galloping search: lower bounds of scattered targets, each tier.
@@ -132,6 +160,6 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).warm_up_time(Duration::from_millis(500)).measurement_time(Duration::from_secs(2));
-    targets = bench_bmp_probe, bench_gallop, bench_end_to_end
+    targets = bench_bmp_probe, bench_rf_probe, bench_gallop, bench_end_to_end
 }
 criterion_main!(benches);

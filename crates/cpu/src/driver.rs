@@ -152,9 +152,9 @@ fn run_items<W: Workload, K: PairKernel, M: Meter>(
         }
         if uses_kernel && pu != Some(u) {
             if let Some(p) = pu {
-                kernel.end_source(g.neighbors(p), meter);
+                kernel.end_source(workload.source_list(g, shared, p), meter);
             }
-            kernel.begin_source(g.neighbors(u), meter);
+            kernel.begin_source(workload.source_list(g, shared, u), meter);
             tally.rebuilds += 1;
             pu = Some(u);
         }
@@ -162,7 +162,7 @@ fn run_items<W: Workload, K: PairKernel, M: Meter>(
         tally.visited += 1;
     }
     if let Some(p) = pu {
-        kernel.end_source(g.neighbors(p), meter);
+        kernel.end_source(workload.source_list(g, shared, p), meter);
     }
     tally
 }

@@ -837,7 +837,9 @@ fn build_to_path(
     while let Some((u, v)) = source.next_pair()? {
         sorter.push(u, v)?;
     }
-    peak.observe(source.resident_bytes() + (sorter.cap * 8) as u64);
+    // The sort buffer's allocation, which stops at the cap only when the
+    // input fills it.
+    peak.observe(source.resident_bytes() + (sorter.buf.capacity() * 8) as u64);
     let stream_chunks = source.chunks();
     drop(source);
     let sorted = sorter.into_sorted()?;

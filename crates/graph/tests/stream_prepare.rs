@@ -155,6 +155,35 @@ fn malformed_text_reports_line_and_content() {
     let _ = fs::remove_file(&input);
 }
 
+/// The peak counts the sort buffer as allocated: a small unbudgeted build
+/// reports kilobytes, not the default cap's 512 MiB, and a build that fills
+/// a 1 MiB budget's buffer (2^17 pairs) reports exactly the budget.
+#[test]
+fn peak_counts_the_sort_buffer_as_allocated() {
+    let peak = |el: &EdgeList, mem_budget: Option<u64>| {
+        let out = temp_path("peak.prep");
+        let cfg = StreamConfig {
+            mem_budget,
+            spill_dir: None,
+        };
+        let summary = stream::prepare_pairs_to_file(
+            el.num_vertices,
+            el.iter(),
+            ReorderPolicy::None,
+            &out,
+            &cfg,
+        )
+        .expect("streamed prepare");
+        let _ = fs::remove_file(&out);
+        summary.peak_resident_bytes
+    };
+    let small = cnc_graph::generators::gnm(1_000, 5_000, 11);
+    let unbudgeted = peak(&small, None);
+    assert!(unbudgeted > 0 && unbudgeted < 1 << 20, "peak {unbudgeted}");
+    let filling = cnc_graph::generators::gnm(10_000, 200_000, 11);
+    assert_eq!(peak(&filling, Some(1 << 20)), 1 << 20);
+}
+
 #[test]
 fn unusable_spill_dir_is_typed_error() {
     // Point the spill base at a regular file: creating run directories

@@ -118,6 +118,11 @@ impl Bitmap {
         }
     }
 
+    /// The backing words, bit `v` at bit `v & 63` of word `v >> 6`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// True if no bit is set (used to validate pool recycling).
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)

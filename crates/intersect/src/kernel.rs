@@ -32,19 +32,23 @@ use crate::range_filter::{rf_count, RfBitmap, RfRatioError};
 /// The driver calls, for each source vertex `u` that has at least one
 /// `u < v` pair in its range:
 ///
-/// 1. [`begin_source`](PairKernel::begin_source)`(N(u))` once;
+/// 1. [`begin_source`](PairKernel::begin_source)`(N(u))` once — or the
+///    part of `N(u)` that `u`'s probes can hit, when the workload names one
+///    (the triangle workload passes `N(u)` past `u`);
 /// 2. [`count`](PairKernel::count)`(N(u), N(v))` for each pair;
-/// 3. [`end_source`](PairKernel::end_source)`(N(u))` once, before the next
-///    `begin_source` or when the range ends.
+/// 3. [`end_source`](PairKernel::end_source) once with the same list,
+///    before the next `begin_source` or when the range ends.
 ///
 /// After `end_source` the kernel must be *reset* (all per-source state
 /// cleared, [`is_reset`](PairKernel::is_reset) true) so it can be reused —
 /// possibly by another task, via a kernel pool.
 pub trait PairKernel {
-    /// Build per-source state for `nu = N(u)` (no-op for merge kernels).
+    /// Build per-source state for `nu`: `N(u)`, or the part of it every
+    /// probe of this source can hit (no-op for merge kernels).
     fn begin_source<M: Meter>(&mut self, nu: &[u32], meter: &mut M);
 
-    /// Tear down per-source state for `nu = N(u)` (no-op for merge kernels).
+    /// Tear down per-source state for the `nu` that `begin_source` got
+    /// (no-op for merge kernels).
     fn end_source<M: Meter>(&mut self, nu: &[u32], meter: &mut M);
 
     /// Count `|nu ∩ nv|` for the current source.

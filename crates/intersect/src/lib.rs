@@ -28,10 +28,11 @@
 //! operation counts which the machine models (`cnc-machine`) turn into
 //! modeled elapsed times for the simulated KNL and GPU processors.
 //!
-//! Wide-vector hot loops (BMP word probes, the galloping search's linear
-//! prefix and final window, VB block compares) dispatch on a process-wide
-//! [`SimdTier`] resolved once from the `CNC_SIMD` environment variable /
-//! `--simd` CLI flag / host detection. Forcing `scalar` runs the bit-pinned
+//! Wide-vector hot loops (BMP word probes, BMP-RF probes through a dense
+//! range filter, the galloping search's linear prefix and final window, VB
+//! block compares) dispatch on a process-wide [`SimdTier`] resolved once
+//! from the `CNC_SIMD` environment variable / `--simd` CLI flag / host
+//! detection. Forcing `scalar` runs the bit-pinned
 //! oracle loops; `portable` runs the same 8-wide block shape without vector
 //! instructions; `avx2`/`avx512` use real intrinsics. Per-edge counts and
 //! the architecture-neutral meter events are identical at every tier.
@@ -82,7 +83,8 @@ pub use meter::{CountingMeter, Meter, NullMeter, WorkCounts};
 pub use mps::{mps_count, mps_count_cfg, MpsConfig};
 pub use pivot_skip::ps_count;
 pub use range_filter::{
-    rf_count, scaled_rf_ratio, validate_rf_ratio, RfBitmap, RfRatioError, DEFAULT_RF_RATIO,
+    rf_count, rf_count_tier, scaled_rf_ratio, validate_rf_ratio, RfBitmap, RfRatioError,
+    DEFAULT_RF_RATIO,
 };
 pub use search::{
     gallop_lower_bound, gallop_lower_bound_no_prefix, gallop_lower_bound_tier, linear_lower_bound,

@@ -30,7 +30,7 @@ pub trait Meter {
     /// One neighbor-set intersection completed.
     fn intersection_done(&mut self);
     /// `n` wide probe blocks (8/16 keys each) executed by a vector or
-    /// chunked-portable path (BMP word probes, gallop pivot blocks).
+    /// chunked-portable path (BMP and RF word probes, gallop pivot blocks).
     ///
     /// Unlike the counts above, this event is **tier-dependent**: it
     /// attributes measured wall-clock to the [`SimdTier`] that actually ran
@@ -43,7 +43,8 @@ pub trait Meter {
         let _ = n;
     }
     /// `n` keys handled by the scalar tail after a wide probe loop ran out
-    /// of full blocks. Tier-dependent, like [`Meter::simd_blocks`].
+    /// of full blocks, or stopped at a key past its bitmaps (RF probes).
+    /// Tier-dependent, like [`Meter::simd_blocks`].
     #[inline]
     fn simd_tail_elems(&mut self, n: u64) {
         let _ = n;

@@ -7,9 +7,22 @@
 //! memory on the GPU). A probe first peeks at the small bitmap and touches
 //! the big one only when the range is known non-empty, trading a cheap
 //! cache-resident lookup for an expensive memory access.
+//!
+//! The per-key filter is a branch, and the branch only predicts when most
+//! ranges are empty. So the probe loop picks its path per source, from
+//! what [`RfBitmap::set_list`] observed: a filter with more than 1/32 of
+//! its range bits set is *dense*, and on the AVX2 and AVX-512 tiers its
+//! probes run branch-free, 8 keys per block (one gather of the small words
+//! gives the range-hit lanes; a second, masked to those lanes, reads the
+//! big words only where the filter passes). A sparse filter, and every
+//! filter on the scalar and portable tiers, keeps the per-key oracle loop:
+//! a chunked portable version would either keep the branch or read the big
+//! bitmap for filtered keys. Both paths report the same
+//! architecture-neutral meter events.
 
 use crate::bitmap::Bitmap;
 use crate::meter::Meter;
+use crate::simd::SimdTier;
 
 /// The paper's default big-to-small size ratio (bits per small-bitmap bit).
 pub const DEFAULT_RF_RATIO: usize = 4096;
@@ -62,6 +75,10 @@ pub fn validate_rf_ratio(ratio: usize) -> Result<(), RfRatioError> {
     Ok(())
 }
 
+/// A filter is dense, and its probes take the gather path, when more than
+/// one in `DENSE_SHARE` of its range bits is set.
+const DENSE_SHARE: usize = 32;
+
 /// A range-filtered bitmap: the big per-vertex bitmap plus the small
 /// summarizing filter.
 #[derive(Debug, Clone)]
@@ -69,6 +86,9 @@ pub struct RfBitmap {
     big: Bitmap,
     small: Bitmap,
     shift: u32,
+    /// Whether a `set_list` since the last `clear_list` set more than one
+    /// in [`DENSE_SHARE`] of the small bitmap's bits.
+    dense: bool,
 }
 
 impl RfBitmap {
@@ -96,6 +116,7 @@ impl RfBitmap {
             big: Bitmap::new(cardinality),
             small: Bitmap::new(cardinality.div_ceil(ratio).max(1)),
             shift,
+            dense: false,
         })
     }
 
@@ -115,16 +136,28 @@ impl RfBitmap {
     }
 
     /// Set the bits for every id in `list` in both bitmaps.
+    ///
+    /// Each small bit is set once per run of ids sharing a range, and the
+    /// runs are counted: on a sorted list that is the number of distinct
+    /// ranges, and above 1/32 of the small bitmap's bits it marks the
+    /// filter dense, so [`rf_count`] takes the gather path.
     pub fn set_list<M: Meter>(&mut self, list: &[u32], meter: &mut M) {
         self.big.set_list(list, meter);
+        let mut ranges = 0usize;
+        let mut prev = None;
         for &v in list {
-            self.small.set(v >> self.shift);
+            let r = v >> self.shift;
+            ranges += usize::from(prev != Some(r));
+            prev = Some(r);
+            self.small.set(r);
         }
+        self.dense |= ranges.saturating_mul(DENSE_SHARE) > self.small.cardinality();
         meter.rand_accesses_small(list.len() as u64);
         meter.write_bytes(8 * list.len() as u64);
     }
 
-    /// Clear the bits for every id in `list` in both bitmaps.
+    /// Clear the bits for every id in `list` in both bitmaps, and mark the
+    /// filter sparse again.
     ///
     /// Small-bitmap bits are *cleared*, not flipped: several ids of `list`
     /// may share a small bit, and clearing is idempotent.
@@ -133,6 +166,7 @@ impl RfBitmap {
         for &v in list {
             self.small.clear(v >> self.shift);
         }
+        self.dense = false;
         meter.rand_accesses_small(list.len() as u64);
         meter.write_bytes(8 * list.len() as u64);
     }
@@ -148,9 +182,9 @@ impl RfBitmap {
         self.big.test(v)
     }
 
-    /// True if both bitmaps are all-zero.
+    /// True if both bitmaps are all-zero and the filter is marked sparse.
     pub fn is_empty(&self) -> bool {
-        self.big.is_empty() && self.small.is_empty()
+        self.big.is_empty() && self.small.is_empty() && !self.dense
     }
 
     /// Direct read-only access to the big bitmap (used by tests and the GPU
@@ -165,19 +199,86 @@ impl RfBitmap {
     }
 }
 
-/// Range-filtered bitmap–array intersection count.
+/// Range-filtered bitmap–array intersection count, executed at the
+/// process-wide resolved [`SimdTier`].
 ///
 /// Same contract as [`crate::bmp_count`] but probes through the filter, so
 /// sparse-match workloads touch the big bitmap far less often.
 #[inline]
 pub fn rf_count<M: Meter>(rf: &RfBitmap, arr: &[u32], meter: &mut M) -> u32 {
+    // Only a dense filter's path depends on the tier, so a sparse one
+    // skips resolving it.
+    let tier = if rf.dense {
+        SimdTier::resolve()
+    } else {
+        SimdTier::Scalar
+    };
+    rf_count_tier(rf, arr, tier, meter)
+}
+
+/// [`rf_count`] at an explicit [`SimdTier`]. A dense filter (see
+/// [`RfBitmap::set_list`]) probes with gathers on the AVX2 and AVX-512
+/// tiers; a sparse one, and every filter on the scalar and portable tiers,
+/// runs the per-key oracle loop. A tier the host cannot execute degrades to
+/// the oracle loop.
+///
+/// Every tier and path reports the same architecture-neutral meter events:
+/// one `rand_accesses_small` per key, one `rand_accesses` per range hit, 4
+/// `seq_bytes` and one `scalar_ops` per key, and one `intersection_done`.
+/// Only the tier-attribution events (`simd_blocks`, `simd_tail_elems`)
+/// vary. A key past the bitmaps panics, or not, exactly as in the oracle
+/// loop, which reads the big bitmap only after a range hit.
+#[inline]
+pub fn rf_count_tier<M: Meter>(rf: &RfBitmap, arr: &[u32], tier: SimdTier, meter: &mut M) -> u32 {
     crate::debug_check_sorted(arr);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    #[cfg(target_arch = "x86_64")]
+    if rf.dense && tier.use_avx2() {
+        // SAFETY: `use_avx2` re-checks host support.
+        return unsafe { rf_count_gather(rf, arr, meter) };
+    }
+    let c = rf_probe_oracle(rf, arr, meter);
+    meter.seq_bytes(4 * arr.len() as u64);
+    meter.scalar_ops(arr.len() as u64);
+    meter.intersection_done();
+    c
+}
+
+/// The bit-pinned oracle: one filtered probe per key, in order.
+#[inline]
+fn rf_probe_oracle<M: Meter>(rf: &RfBitmap, arr: &[u32], meter: &mut M) -> u32 {
     let mut c = 0u32;
     for &w in arr {
         c += u32::from(rf.test(w, meter));
     }
+    c
+}
+
+/// The dense-filter path: gathered blocks up to the first key the oracle
+/// might panic on, the oracle loop over the rest. Kept out of line, so the
+/// sparse path stays the inlined per-key loop.
+///
+/// # Safety
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+unsafe fn rf_count_gather<M: Meter>(rf: &RfBitmap, arr: &[u32], meter: &mut M) -> u32 {
+    // Keys at or past the cardinality go to the oracle loop; a bitmap
+    // wider than the u32 ids leaves only `u32::MAX` to it.
+    let limit = u32::try_from(rf.big.cardinality()).unwrap_or(u32::MAX);
+    // SAFETY: the caller guarantees AVX2; the kernel bounds its gathers.
+    let (hits, range_hits, blocks, done) = unsafe {
+        crate::simd::rf_count_avx2(rf.small.words(), rf.big.words(), rf.shift, limit, arr)
+    };
+    let rest = &arr[done..];
+    let c = hits + rf_probe_oracle(rf, rest, meter);
+    meter.rand_accesses_small(done as u64);
+    meter.rand_accesses(range_hits);
     meter.seq_bytes(4 * arr.len() as u64);
     meter.scalar_ops(arr.len() as u64);
+    meter.simd_blocks(blocks);
+    meter.simd_tail_elems(rest.len() as u64);
     meter.intersection_done();
     c
 }
@@ -285,6 +386,32 @@ mod tests {
         rf.set_list(&[5, 6], &mut m);
         rf.clear_list(&[5, 6], &mut m);
         assert!(rf.is_empty(), "shared small bit must clear idempotently");
+    }
+
+    #[test]
+    fn density_counts_the_distinct_ranges_set() {
+        let mut m = NullMeter;
+        // 64 ranges of 16 ids: dense above 2 of them (1/32).
+        let mut rf = RfBitmap::with_ratio(1024, 16);
+        rf.set_list(&[0, 1, 2, 15, 16, 17, 31], &mut m);
+        assert!(!rf.dense, "2 ranges of 64 is not above 1/32");
+        rf.clear_list(&[0, 1, 2, 15, 16, 17, 31], &mut m);
+        rf.set_list(&[0, 16, 1000], &mut m);
+        assert!(rf.dense, "3 ranges of 64 is above 1/32");
+    }
+
+    #[test]
+    fn clear_list_leaves_the_filter_sparse() {
+        // A pooled kernel must come back reset (`PairKernel::is_reset`):
+        // bitmaps zero and the next source's path chosen afresh.
+        let mut m = NullMeter;
+        let ids: Vec<u32> = (0..1000).step_by(5).collect();
+        let mut rf = RfBitmap::with_ratio(1000, 8);
+        rf.set_list(&ids, &mut m);
+        assert!(rf.dense && !rf.is_empty());
+        rf.clear_list(&ids, &mut m);
+        assert!(!rf.dense);
+        assert!(rf.is_empty());
     }
 
     #[test]

@@ -475,6 +475,110 @@ mod x86 {
         (hits, blocks, tail.len() as u64)
     }
 
+    /// Range-filtered bitmap probe loop, AVX2: 8 keys per block, with
+    /// 32-bit gathers over the `u64` bitmap words read as `u32`s (bit `i`
+    /// is bit `i & 31` of `u32` number `i >> 5` on little-endian x86). One
+    /// gather of the small words moves each key's range bit to its lane's
+    /// sign bit, which is the range-hit mask; a second gather, masked to
+    /// those lanes, reads the big words only where the scalar filter reads
+    /// them. Every block loads under a [`LEADING_LANES`] mask, so the final
+    /// partial block needs no scalar tail: its disabled lanes gather
+    /// nothing and count nothing.
+    ///
+    /// `shift` is the range size's log2 and `limit` the exclusive bound of
+    /// the keys the scalar probe accepts without a panic (the big bitmap's
+    /// cardinality). The loop stops at the first block holding a key at or
+    /// past `limit`, and does not start if `limit`'s words lie outside
+    /// either slice. Returns `(hits, range_hits, blocks, done)`: the vector
+    /// blocks probed `arr[..done]`, and the caller probes the rest with
+    /// the scalar loop, which panics, or not, exactly as the oracle does.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rf_count_avx2(
+        small: &[u64],
+        big: &[u64],
+        shift: u32,
+        limit: u32,
+        arr: &[u32],
+    ) -> (u32, u64, u64, usize) {
+        // The range index as the scalar probe's `u32 >> shift` computes it.
+        let shift = shift & 31;
+        let Some(last) = limit.checked_sub(1) else {
+            return (0, 0, 0, 0);
+        };
+        if (last >> 6) as usize >= big.len() || ((last >> shift) >> 6) as usize >= small.len() {
+            return (0, 0, 0, 0);
+        }
+        let mut blocks = 0u64;
+        let mut done = 0usize;
+        // SAFETY: each block's load is masked to the `n <= 8` keys left at
+        // `done`, and `16 - n` keeps the 8-entry mask read inside the
+        // 32-entry table. Every enabled lane's key is `<= last` (disabled
+        // lanes read as key 0), so each gather index addresses a `u32` of
+        // the word holding bit `key >> shift` or bit `key`, which the check
+        // on `last` above puts inside `small` and `big`.
+        let (range_hits, hits) = unsafe {
+            let small_base = small.as_ptr().cast::<i32>();
+            let big_base = big.as_ptr().cast::<i32>();
+            let last_v = _mm256_set1_epi32(last as i32);
+            let shift_v = _mm_cvtsi32_si128(shift as i32);
+            let low5 = _mm256_set1_epi32(31);
+            let zero = _mm256_setzero_si256();
+            let mut acc_range = zero;
+            let mut acc_hits = zero;
+            while done < arr.len() {
+                let n = (arr.len() - done).min(8);
+                let lanes = _mm256_loadu_si256(LEADING_LANES.as_ptr().add(16 - n).cast());
+                let kv = _mm256_maskload_epi32(arr.as_ptr().add(done).cast(), lanes);
+                // Unsigned `key <= last` in every lane, else the scalar
+                // loop takes over from this block.
+                let in_range = _mm256_cmpeq_epi32(_mm256_max_epu32(kv, last_v), last_v);
+                if _mm256_movemask_ps(_mm256_castsi256_ps(in_range)) != 0xff {
+                    break;
+                }
+                // `x << (31 - (i & 31))` moves bit `i & 31` of `x` to the
+                // sign bit, which is what the masked gathers test.
+                let range_ids = _mm256_srl_epi32(kv, shift_v);
+                let small_w = _mm256_mask_i32gather_epi32::<4>(
+                    zero,
+                    small_base,
+                    _mm256_srli_epi32::<5>(range_ids),
+                    lanes,
+                );
+                let range = _mm256_sllv_epi32(small_w, _mm256_andnot_si256(range_ids, low5));
+                let big_w = _mm256_mask_i32gather_epi32::<4>(
+                    zero,
+                    big_base,
+                    _mm256_srli_epi32::<5>(kv),
+                    range,
+                );
+                let hit = _mm256_sllv_epi32(big_w, _mm256_andnot_si256(kv, low5));
+                // A set sign bit shifts arithmetically to -1. A lane counts
+                // at most once per block, so strictly increasing u32 keys
+                // (at most 2^29 blocks) cannot wrap it.
+                acc_range = _mm256_sub_epi32(acc_range, _mm256_srai_epi32::<31>(range));
+                acc_hits = _mm256_sub_epi32(acc_hits, _mm256_srai_epi32::<31>(hit));
+                blocks += 1;
+                done += n;
+            }
+            (sum_lanes(acc_range), sum_lanes(acc_hits))
+        };
+        // At most one hit per key, like the scalar loop's u32 count.
+        let hits = u32::try_from(hits).expect("probe hits fit the u32 count");
+        (hits, range_hits, blocks, done)
+    }
+
+    /// Sum of the eight `u32` lanes of `v`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn sum_lanes(v: __m256i) -> u64 {
+        let mut lanes = [0u32; 8];
+        // SAFETY: `lanes` holds 32 writable bytes.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v) };
+        lanes.iter().map(|&x| u64::from(x)).sum()
+    }
+
     /// Bitmap probe loop, AVX-512F: 16 keys per iteration via two 8-wide
     /// 64-bit gathers. Same contract as [`bmp_count_avx2`].
     ///
@@ -536,6 +640,7 @@ mod x86 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::{
     block_pairs_eq_16, block_pairs_eq_8, bmp_count_avx2, bmp_count_avx512, count_less_than_avx2,
+    rf_count_avx2,
 };
 
 #[cfg(test)]
@@ -593,6 +698,36 @@ mod tests {
         assert!(e.to_string().contains("fast"));
         let e = SimdTierError::Unsupported(SimdTier::Avx512);
         assert!(e.to_string().contains("avx512"));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn rf_gathers_read_big_words_only_on_range_hits() {
+        if !avx2_available() {
+            return;
+        }
+        // Every big bit set but only the even ranges (of 8 ids) marked: a
+        // key in an odd range must miss, as the filter says, and would hit
+        // if the big gather read it.
+        let big = [u64::MAX; 4];
+        let small = [0x5555_5555_5555_5555u64];
+        let keys: Vec<u32> = (0..256).collect();
+        for len in (0..=40).chain([255, 256]) {
+            let probe = &keys[..len];
+            // SAFETY: AVX2 checked.
+            let got = unsafe { rf_count_avx2(&small, &big, 3, 256, probe) };
+            let want = probe.iter().filter(|&&k| (k >> 3) % 2 == 0).count();
+            let want = (want as u32, want as u64, len.div_ceil(8) as u64, len);
+            assert_eq!(got, want, "len={len}");
+        }
+        // The first block holding a key at or past the limit ends the loop.
+        // SAFETY: AVX2 checked.
+        let (_, _, blocks, done) = unsafe { rf_count_avx2(&small, &big, 3, 100, &keys) };
+        assert_eq!((blocks, done), (12, 96));
+        // A limit whose words lie past either slice runs no block.
+        // SAFETY: AVX2 checked.
+        let stop = unsafe { rf_count_avx2(&small, &big, 3, 257, &keys[..8]) };
+        assert_eq!(stop, (0, 0, 0, 0));
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -4,8 +4,8 @@
 use std::collections::BTreeSet;
 
 use cnc_intersect::{
-    bmp_count, merge_count, mps_count, ps_count, rf_count, vb_count, Bitmap, CountingMeter,
-    NullMeter, RfBitmap, SimdLevel,
+    bmp_count, merge_count, mps_count, ps_count, rf_count, rf_count_tier, vb_count, Bitmap,
+    CountingMeter, NullMeter, RfBitmap, SimdLevel, SimdTier,
 };
 use proptest::prelude::*;
 
@@ -76,7 +76,11 @@ proptest! {
         let mut m = NullMeter;
         let mut rf = RfBitmap::with_ratio(100_000, 1usize << ratio_log2);
         rf.set_list(&a, &mut m);
-        prop_assert_eq!(rf_count(&rf, &b, &mut m), oracle(&a, &b));
+        let want = oracle(&a, &b);
+        prop_assert_eq!(rf_count(&rf, &b, &mut m), want);
+        for tier in SimdTier::ALL {
+            prop_assert_eq!(rf_count_tier(&rf, &b, tier, &mut m), want, "tier={}", tier.label());
+        }
         rf.clear_list(&a, &mut m);
         prop_assert!(rf.is_empty());
     }

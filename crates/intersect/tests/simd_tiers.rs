@@ -13,8 +13,8 @@
 use std::collections::BTreeSet;
 
 use cnc_intersect::{
-    bmp_count_tier, gallop_lower_bound_tier, linear_lower_bound_tier, lower_bound, Bitmap,
-    CountingMeter, NullMeter, SimdTier,
+    bmp_count_tier, gallop_lower_bound_tier, linear_lower_bound_tier, lower_bound, rf_count_tier,
+    Bitmap, CountingMeter, NullMeter, RfBitmap, SimdTier, WorkCounts,
 };
 use proptest::prelude::*;
 
@@ -49,8 +49,179 @@ fn high_bit_set(len: usize) -> impl Strategy<Value = Vec<u32>> {
         .prop_map(|s| s.into_iter().collect())
 }
 
+/// The architecture-neutral part of a meter's counts: everything but the
+/// tier-attribution events, which are zeroed.
+fn neutral(counts: &WorkCounts) -> WorkCounts {
+    WorkCounts {
+        simd_blocks: 0,
+        simd_tail_elems: 0,
+        ..*counts
+    }
+}
+
+/// `rf_count_tier` at every tier against the scalar oracle: the count and
+/// every architecture-neutral meter event must match. Returns the wide
+/// tier-attribution `(simd_blocks, simd_tail_elems)` seen at the AVX2
+/// tier.
+fn assert_rf_tiers_match(rf: &RfBitmap, probe: &[u32], what: &str) -> (u64, u64) {
+    let mut oracle = CountingMeter::new();
+    let want = rf_count_tier(rf, probe, SimdTier::Scalar, &mut oracle);
+    assert_eq!(oracle.counts.simd_blocks, 0, "{what}");
+    let mut avx2 = (0, 0);
+    for tier in TIERS {
+        let mut got = CountingMeter::new();
+        assert_eq!(
+            rf_count_tier(rf, probe, tier, &mut got),
+            want,
+            "{what} tier={}",
+            tier.label()
+        );
+        assert_eq!(
+            neutral(&got.counts),
+            neutral(&oracle.counts),
+            "{what} tier={}",
+            tier.label()
+        );
+        if tier == SimdTier::Avx2 {
+            avx2 = (got.counts.simd_blocks, got.counts.simd_tail_elems);
+        }
+    }
+    avx2
+}
+
+/// RF probes, deterministic sweep: ratios 2 … 4096, a dense and a sparse
+/// filter each, probe keys on range and word boundaries, and every
+/// final-block length from 0 to 16 past 0, 1 and 2 full 8-key blocks. The
+/// dense filter holds id 0, so a disabled lane of a partial final block
+/// (loaded as key 0) that is not masked out counts a false hit.
+#[test]
+fn rf_tiers_match_oracle_on_range_and_word_boundaries() {
+    let card = 1usize << 16;
+    for ratio_log2 in 1..=12u32 {
+        let ratio = 1u32 << ratio_log2;
+        let small_bits = card >> ratio_log2;
+        // Dense: one id in each of about half the ranges, at corners.
+        let dense: Vec<u32> = (0..small_bits as u32)
+            .filter(|r| r % 2 == 0)
+            .map(|r| r * ratio + (r / 2) % ratio.min(64))
+            .chain([card as u32 - 1])
+            .collect::<BTreeSet<u32>>()
+            .into_iter()
+            .collect();
+        // Sparse: at most five ranges, under 1/32 of them at every ratio up
+        // to 2^9; from 2^10 on the small bitmap has so few bits that these
+        // ranges make it dense, which the assertions below allow.
+        let sparse: Vec<u32> = [0u32, 1, 63, 64, 5 * ratio, 5 * ratio + 1, 9 * ratio]
+            .into_iter()
+            .filter(|&v| (v as usize) < card)
+            .collect::<BTreeSet<u32>>()
+            .into_iter()
+            .collect();
+        // Probe keys: each range's first and last id, and the ids around
+        // the 64-bit word edges of the first words.
+        let mut keys: BTreeSet<u32> = (0..small_bits as u32)
+            .flat_map(|r| [r * ratio, r * ratio + ratio - 1])
+            .collect();
+        keys.extend([62u32, 63, 64, 65, 127, 128, 129]);
+        let keys: Vec<u32> = keys.into_iter().collect();
+        for (label, set) in [("dense", &dense), ("sparse", &sparse)] {
+            let mut rf = RfBitmap::with_ratio(card, ratio as usize);
+            rf.set_list(set, &mut NullMeter);
+            // The density rule: more than 1/32 of the ranges set.
+            let ranges = set.iter().map(|v| v >> ratio_log2).collect::<BTreeSet<_>>();
+            let gathered = ranges.len() * 32 > small_bits && SimdTier::Avx2.supported();
+            let (blocks, tail) = assert_rf_tiers_match(&rf, &keys, label);
+            let want_blocks = if gathered { keys.len().div_ceil(8) } else { 0 };
+            assert_eq!(
+                (blocks, tail),
+                (want_blocks as u64, 0),
+                "{label} ratio={ratio}"
+            );
+            for start in [0usize, 8, 16] {
+                for len in 0..=16usize {
+                    let Some(probe) = keys.get(start..start + len) else {
+                        continue;
+                    };
+                    let what = format!("{label} ratio={ratio} start={start} len={len}");
+                    let (blocks, _) = assert_rf_tiers_match(&rf, probe, &what);
+                    let want = if gathered { len.div_ceil(8) } else { 0 };
+                    assert_eq!(blocks, want as u64, "{what}");
+                }
+            }
+            // The probe set equal to the indexed set hits every key.
+            let mut m = NullMeter;
+            for tier in TIERS {
+                assert_eq!(rf_count_tier(&rf, set, tier, &mut m) as usize, set.len());
+            }
+            rf.clear_list(set, &mut NullMeter);
+            assert!(rf.is_empty());
+        }
+    }
+}
+
+/// Keys past the bitmaps: the oracle reads the big bitmap only after a
+/// range hit, so a key past the cardinality panics (in debug builds) or
+/// past the big bitmap's words panics (always) only when its range bit is
+/// set. Every tier must panic, or not, exactly when the oracle does, and
+/// otherwise return the oracle's count.
+#[test]
+fn rf_tiers_panic_exactly_like_the_oracle_past_the_bitmaps() {
+    // 1000 ids: the big bitmap's words reach 1024, the small bitmap (range
+    // 8) has 125 bits in two words (128 bits).
+    let card = 1000usize;
+    let dense: Vec<u32> = (0..card as u32).step_by(3).collect();
+    let low: Vec<u32> = (0..40).map(|k| k * 7).collect();
+    let tails: [&[u32]; 6] = [
+        &[],
+        &[999],
+        &[1000],
+        &[1003, 1023],
+        &[1024, 1030],
+        &[2000, u32::MAX],
+    ];
+    for set in [dense, vec![990, 995]] {
+        let mut rf = RfBitmap::with_ratio(card, 8);
+        rf.set_list(&set, &mut NullMeter);
+        for take in [0usize, 5, 8, 13, 16, 40] {
+            for tail in tails {
+                let probe: Vec<u32> = low[..take].iter().chain(tail).copied().collect();
+                let run = |tier: SimdTier| {
+                    std::panic::catch_unwind(|| rf_count_tier(&rf, &probe, tier, &mut NullMeter))
+                        .ok()
+                };
+                let want = run(SimdTier::Scalar);
+                for tier in TIERS {
+                    assert_eq!(
+                        run(tier),
+                        want,
+                        "tier={} set={} probe={probe:?}",
+                        tier.label(),
+                        set.len()
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// RF probes: dense and sparse filters at every ratio 2 … 4096 over
+    /// word-boundary sets; all tiers agree with the oracle on the count and
+    /// on every architecture-neutral meter event.
+    #[test]
+    fn rf_tiers_bit_identical_on_word_boundaries(
+        set in word_boundary_set(400, 600),
+        probe in word_boundary_set(400, 300),
+        ratio_log2 in 1u32..13,
+    ) {
+        let mut rf = RfBitmap::with_ratio(400 * 64, 1usize << ratio_log2);
+        rf.set_list(&set, &mut NullMeter);
+        assert_rf_tiers_match(&rf, &probe, "proptest");
+        rf.clear_list(&set, &mut NullMeter);
+        prop_assert!(rf.is_empty());
+    }
 
     /// BMP probes: all tiers agree with the scalar oracle on word-boundary
     /// probe sets, and the architecture-neutral meter events are identical.

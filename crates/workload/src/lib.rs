@@ -97,13 +97,24 @@ pub trait Workload: Sync {
         true
     }
 
+    /// The list the driver hands the kernel's
+    /// [`begin_source`](PairKernel::begin_source) and
+    /// [`end_source`](PairKernel::end_source) for source `u`: every element
+    /// a probe of `u`'s pairs can hit. `N(u)` by default; a workload that
+    /// probes only part of it names that part, so the per-source index
+    /// covers (and the driver sets and clears) nothing more.
+    #[inline]
+    fn source_list<'g>(&self, g: &'g CsrGraph, _shared: &Self::Shared, u: u32) -> &'g [u32] {
+        g.neighbors(u)
+    }
+
     /// Process one covered pair `(u, v)`. `item` is the pair's edge offset
     /// when the loop walks the edge range, its index when it walks a pair
     /// list.
     ///
     /// When [`uses_kernel`](Workload::uses_kernel) is `true`, `kernel` has
-    /// `begin_source(N(u))` applied. All work performed must be reported
-    /// through `meter`.
+    /// `begin_source` applied to [`source_list`](Workload::source_list)`(u)`.
+    /// All work performed must be reported through `meter`.
     #[allow(clippy::too_many_arguments)]
     fn visit<K: PairKernel, M: Meter>(
         &self,

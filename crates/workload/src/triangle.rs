@@ -38,6 +38,13 @@ impl Workload for TriangleWorkload {
         closes_above(g, u, v)
     }
 
+    /// `N(u)` past `u`: every probe is of `N(v)` past `v > u`, so it can
+    /// only hit there, and the per-source bitmap covers that suffix alone.
+    #[inline]
+    fn source_list<'g>(&self, g: &'g CsrGraph, upper: &Box<[usize]>, u: u32) -> &'g [u32] {
+        above(g, upper, u)
+    }
+
     #[inline]
     fn visit<K: PairKernel, M: Meter>(
         &self,
