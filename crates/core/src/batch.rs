@@ -18,16 +18,19 @@
 //! 4. scatter the counts back to the callers' query order.
 //!
 //! `topk` / `scan` queries are answered from a lazily computed, cached bulk
-//! pass over the whole edge set (they need every count anyway).
+//! pass over the whole edge set (they need every count anyway), by one walk
+//! over its canonical slots that keeps `O(k)` (or `O(limit)`) edges.
 //!
 //! Sessions execute on the real CPU backends only — the modeled platforms
 //! estimate whole passes and have no point-query entry
 //! ([`PlanError::UnsupportedBatchPlatform`]).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 use cnc_cpu::{BatchCounter, PoolStats, SchedulePolicy};
-use cnc_graph::PreparedGraph;
+use cnc_graph::{CsrGraph, PreparedGraph};
 use cnc_obs::ObsContext;
 use cnc_workload::WorkloadKind;
 
@@ -220,55 +223,76 @@ impl BatchSession {
     /// candidate edges *before* truncation to `k` — the untruncated total
     /// the serve protocol reports, mirroring [`BatchSession::scan`].
     ///
-    /// Selects the first `k` in `O(|E|)` and sorts only those: the order
-    /// is total (no two edges share `(u, v)`), so the result is the prefix
-    /// a full sort would give.
+    /// One pass over the cached counts' canonical slots in `(u, v)` order
+    /// keeps the best `k` in a heap whose top is the worst kept edge: once
+    /// the heap is full, a slot whose count is not above that edge's is
+    /// rejected with one compare (a later `(u, v)` loses a tie). Extra
+    /// memory is `O(k)`, not `O(|E|)`.
     pub fn topk(&self, k: usize) -> (usize, Vec<EdgeCount>) {
         let bulk = self.bulk_counts();
         let g = self.prepared.graph();
-        let mut all: Vec<EdgeCount> = g
-            .iter_edges()
-            .filter(|&(_, u, v)| u < v)
-            .map(|(eid, u, v)| EdgeCount {
-                u,
-                v,
-                count: bulk[eid],
-            })
+        // Keyed so the heap's top is the worst kept edge: the lowest count,
+        // then the latest `(u, v)`.
+        let mut kept = BinaryHeap::with_capacity(k.min(g.num_undirected_edges()));
+        // The count a slot must beat to be kept: -1 while the heap has
+        // room, the worst kept count once it is full.
+        let mut floor = if k == 0 { i64::MAX } else { -1 };
+        let mut total = 0usize;
+        for_each_canonical_row(g, &bulk, |u, vs, counts| {
+            total += vs.len();
+            for (&v, &count) in vs.iter().zip(counts) {
+                if i64::from(count) <= floor {
+                    continue;
+                }
+                let key = (Reverse(count), u, v);
+                if kept.len() < k {
+                    kept.push(key);
+                } else if let Some(mut worst) = kept.peek_mut() {
+                    *worst = key;
+                }
+                if kept.len() == k {
+                    floor = kept.peek().map_or(-1, |&(Reverse(c), _, _)| i64::from(c));
+                }
+            }
+        });
+        let top = kept
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(Reverse(count), u, v)| EdgeCount { u, v, count })
             .collect();
-        let order = |a: &EdgeCount, b: &EdgeCount| {
-            b.count
-                .cmp(&a.count)
-                .then_with(|| (a.u, a.v).cmp(&(b.u, b.v)))
-        };
-        let total = all.len();
-        if k < total {
-            all.select_nth_unstable_by(k, order);
-            all.truncate(k);
-        }
-        all.sort_unstable_by(order);
-        (total, all)
+        (total, top)
     }
 
     /// Every edge with `count >= threshold`, in `(u, v)` order, truncated
     /// to `limit` entries; the untruncated total comes back alongside.
+    /// The same canonical-slot walk as [`BatchSession::topk`].
     pub fn scan(&self, threshold: u32, limit: usize) -> (usize, Vec<EdgeCount>) {
         let bulk = self.bulk_counts();
-        let g = self.prepared.graph();
         let mut total = 0usize;
         let mut hits = Vec::new();
-        for (eid, u, v) in g.iter_edges() {
-            if u < v && bulk[eid] >= threshold {
-                total += 1;
-                if hits.len() < limit {
-                    hits.push(EdgeCount {
-                        u,
-                        v,
-                        count: bulk[eid],
-                    });
+        for_each_canonical_row(self.prepared.graph(), &bulk, |u, vs, counts| {
+            for (&v, &count) in vs.iter().zip(counts) {
+                if count >= threshold {
+                    total += 1;
+                    if hits.len() < limit {
+                        hits.push(EdgeCount { u, v, count });
+                    }
                 }
             }
-        }
+        });
         (total, hits)
+    }
+}
+
+/// Walk `g`'s canonical slots in `(u, v)` order: for each row `u`, call
+/// `f(u, vs, cs)` with the row's neighbours above `u` and their entries in
+/// `counts` (indexed by `g`'s edge offsets).
+fn for_each_canonical_row(g: &CsrGraph, counts: &[u32], mut f: impl FnMut(u32, &[u32], &[u32])) {
+    let dst = g.dst();
+    for u in 0..g.num_vertices() as u32 {
+        let row = g.offset_range(u);
+        let start = row.start + dst[row.clone()].partition_point(|&v| v <= u);
+        f(u, &dst[start..row.end], &counts[start..row.end]);
     }
 }
 
@@ -400,9 +424,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn topk_and_scan_agree_with_reference_counts() {
-        let (s, want) = session(Algorithm::mps());
+    /// `s`'s `topk`/`scan` answers against a full sort of `want`.
+    fn check_topk_and_scan(s: &BatchSession, want: &[u32], what: &str) {
         let g = s.prepared().graph().clone();
         let mut all: Vec<EdgeCount> = g
             .iter_edges()
@@ -413,30 +436,64 @@ mod tests {
                 count: want[eid],
             })
             .collect();
+        let in_order = all.clone();
         all.sort_unstable_by(|a, b| {
             b.count
                 .cmp(&a.count)
                 .then_with(|| (a.u, a.v).cmp(&(b.u, b.v)))
         });
-        // A `k` inside a run of equal counts: the selection must cut the
+        // A `k` inside a run of equal counts: the kept edges must cut the
         // tie run exactly where the full sort's `(u, v)` order does.
         let tie = (2..all.len())
             .find(|&i| all[i - 1].count == all[i].count)
             .expect("tw-s has tied counts");
-        for k in [5, 0, tie, all.len(), all.len() + 7] {
+        for k in [5, 0, 1, tie, all.len(), all.len() + 7] {
             let (top_total, top) = s.topk(k);
-            assert_eq!(top_total, all.len(), "k={k}: topk total is pre-truncation");
-            assert_eq!(top, all[..k.min(all.len())].to_vec(), "k={k}");
+            assert_eq!(
+                top_total,
+                all.len(),
+                "{what} k={k}: total is pre-truncation"
+            );
+            assert_eq!(top, all[..k.min(all.len())].to_vec(), "{what} k={k}");
         }
-        let (_, top) = s.topk(5);
-        let threshold = top[0].count;
-        let (total, hits) = s.scan(threshold, 1_000_000);
-        assert_eq!(total, all.iter().filter(|e| e.count >= threshold).count());
-        assert!(hits.iter().all(|e| e.count >= threshold));
-        assert_eq!(total, hits.len());
-        let (capped_total, capped) = s.scan(0, 3);
-        assert_eq!(capped_total, all.len());
-        assert_eq!(capped.len(), 3);
+        let max = all[0].count;
+        for threshold in [0, all[5].count, max, max + 1] {
+            let matching: Vec<EdgeCount> = in_order
+                .iter()
+                .filter(|e| e.count >= threshold)
+                .copied()
+                .collect();
+            for limit in [0, 3, matching.len(), usize::MAX] {
+                let (total, hits) = s.scan(threshold, limit);
+                assert_eq!(total, matching.len(), "{what} threshold={threshold}");
+                assert_eq!(
+                    hits,
+                    matching[..limit.min(matching.len())].to_vec(),
+                    "{what} threshold={threshold} limit={limit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn topk_and_scan_agree_with_reference_counts() {
+        // MPS runs unreordered, BMP-RF on the degree-descending relabel
+        // (its counts remapped back), and BMP-RF over a preparation with no
+        // relabel runs unreordered again.
+        for algorithm in [Algorithm::mps(), Algorithm::bmp_rf()] {
+            let (s, want) = session(algorithm);
+            assert_eq!(
+                s.plan().reorder && s.prepared().reordered().is_some(),
+                algorithm == Algorithm::bmp_rf()
+            );
+            check_topk_and_scan(&s, &want, algorithm.label());
+        }
+        let g = Dataset::TwS.build(Scale::Tiny);
+        let want = reference_counts(&g);
+        let runner = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf());
+        let pg = PreparedGraph::from_csr(g, ReorderPolicy::None);
+        let s = BatchSession::new(runner, pg).expect("plannable");
+        check_topk_and_scan(&s, &want, "BMP-RF over an unreordered preparation");
     }
 
     #[test]

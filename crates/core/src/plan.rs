@@ -6,9 +6,11 @@
 //!
 //! * the reordering decision (degree-descending preprocessing on/off);
 //! * kernel selection — the `RfChoice` is resolved against `|V|` into a
-//!   concrete [`CpuKernel`], and configuration the type system cannot check
-//!   (the RF ratio) is validated here with a descriptive [`PlanError`]
-//!   instead of a panic deep inside a worker task;
+//!   concrete [`CpuKernel`], MPS's lane width is resolved against a modeled
+//!   machine (its own width, not the host's), and configuration the type
+//!   system cannot check (the RF ratio) is validated here with a
+//!   descriptive [`PlanError`] instead of a panic deep inside a worker
+//!   task;
 //! * partitioning — the parallel task split, when the platform has one;
 //! * any kernel substitution a platform forces (the GPU has no plain-merge
 //!   baseline: **M** runs as MPS with an infinite skew threshold), recorded
@@ -17,7 +19,7 @@
 
 use cnc_cpu::{CpuKernel, ParConfig};
 use cnc_graph::PreparedGraph;
-use cnc_intersect::RfRatioError;
+use cnc_intersect::{MpsConfig, RfRatioError, SimdLevel};
 use cnc_workload::{WorkloadError, WorkloadKind};
 
 use crate::runner::{Algorithm, Platform, Runner};
@@ -26,7 +28,7 @@ use crate::runner::{Algorithm, Platform, Runner};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The BMP range-filter ratio is invalid (zero / one / not a power of
-    /// two).
+    /// two / above 2^31).
     InvalidRfRatio(RfRatioError),
     /// The workload configuration is invalid (clique size out of range).
     InvalidWorkload(WorkloadError),
@@ -112,7 +114,8 @@ pub struct Plan {
     /// The algorithm as requested.
     pub algorithm: Algorithm,
     /// The CPU-side kernel dispatch with the range-filter choice resolved
-    /// against this graph's `|V|` — validated, ready to execute.
+    /// against this graph's `|V|` and, on a modeled machine, MPS's lane
+    /// width resolved to the machine's — validated, ready to execute.
     pub cpu_kernel: CpuKernel,
     /// The parallel task split, for platforms that partition.
     pub partitioning: Option<ParConfig>,
@@ -129,7 +132,10 @@ impl Runner {
         let algorithm = self.algorithm();
         let cpu_kernel = match &algorithm {
             Algorithm::MergeBaseline => CpuKernel::Merge,
-            Algorithm::Mps(cfg) => CpuKernel::Mps(*cfg),
+            Algorithm::Mps(cfg) => CpuKernel::Mps(MpsConfig {
+                simd: modeled_simd(self.platform()).unwrap_or(cfg.simd),
+                ..*cfg
+            }),
             Algorithm::Bmp(rf) => CpuKernel::Bmp(rf.mode(prepared.graph().num_vertices())),
         };
         cpu_kernel.validate()?;
@@ -166,5 +172,18 @@ impl Runner {
             partitioning,
             substitution,
         })
+    }
+}
+
+/// The lane width a modeled machine runs MPS's vector blocks at, whatever
+/// the host's tier: 8 on the paper's AVX2 CPU server and 16 on the KNL
+/// (their `MachineSpec::vector_lanes`). `None` on the real CPU, where the
+/// requested width runs, and on the GPU simulator, whose kernels are its
+/// own.
+fn modeled_simd(platform: &Platform) -> Option<SimdLevel> {
+    match platform {
+        Platform::CpuModel { .. } => Some(SimdLevel::Avx2),
+        Platform::Knl { .. } => Some(SimdLevel::Avx512),
+        Platform::CpuSequential | Platform::CpuParallel(_) | Platform::Gpu { .. } => None,
     }
 }

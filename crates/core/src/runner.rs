@@ -650,6 +650,86 @@ mod tests {
     }
 
     #[test]
+    fn plan_resolves_mps_lanes_against_the_modeled_machine() {
+        use cnc_intersect::SimdLevel;
+        let g = Dataset::TwS.build(Scale::Tiny);
+        let scale = Dataset::TwS.capacity_scale(&g);
+        let pg = PreparedGraph::from_csr(g, ReorderPolicy::None);
+        let mps = |simd| MpsConfig {
+            skew_threshold: 7,
+            simd,
+        };
+        let requests = [
+            SimdLevel::Scalar,
+            SimdLevel::Sse4,
+            SimdLevel::Avx2,
+            SimdLevel::Avx512,
+        ];
+        for requested in requests {
+            let algorithm = Algorithm::Mps(mps(requested));
+            // A modeled machine runs at its own width, whatever was asked
+            // (the default config's width follows the host's tier).
+            for (platform, lanes) in [
+                (
+                    Platform::CpuModel {
+                        threads: 56,
+                        capacity_scale: scale,
+                    },
+                    cnc_machine::cpu_server().vector_lanes,
+                ),
+                (Platform::knl_flat(scale), cnc_machine::knl().vector_lanes),
+            ] {
+                let plan = Runner::new(platform.clone(), algorithm).plan(&pg).unwrap();
+                let cnc_cpu::CpuKernel::Mps(cfg) = plan.cpu_kernel else {
+                    panic!("{platform:?}: MPS planned as {:?}", plan.cpu_kernel);
+                };
+                assert_eq!(cfg.simd.lanes(), lanes, "{platform:?} asked {requested:?}");
+                assert_eq!(cfg.skew_threshold, 7, "{platform:?}");
+            }
+            // The real CPU runs the requested width.
+            for platform in [Platform::CpuSequential, Platform::cpu_parallel()] {
+                let plan = Runner::new(platform, algorithm).plan(&pg).unwrap();
+                assert_eq!(plan.cpu_kernel, cnc_cpu::CpuKernel::Mps(mps(requested)));
+            }
+        }
+        // So a modeled run reports one time for every requested width.
+        let seconds: Vec<f64> = requests
+            .iter()
+            .map(|&simd| {
+                Runner::new(Platform::knl_flat(scale), Algorithm::Mps(mps(simd)))
+                    .run_prepared(&pg)
+                    .modeled_seconds
+                    .expect("modeled")
+            })
+            .collect();
+        assert!(seconds.iter().all(|&s| s == seconds[0]), "{seconds:?}");
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn rf_ratio_past_a_u32_shift_is_a_plan_error() {
+        use cnc_intersect::{RfRatioError, MAX_RF_RATIO};
+        let g = Dataset::TwS.build(Scale::Tiny);
+        let want = reference_counts(&g);
+        let pg = PreparedGraph::from_csr(g, ReorderPolicy::DegreeDescending);
+        let too_large = 1usize << 32;
+        for platform in [Platform::CpuSequential, Platform::cpu_parallel()] {
+            let runner = Runner::new(platform, Algorithm::Bmp(RfChoice::Ratio(too_large)));
+            assert_eq!(
+                runner.plan(&pg).unwrap_err(),
+                PlanError::InvalidRfRatio(RfRatioError::TooLarge(too_large))
+            );
+            assert!(runner.try_run_prepared(&pg).is_err());
+        }
+        // The widest valid range still counts exactly.
+        let widest = Runner::new(
+            Platform::CpuSequential,
+            Algorithm::Bmp(RfChoice::Ratio(MAX_RF_RATIO)),
+        );
+        assert_eq!(widest.run_prepared(&pg).counts(), want);
+    }
+
+    #[test]
     fn shared_preparation_reorders_exactly_once() {
         // The acceptance property of the preparation layer: two runs over
         // the same Arc<PreparedGraph> perform exactly one degree-descending

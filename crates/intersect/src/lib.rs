@@ -84,7 +84,7 @@ pub use mps::{mps_count, mps_count_cfg, MpsConfig};
 pub use pivot_skip::ps_count;
 pub use range_filter::{
     rf_count, rf_count_tier, scaled_rf_ratio, validate_rf_ratio, RfBitmap, RfRatioError,
-    DEFAULT_RF_RATIO,
+    DEFAULT_RF_RATIO, MAX_RF_RATIO,
 };
 pub use search::{
     gallop_lower_bound, gallop_lower_bound_no_prefix, gallop_lower_bound_tier, linear_lower_bound,

@@ -49,6 +49,9 @@ pub enum RfRatioError {
     /// The ratio is 1 (or 0): the small bitmap would be as big as the big
     /// one and filter nothing.
     TooSmall(usize),
+    /// The ratio is above [`MAX_RF_RATIO`]: shifting a `u32` id right by
+    /// 32 or more bits to find its range is undefined.
+    TooLarge(usize),
 }
 
 impl std::fmt::Display for RfRatioError {
@@ -58,19 +61,30 @@ impl std::fmt::Display for RfRatioError {
                 write!(f, "RF ratio must be a power of two, got {r}")
             }
             RfRatioError::TooSmall(r) => write!(f, "RF ratio must be at least 2, got {r}"),
+            RfRatioError::TooLarge(r) => {
+                write!(f, "RF ratio must be at most {MAX_RF_RATIO} (2^31), got {r}")
+            }
         }
     }
 }
 
 impl std::error::Error for RfRatioError {}
 
-/// Check an RF big-to-small ratio: a power of two, at least 2.
+/// The largest RF ratio: a range of 2^31 ids is found with a 31-bit shift,
+/// the widest a `u32` id allows.
+pub const MAX_RF_RATIO: usize = 1 << 31;
+
+/// Check an RF big-to-small ratio: a power of two, at least 2 and at most
+/// [`MAX_RF_RATIO`].
 pub fn validate_rf_ratio(ratio: usize) -> Result<(), RfRatioError> {
     if !ratio.is_power_of_two() {
         return Err(RfRatioError::NotPowerOfTwo(ratio));
     }
     if ratio < 2 {
         return Err(RfRatioError::TooSmall(ratio));
+    }
+    if ratio > MAX_RF_RATIO {
+        return Err(RfRatioError::TooLarge(ratio));
     }
     Ok(())
 }
@@ -108,7 +122,8 @@ impl RfBitmap {
     }
 
     /// A zeroed RF bitmap with an explicit range size `ratio`, rejecting
-    /// zero / one / non-power-of-two ratios with a descriptive error.
+    /// zero / one / non-power-of-two ratios and ratios above
+    /// [`MAX_RF_RATIO`] with a descriptive error.
     pub fn try_with_ratio(cardinality: usize, ratio: usize) -> Result<Self, RfRatioError> {
         validate_rf_ratio(ratio)?;
         let shift = ratio.trailing_zeros();
@@ -326,6 +341,29 @@ mod tests {
         );
         assert!(RfBitmap::try_with_ratio(1000, 64).is_ok());
         assert!(validate_rf_ratio(4096).is_ok());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn ratios_past_a_u32_shift_are_rejected() {
+        // A range shift of 32 or more overflows a `u32` id: such ratios
+        // must fail validation, not the kernel.
+        for ratio in [1usize << 32, 1 << 33, 1 << 63] {
+            assert_eq!(
+                RfBitmap::try_with_ratio(1000, ratio).unwrap_err(),
+                RfRatioError::TooLarge(ratio)
+            );
+        }
+        assert_eq!(
+            RfRatioError::TooLarge(1 << 32).to_string(),
+            "RF ratio must be at most 2147483648 (2^31), got 4294967296"
+        );
+        // The widest valid range: every id of a small graph shares bit 0.
+        let mut m = NullMeter;
+        let mut rf = RfBitmap::try_with_ratio(1000, MAX_RF_RATIO).expect("2^31 is valid");
+        assert_eq!(rf.ratio(), MAX_RF_RATIO);
+        rf.set_list(&[5, 700], &mut m);
+        assert_eq!(rf_count(&rf, &[0, 5, 6, 700, 999], &mut m), 2);
     }
 
     #[test]

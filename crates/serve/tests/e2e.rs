@@ -231,41 +231,51 @@ fn graceful_shutdown_drains_in_flight_batches() {
 
 /// The `total` regression suite: with `reply_limit` far below the match
 /// count, both `topk` and `scan` must still report the sequential oracle's
-/// *untruncated* totals — not the length of the clamped edge list.
+/// *untruncated* totals — not the length of the clamped edge list — and
+/// return the oracle's first edges. The BMP-RF daemon counts on the
+/// degree-descending relabel, so its cached counts come back remapped.
 #[test]
 fn truncated_replies_report_untruncated_totals() {
     let (handle, addr, g, want) = start_tcp(ServeConfig {
         reply_limit: 2,
         ..ServeConfig::default()
     });
-    let canonical: Vec<(usize, u32, u32)> = g.iter_edges().filter(|&(_, u, v)| u < v).collect();
+    let canonical: Vec<(u32, u32, u32)> = g
+        .iter_edges()
+        .filter(|&(_, u, v)| u < v)
+        .map(|(eid, u, v)| (u, v, want[eid]))
+        .collect();
     assert!(
         canonical.len() > 2,
         "the fixture must have more matches than the reply limit"
     );
+    let triples = |edges: &[cnc_core::EdgeCount]| -> Vec<(u32, u32, u32)> {
+        edges.iter().map(|e| (e.u, e.v, e.count)).collect()
+    };
     let mut client = Client::connect_tcp(&addr).expect("connect");
-    // topk: every canonical edge is a candidate; the reply carries 2.
+    // topk: every canonical edge is a candidate; the reply carries the
+    // best 2 (descending count, then ascending `(u, v)`).
+    let mut best = canonical.clone();
+    best.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
     let (top_total, top) = client.topk(1000).expect("topk");
     assert_eq!(top_total, canonical.len() as u64);
-    assert_eq!(top.len(), 2);
-    // scan at threshold 0 matches every canonical edge; the reply carries 2.
+    assert_eq!(triples(&top), best[..2]);
+    // scan at threshold 0 matches every canonical edge; the reply carries
+    // the first 2 in `(u, v)` order.
     let (scan_total, hits) = client.scan(0).expect("scan");
     assert_eq!(scan_total, canonical.len() as u64);
-    assert_eq!(hits.len(), 2);
+    assert_eq!(triples(&hits), canonical[..2]);
     // A selective threshold: the total still tracks the oracle, truncated
     // or not.
-    let threshold = canonical
+    let threshold = best[0].2;
+    let oracle: Vec<(u32, u32, u32)> = canonical
         .iter()
-        .map(|&(eid, _, _)| want[eid])
-        .max()
-        .expect("edges");
-    let oracle = canonical
-        .iter()
-        .filter(|&&(eid, _, _)| want[eid] >= threshold)
-        .count();
+        .filter(|e| e.2 >= threshold)
+        .copied()
+        .collect();
     let (sel_total, sel_hits) = client.scan(threshold).expect("selective scan");
-    assert_eq!(sel_total, oracle as u64);
-    assert_eq!(sel_hits.len(), oracle.min(2));
+    assert_eq!(sel_total, oracle.len() as u64);
+    assert_eq!(triples(&sel_hits), oracle[..oracle.len().min(2)]);
     handle.join();
 }
 

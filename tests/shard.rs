@@ -191,3 +191,55 @@ fn custom_mps_config_is_rejected_with_a_typed_error() {
     }
     let _ = std::fs::remove_file(&prep);
 }
+
+/// An RF ratio of 2^32 cannot address a `u32` id. The coordinator refuses
+/// it at plan time, and a worker handed the token directly refuses it too:
+/// a typed reason on the wire and exit status 1, not a panic.
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn rf_ratio_past_a_u32_shift_is_refused_by_coordinator_and_worker() {
+    use cnc_core::{PlanError, RfChoice};
+    use cnc_intersect::RfRatioError;
+    use cnc_shard::protocol::{read_frame, FrameRead};
+    use cnc_shard::{decode_msg, WorkerMsg};
+
+    let pg = PreparedGraph::from_csr(
+        Dataset::TwS.build(Scale::Tiny),
+        ReorderPolicy::DegreeDescending,
+    );
+    let prep = write_prep(&pg, "rf-too-large");
+    let too_large = 1usize << 32;
+    match run_sharded(
+        &pg,
+        &config(prep.clone(), 2, Algorithm::Bmp(RfChoice::Ratio(too_large))),
+    ) {
+        Err(ShardError::Plan(PlanError::InvalidRfRatio(RfRatioError::TooLarge(r)))) => {
+            assert_eq!(r, too_large)
+        }
+        other => panic!("expected a typed plan error, got {other:?}"),
+    }
+    let end = pg.graph().num_directed_edges().to_string();
+    let out = std::process::Command::new(worker_exe())
+        .arg("shard-worker")
+        .arg("--prep")
+        .arg(&prep)
+        .args(["--algo", "bmp-rf:4294967296", "--shard", "0"])
+        .args(["--start", "0", "--end", end.as_str()])
+        .output()
+        .expect("worker runs");
+    let _ = std::fs::remove_file(&prep);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("RF ratio must be at most"), "{stderr}");
+    let mut wire = &out.stdout[..];
+    let mut msgs = Vec::new();
+    while let FrameRead::Payload(p) = read_frame(&mut wire).expect("whole frames") {
+        msgs.push(decode_msg(&p).expect("a worker message"));
+    }
+    match msgs.as_slice() {
+        [WorkerMsg::Hello { .. }, WorkerMsg::Error(reason)] => {
+            assert!(reason.contains("RF ratio must be at most"), "{reason}")
+        }
+        other => panic!("expected Hello then Error, got {other:?}"),
+    }
+}
