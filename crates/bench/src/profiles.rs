@@ -3,9 +3,11 @@
 
 use std::sync::Arc;
 
+use cnc_cpu::{BmpMode, CpuKernel};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::{prepare, CsrGraph, PreparedGraph, ReorderPolicy};
-use cnc_knl::{profile_of, ModeledAlgo};
+use cnc_intersect::{MpsConfig, SimdLevel};
+use cnc_knl::profile_of;
 use cnc_machine::WorkProfile;
 
 /// All the profiles the shared-memory experiments need for one dataset.
@@ -49,16 +51,17 @@ impl ProfileSet {
             .expect("prepared with ReorderPolicy::DegreeDescending")
             .graph;
         let capacity_scale = prepared.capacity_scale();
-        let prof = |g: &CsrGraph, a: &ModeledAlgo| profile_of(g, a).1;
+        let prof = |g: &CsrGraph, kernel: CpuKernel| profile_of(g, &kernel).1;
+        let mps = |simd| CpuKernel::Mps(MpsConfig::with_simd(simd));
         let n = graph.num_vertices();
         Self {
             capacity_scale,
-            m: prof(graph, &ModeledAlgo::MergeBaseline),
-            mps_scalar: prof(graph, &ModeledAlgo::mps_scalar()),
-            mps_avx2: prof(graph, &ModeledAlgo::mps_avx2()),
-            mps_avx512: prof(graph, &ModeledAlgo::mps_avx512()),
-            bmp: prof(reordered, &ModeledAlgo::bmp_plain()),
-            bmp_rf: prof(reordered, &ModeledAlgo::bmp_rf(n)),
+            m: prof(graph, CpuKernel::Merge),
+            mps_scalar: prof(graph, mps(SimdLevel::Scalar)),
+            mps_avx2: prof(graph, mps(SimdLevel::Avx2)),
+            mps_avx512: prof(graph, mps(SimdLevel::Avx512)),
+            bmp: prof(reordered, CpuKernel::Bmp(BmpMode::Plain)),
+            bmp_rf: prof(reordered, CpuKernel::Bmp(BmpMode::rf_scaled(n))),
             dataset,
             prepared,
         }

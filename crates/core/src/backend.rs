@@ -20,11 +20,11 @@
 //! runs) goes through `cnc_cpu::execute`, i.e. the one source-grouped
 //! loop.
 
-use cnc_cpu::{CpuKernel, ParConfig};
+use cnc_cpu::ParConfig;
 use cnc_gpu::{GpuAlgo, GpuRunConfig, GpuRunner};
 use cnc_graph::PreparedGraph;
 use cnc_intersect::{CountingMeter, NullMeter, WorkCounts};
-use cnc_knl::{counts_and_work_of, profile_from_work, ModeledAlgo, ModeledProcessor};
+use cnc_knl::{counts_and_work_of, profile_from_work, ModeledProcessor};
 use cnc_machine::MemMode;
 use cnc_obs::ObsContext;
 use cnc_workload::{WorkloadKind, WorkloadOutput};
@@ -144,19 +144,6 @@ pub struct ModeledBackend {
     pub mode: MemMode,
 }
 
-/// The modeled-processor algorithm equivalent to a planned CPU kernel
-/// (the inverse of `cnc_knl::cpu_kernel_of`).
-pub fn modeled_algo_of(kernel: &CpuKernel) -> ModeledAlgo {
-    match kernel {
-        CpuKernel::Merge => ModeledAlgo::MergeBaseline,
-        CpuKernel::Mps(cfg) => ModeledAlgo::Mps {
-            simd: cfg.simd,
-            threshold: cfg.skew_threshold,
-        },
-        CpuKernel::Bmp(mode) => ModeledAlgo::Bmp { mode: *mode },
-    }
-}
-
 impl Backend for ModeledBackend {
     fn label(&self) -> String {
         self.name.into()
@@ -169,9 +156,8 @@ impl Backend for ModeledBackend {
             "plan() rejects non-CNC workloads on modeled platforms"
         );
         let g = prepared.execution_graph(plan.reorder);
-        let algo = modeled_algo_of(&plan.cpu_kernel);
-        let (counts, work) = counts_and_work_of(g, &algo);
-        let profile = profile_from_work(g, &algo, &work);
+        let (counts, work) = counts_and_work_of(g, &plan.cpu_kernel);
+        let profile = profile_from_work(g, &plan.cpu_kernel, &work);
         let report = self
             .processor
             .time_profile(&profile, self.threads, self.mode);
@@ -224,27 +210,6 @@ impl Backend for GpuSimBackend {
             modeled_seconds: Some(run.report.total_seconds),
             work: None,
             detail: RunDetail::Gpu(Box::new(run.report)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cnc_intersect::{MpsConfig, SimdLevel};
-
-    #[test]
-    fn modeled_algo_round_trips_cpu_kernel() {
-        for kernel in [
-            CpuKernel::Merge,
-            CpuKernel::Mps(MpsConfig {
-                skew_threshold: 7,
-                simd: SimdLevel::Avx512,
-            }),
-            CpuKernel::Bmp(cnc_cpu::BmpMode::Plain),
-            CpuKernel::Bmp(cnc_cpu::BmpMode::rf_default()),
-        ] {
-            assert_eq!(cnc_knl::cpu_kernel_of(&modeled_algo_of(&kernel)), kernel);
         }
     }
 }

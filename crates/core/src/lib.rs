@@ -46,8 +46,7 @@ pub mod verify;
 
 pub use analytics::CncView;
 pub use backend::{
-    modeled_algo_of, Backend, CpuParBackend, CpuSeqBackend, Execution, GpuSimBackend,
-    ModeledBackend,
+    Backend, CpuParBackend, CpuSeqBackend, Execution, GpuSimBackend, ModeledBackend,
 };
 pub use batch::{BatchAnswers, BatchSession, EdgeCount};
 pub use cnc_graph::{PreparedGraph, ReorderPolicy};

@@ -6,52 +6,24 @@
 //! every experiment on them. The binary format avoids re-parsing large
 //! graphs between runs.
 
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use crate::codec::{Reader, Writer};
 use crate::csr::CsrGraph;
 use crate::edgelist::EdgeList;
-
-fn put_u64_le(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32_le(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Pop a little-endian u64 off the front of `buf`. Panics if `buf` is short;
-/// all callers size their reads up front.
-fn get_u64_le(buf: &mut &[u8]) -> u64 {
-    let (head, tail) = buf.split_at(8);
-    *buf = tail;
-    u64::from_le_bytes(head.try_into().expect("split_at(8) yields 8 bytes"))
-}
-
-/// Pop a little-endian u32 off the front of `buf` (see [`get_u64_le`]).
-fn get_u32_le(buf: &mut &[u8]) -> u32 {
-    let (head, tail) = buf.split_at(4);
-    *buf = tail;
-    u32::from_le_bytes(head.try_into().expect("split_at(4) yields 4 bytes"))
-}
 
 /// Magic header of the binary CSR format.
 const MAGIC: &[u8; 8] = b"CNCCSR01";
 
-/// Read exactly `len` bytes of `what` into a fresh buffer, growing it as the
-/// data arrives. Unlike `vec![0; len]` + `read_exact`, a malformed header
-/// advertising an absurd element count cannot trigger a huge up-front
-/// allocation (or an arithmetic panic): allocation is bounded by what the
-/// reader actually yields, and a short read is an `InvalidData` error.
-pub(crate) fn read_exact_vec<R: Read>(r: &mut R, len: u64, what: &str) -> io::Result<Vec<u8>> {
+/// Up to `len` bytes of `r`. Only what `r` yields is allocated, so a header
+/// claiming an absurd length cannot size an allocation; the [`Reader`] that
+/// decodes the bytes refuses a short read.
+fn read_up_to<R: Read>(r: &mut R, len: u64) -> io::Result<Vec<u8>> {
     let mut buf = Vec::new();
-    let got = r.take(len).read_to_end(&mut buf)?;
-    if got as u64 != len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("truncated {what}: expected {len} bytes, got {got}"),
-        ));
-    }
+    r.take(len).read_to_end(&mut buf)?;
     Ok(buf)
 }
 
@@ -130,30 +102,62 @@ pub fn write_edge_list<W: Write>(el: &EdgeList, writer: W) -> io::Result<()> {
 /// as u64s, the dst array as u32s.
 pub fn write_csr<W: Write>(g: &CsrGraph, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
-    let mut header = Vec::with_capacity(24);
-    header.extend_from_slice(MAGIC);
-    put_u64_le(&mut header, g.num_vertices() as u64);
-    put_u64_le(&mut header, g.num_directed_edges() as u64);
-    w.write_all(&header)?;
-    let mut chunk = Vec::with_capacity(8 * 1024);
-    for &o in g.offsets() {
-        put_u64_le(&mut chunk, o as u64);
-        if chunk.len() >= 8 * 1024 {
-            w.write_all(&chunk)?;
-            chunk.clear();
-        }
-    }
-    w.write_all(&chunk)?;
-    chunk.clear();
-    for &d in g.dst() {
-        put_u32_le(&mut chunk, d);
-        if chunk.len() >= 8 * 1024 {
-            w.write_all(&chunk)?;
-            chunk.clear();
-        }
-    }
-    w.write_all(&chunk)?;
+    let mut header = Writer::with_capacity(24);
+    header.bytes(MAGIC);
+    header.usize(g.num_vertices());
+    header.usize(g.num_directed_edges());
+    w.write_all(header.as_bytes())?;
+    write_chunked(&mut w, g.offsets(), Writer::usize)?;
+    write_chunked(&mut w, g.dst(), Writer::u32)?;
     w.flush()
+}
+
+/// Encode `vals` with `put`, 1024 at a time.
+fn write_chunked<T: Copy>(
+    w: &mut impl Write,
+    vals: &[T],
+    put: fn(&mut Writer, T),
+) -> io::Result<()> {
+    for chunk in vals.chunks(1024) {
+        let mut bytes = Writer::with_capacity(8 * 1024);
+        for &v in chunk {
+            put(&mut bytes, v);
+        }
+        w.write_all(bytes.as_bytes())?;
+    }
+    Ok(())
+}
+
+/// `read_csr`'s message for a graph that breaks a CSR invariant.
+pub(crate) fn inconsistent(what: impl std::fmt::Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("inconsistent CSR: {what}"),
+    )
+}
+
+/// Read the header and offset array of a `CNCCSR01` stream, leaving `r` at
+/// the adjacency array; returns the offsets and the adjacency's length. The
+/// one parser of the format's front, shared by [`read_csr`] and the
+/// streaming preparer, so both accept and refuse the same files: the `|V|
+/// + 1` offsets must start at 0, never decrease, and end at `|dst|`.
+/// Allocation is bounded by the bytes `r` actually yields.
+pub(crate) fn read_csr_head<R: Read>(r: &mut R) -> io::Result<(Vec<usize>, usize)> {
+    let mut header = [0u8; 24];
+    r.read_exact(&mut header)?;
+    let mut h = Reader::new(&header);
+    h.magic(MAGIC)?;
+    let n = h.usize("vertex count")?;
+    let num_dst = h.usize("adjacency length")?;
+    let raw = read_up_to(r, (n as u64).saturating_add(1).saturating_mul(8))?;
+    let offsets = Reader::new(&raw).usizes(n.saturating_add(1), "offset array")?;
+    if offsets.first() != Some(&0) || offsets.last() != Some(&num_dst) {
+        return Err(inconsistent("offset endpoints broken"));
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(inconsistent("offsets not monotone"));
+    }
+    Ok((offsets, num_dst))
 }
 
 /// Deserialize a CSR graph written by [`write_csr`].
@@ -163,35 +167,10 @@ pub fn write_csr<W: Write>(g: &CsrGraph, writer: W) -> io::Result<()> {
 /// [`io::ErrorKind::InvalidData`] error, never a panic.
 pub fn read_csr<R: Read>(reader: R) -> io::Result<CsrGraph> {
     let mut r = BufReader::new(reader);
-    let mut header = [0u8; 24];
-    r.read_exact(&mut header)?;
-    if &header[..8] != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad magic: not a CNCCSR01 file",
-        ));
-    }
-    let mut hdr = &header[8..];
-    let n = get_u64_le(&mut hdr);
-    let m = get_u64_le(&mut hdr);
-    let offsets_raw = read_exact_vec(
-        &mut r,
-        n.saturating_add(1).saturating_mul(8),
-        "offset array",
-    )?;
-    let mut offsets = Vec::with_capacity(offsets_raw.len() / 8);
-    let mut buf = offsets_raw.as_slice();
-    for _ in 0..=n {
-        offsets.push(get_u64_le(&mut buf) as usize);
-    }
-    let dst_raw = read_exact_vec(&mut r, m.saturating_mul(4), "dst array")?;
-    let mut dst = Vec::with_capacity(dst_raw.len() / 4);
-    let mut buf = dst_raw.as_slice();
-    for _ in 0..m {
-        dst.push(get_u32_le(&mut buf));
-    }
-    CsrGraph::try_from_parts(offsets, dst)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("inconsistent CSR: {e}")))
+    let (offsets, num_dst) = read_csr_head(&mut r)?;
+    let raw = read_up_to(&mut r, (num_dst as u64).saturating_mul(4))?;
+    let dst = Reader::new(&raw).u32s(num_dst, "dst array")?;
+    CsrGraph::try_from_parts(offsets, dst).map_err(inconsistent)
 }
 
 /// Magic header of the binary counts format.
@@ -201,19 +180,11 @@ const COUNTS_MAGIC: &[u8; 8] = b"CNCCNT01";
 /// `counts.len()` directed edge slots).
 pub fn write_counts<W: Write>(counts: &[u32], writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
-    let mut header = Vec::with_capacity(16);
-    header.extend_from_slice(COUNTS_MAGIC);
-    put_u64_le(&mut header, counts.len() as u64);
-    w.write_all(&header)?;
-    let mut chunk = Vec::with_capacity(8 * 1024);
-    for &c in counts {
-        put_u32_le(&mut chunk, c);
-        if chunk.len() >= 8 * 1024 {
-            w.write_all(&chunk)?;
-            chunk.clear();
-        }
-    }
-    w.write_all(&chunk)?;
+    let mut header = Writer::with_capacity(16);
+    header.bytes(COUNTS_MAGIC);
+    header.usize(counts.len());
+    w.write_all(header.as_bytes())?;
+    write_chunked(&mut w, counts, Writer::u32)?;
     w.flush()
 }
 
@@ -225,26 +196,25 @@ pub fn read_counts<R: Read>(reader: R) -> io::Result<Vec<u32>> {
     let mut r = BufReader::new(reader);
     let mut header = [0u8; 16];
     r.read_exact(&mut header)?;
-    if &header[..8] != COUNTS_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad magic: not a CNCCNT01 file",
-        ));
-    }
-    let m = get_u64_le(&mut &header[8..]);
-    let raw = read_exact_vec(&mut r, m.saturating_mul(4), "counts array")?;
-    let mut out = Vec::with_capacity(raw.len() / 4);
-    let mut buf = raw.as_slice();
-    for _ in 0..m {
-        out.push(get_u32_le(&mut buf));
-    }
-    Ok(out)
+    let mut h = Reader::new(&header);
+    h.magic(COUNTS_MAGIC)?;
+    let m = h.usize("counts length")?;
+    let raw = read_up_to(&mut r, (m as u64).saturating_mul(4))?;
+    Ok(Reader::new(&raw).u32s(m, "counts array")?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+
+    fn put_u64(buf: &mut Vec<u8>, v: u64) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u32(buf: &mut Vec<u8>, v: u32) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
 
     #[test]
     fn text_roundtrip() {
@@ -347,23 +317,23 @@ mod tests {
         // InvalidData error, not a panic out of CsrGraph::from_parts.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        put_u64_le(&mut buf, 1); // |V| = 1
-        put_u64_le(&mut buf, 1); // |dst| = 1
-        put_u64_le(&mut buf, 0); // offsets[0]
-        put_u64_le(&mut buf, 2); // offsets[1] — endpoint != |dst|
-        put_u32_le(&mut buf, 0);
+        put_u64(&mut buf, 1); // |V| = 1
+        put_u64(&mut buf, 1); // |dst| = 1
+        put_u64(&mut buf, 0); // offsets[0]
+        put_u64(&mut buf, 2); // offsets[1] — endpoint != |dst|
+        put_u32(&mut buf, 0);
         let err = read_csr(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Asymmetric adjacency behind a well-formed header.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        put_u64_le(&mut buf, 2); // |V| = 2
-        put_u64_le(&mut buf, 1); // |dst| = 1
+        put_u64(&mut buf, 2); // |V| = 2
+        put_u64(&mut buf, 1); // |dst| = 1
         for o in [0u64, 1, 1] {
-            put_u64_le(&mut buf, o);
+            put_u64(&mut buf, o);
         }
-        put_u32_le(&mut buf, 1); // 0 → 1 but no 1 → 0
+        put_u32(&mut buf, 1); // 0 → 1 but no 1 → 0
         let err = read_csr(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -374,14 +344,14 @@ mod tests {
         // panicking on size arithmetic or attempting a huge allocation.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        put_u64_le(&mut buf, u64::MAX);
-        put_u64_le(&mut buf, u64::MAX);
+        put_u64(&mut buf, u64::MAX);
+        put_u64(&mut buf, u64::MAX);
         let err = read_csr(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         let mut buf = Vec::new();
         buf.extend_from_slice(COUNTS_MAGIC);
-        put_u64_le(&mut buf, u64::MAX);
+        put_u64(&mut buf, u64::MAX);
         let err = read_counts(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

@@ -17,6 +17,8 @@
 //! * [`stats`] — the statistics of Tables 1 and 2 (sizes, degrees, fraction
 //!   of highly skewed intersections);
 //! * [`io`] — SNAP-style edge-list text I/O and a compact binary CSR format;
+//! * [`codec`] — the one checked little-endian reader and writer under every
+//!   wire and file format;
 //! * [`prepare`] — the one-shot preparation pipeline ([`PreparedGraph`]):
 //!   normalize → CSR → optional reorder → statistics, with a process-wide
 //!   memory cache and a zero-copy on-disk cache (`CNCPREP4`) so every
@@ -49,6 +51,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
+pub mod codec;
 mod csr;
 mod edgelist;
 

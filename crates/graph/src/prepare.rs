@@ -56,6 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
+use crate::codec::{DecodeError, Reader, Writer};
 use crate::csr::CsrGraph;
 use crate::datasets::{Dataset, Scale};
 use crate::edgelist::EdgeList;
@@ -430,10 +431,12 @@ impl PreparedGraph {
 // the four independent multiply chains keep verification at memory speed,
 // which the warm path is benchmarked on).
 //
-// This module is the format's one encoder and its parser: the section
-// width table, `layout` (where every section sits and how long the file
-// is), `file_header` and `section_header` decide every byte that is not
-// payload. Two fillers supply the payloads: `write_prepared` serializes a
+// This module is the format's one encoder and its parser, both written
+// with the one checked codec (`crate::codec`): the section width table,
+// `layout` (where every section sits and how long the file is),
+// `file_header` and `section_header` decide every byte that is not
+// payload, and `parse_prepared` reads them back through a `Reader` that
+// hands each section's payload on, so no decoder here indexes bytes. Two fillers supply the payloads: `write_prepared` serializes a
 // prepared graph's in-memory arrays one section at a time, and the
 // streaming writer (`crate::stream`) fills the laid-out payloads of a
 // mapped file in passes over sorted edges. Their images can therefore
@@ -443,6 +446,11 @@ impl PreparedGraph {
 // check and is rebuilt — `CNCPREP2` → `CNCPREP3` added the reverse-index
 // sections, and `CNCPREP3` → `CNCPREP4` retired every file written before
 // the streaming writer existed.
+//
+// The streamer reads its `CNCCSR01` input with `io::read_csr`'s own header
+// and offsets parser (`io::read_csr_head`) and refuses every file
+// `read_csr` refuses, with its message: one parser and one acceptance rule
+// for both readers of the format.
 // ---------------------------------------------------------------------------
 
 const PREPARED_MAGIC: &[u8; 8] = b"CNCPREP4";
@@ -522,7 +530,7 @@ pub(crate) struct Section {
 }
 
 impl Section {
-    fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.payload_len / self.elem_width
     }
 
@@ -577,47 +585,46 @@ pub(crate) fn layout(n: usize, m_dir: usize, reordered: bool) -> io::Result<Layo
 
 /// The 64-byte file header of an image prepared under `policy`, sealed by
 /// its checksum.
-pub(crate) fn file_header(
-    policy: ReorderPolicy,
-    skew_pct: f64,
-    max_degree: u64,
-) -> [u8; HEADER_LEN] {
+pub(crate) fn file_header(policy: ReorderPolicy, skew_pct: f64, max_degree: u64) -> Vec<u8> {
     let reordered = matches!(policy, ReorderPolicy::DegreeDescending);
-    let mut header = [0u8; HEADER_LEN];
-    header[..8].copy_from_slice(PREPARED_MAGIC);
-    header[8] = policy.byte();
-    header[9] = u8::from(reordered);
-    header[16..24].copy_from_slice(&(section_widths(reordered).len() as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&skew_pct.to_bits().to_le_bytes());
-    header[32..40].copy_from_slice(&max_degree.to_le_bytes());
-    let check = checksum(&header[..56]);
-    header[56..].copy_from_slice(&check.to_le_bytes());
-    header
+    let mut w = Writer::with_capacity(HEADER_LEN);
+    w.bytes(PREPARED_MAGIC);
+    w.u8(policy.byte());
+    w.u8(u8::from(reordered));
+    w.bytes(&[0; 6]);
+    w.usize(section_widths(reordered).len());
+    w.u64(skew_pct.to_bits());
+    w.u64(max_degree);
+    w.bytes(&[0; 16]);
+    let check = checksum(w.as_bytes());
+    w.u64(check);
+    w.into_bytes()
 }
 
 /// The 64-byte header of a section holding `payload`.
-pub(crate) fn section_header(payload: &[u8], elem_width: usize) -> [u8; SECTION_HEADER_LEN] {
-    let mut header = [0u8; SECTION_HEADER_LEN];
-    header[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[8..16].copy_from_slice(&checksum(payload).to_le_bytes());
-    header[16..24].copy_from_slice(&(elem_width as u64).to_le_bytes());
-    header
+pub(crate) fn section_header(payload: &[u8], elem_width: usize) -> Vec<u8> {
+    let mut w = Writer::with_capacity(SECTION_HEADER_LEN);
+    w.usize(payload.len());
+    w.u64(checksum(payload));
+    w.usize(elem_width);
+    w.bytes(&[0; SECTION_HEADER_LEN - 24]);
+    w.into_bytes()
 }
 
 fn u64_payload(vals: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
+    let mut w = Writer::with_capacity(vals.len() * 8);
     for &v in vals {
-        out.extend_from_slice(&(v as u64).to_le_bytes());
+        w.usize(v);
     }
-    out
+    w.into_bytes()
 }
 
 fn u32_payload(vals: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 4);
+    let mut w = Writer::with_capacity(vals.len() * 4);
     for &v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+        w.u32(v);
     }
-    out
+    w.into_bytes()
 }
 
 /// The reverse-index payload of a graph, deriving the index on the fly for
@@ -662,27 +669,24 @@ pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()>
     w.flush()
 }
 
-fn read_u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte range"))
-}
-
 /// Validate a `CNCPREP4` byte image *in place* — header, section layout,
 /// alignment, per-section checksums — without copying any payload. Returns
 /// the policy, the persisted statistics, and the section table (3 sections,
-/// or 7 with reorder data).
-fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared> {
-    if bytes.len() < HEADER_LEN {
-        return Err(invalid("truncated CNCPREP4 header"));
-    }
-    if &bytes[..8] != PREPARED_MAGIC {
-        return Err(invalid("bad magic: not a CNCPREP4 file"));
-    }
-    if checksum(&bytes[..56]) != read_u64_at(bytes, 56) {
+/// or 7 with reorder data) with each section's payload.
+fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared<'_>> {
+    let mut r = Reader::new(bytes);
+    let sealed = r.bytes(HEADER_LEN - 8, "CNCPREP4 header")?;
+    let mut h = Reader::new(sealed);
+    h.magic(PREPARED_MAGIC)?;
+    if checksum(sealed) != r.u64("header checksum")? {
         return Err(invalid("header checksum mismatch"));
     }
-    let policy =
-        ReorderPolicy::from_byte(bytes[8]).ok_or_else(|| invalid("unknown reorder policy byte"))?;
-    let has_reordered = match bytes[9] {
+    let policy_byte = h.u8("reorder policy byte")?;
+    let policy = ReorderPolicy::from_byte(policy_byte).ok_or(DecodeError::Invalid {
+        field: "reorder policy byte",
+        value: u64::from(policy_byte),
+    })?;
+    let has_reordered = match h.u8("reordered-presence flag")? {
         0 => false,
         1 => true,
         _ => return Err(invalid("bad reordered-presence flag")),
@@ -690,78 +694,61 @@ fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared> {
     if has_reordered != matches!(policy, ReorderPolicy::DegreeDescending) {
         return Err(invalid("reorder sections inconsistent with policy byte"));
     }
+    h.bytes(6, "header padding")?;
     let expected_widths = section_widths(has_reordered);
-    if read_u64_at(bytes, 16) != expected_widths.len() as u64 {
+    if h.usize("section count")? != expected_widths.len() {
         return Err(invalid("section count inconsistent with header flags"));
     }
+    let skew_pct = f64::from_bits(h.u64("skew percentage")?);
+    let max_degree = h.usize("maximum degree")?;
     let mut sections = Vec::with_capacity(expected_widths.len());
-    let mut pos = HEADER_LEN;
     for (i, &width) in expected_widths.iter().enumerate() {
-        debug_assert_eq!(pos % ALIGN, 0);
-        let header_end = pos
-            .checked_add(SECTION_HEADER_LEN)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| invalid(format!("truncated header of section {i}")))?;
-        let payload_len = read_u64_at(bytes, pos);
-        let want_checksum = read_u64_at(bytes, pos + 8);
-        if read_u64_at(bytes, pos + 16) != width as u64 {
+        let in_section = |e: DecodeError| invalid(format!("section {i}: {e}"));
+        debug_assert_eq!(r.offset() % ALIGN, 0);
+        let payload_len = r.usize("section length").map_err(in_section)?;
+        let want_checksum = r.u64("section checksum").map_err(in_section)?;
+        if r.u64("element width").map_err(in_section)? != width as u64 {
             return Err(invalid(format!("unexpected element width in section {i}")));
         }
-        let payload_len = usize::try_from(payload_len)
-            .map_err(|_| invalid(format!("section {i} too large for this platform")))?;
+        r.bytes(SECTION_HEADER_LEN - 24, "section header")
+            .map_err(in_section)?;
         if payload_len % width != 0 {
             return Err(invalid(format!(
                 "section {i} length is not a multiple of its element width"
             )));
         }
-        let end = header_end
-            .checked_add(payload_len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| invalid(format!("truncated payload of section {i}")))?;
-        if checksum(&bytes[header_end..end]) != want_checksum {
-            return Err(invalid(format!("checksum mismatch in section {i}")));
-        }
-        sections.push(Section {
-            start: header_end,
+        let section = Section {
+            start: r.offset(),
             payload_len,
             elem_width: width,
-        });
-        pos = end.next_multiple_of(ALIGN);
+        };
+        let payload = r
+            .bytes(payload_len, "section payload")
+            .map_err(in_section)?;
+        if checksum(payload) != want_checksum {
+            return Err(invalid(format!("checksum mismatch in section {i}")));
+        }
+        r.bytes(section.padding(), "section padding")
+            .map_err(in_section)?;
+        sections.push((section, payload));
     }
-    if pos != bytes.len() {
-        return Err(invalid("file length inconsistent with section table"));
-    }
+    r.finish()
+        .map_err(|_| invalid("file length inconsistent with section table"))?;
     Ok(ParsedPrepared {
         policy,
-        skew_pct: f64::from_bits(read_u64_at(bytes, 24)),
-        max_degree: usize::try_from(read_u64_at(bytes, 32))
-            .map_err(|_| invalid("max degree exceeds platform usize"))?,
+        skew_pct,
+        max_degree,
         sections,
     })
 }
 
-/// The validated header fields + section table of a `CNCPREP4` image.
-struct ParsedPrepared {
+/// The validated header fields + section table of a `CNCPREP4` image, each
+/// section with its payload bytes.
+struct ParsedPrepared<'a> {
     policy: ReorderPolicy,
     skew_pct: f64,
     max_degree: usize,
-    sections: Vec<Section>,
-}
-
-fn decode_usize_payload(payload: &[u8]) -> io::Result<Vec<usize>> {
-    let mut out = Vec::with_capacity(payload.len() / 8);
-    for chunk in payload.chunks_exact(8) {
-        let v = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-        out.push(usize::try_from(v).map_err(|_| invalid("offset value exceeds platform usize"))?);
-    }
-    Ok(out)
-}
-
-fn decode_u32_payload(payload: &[u8]) -> Vec<u32> {
-    payload
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-        .collect()
+    sections: Vec<(Section, &'a [u8])>,
 }
 
 /// Rebuild [`Reordered`] from a deserialized relabeled graph + new→old
@@ -802,35 +789,51 @@ fn build_reordered(
     })
 }
 
+/// One CSR's sections in a parsed image: offsets, neighbors, reverse index.
+type CsrParts<'a> = [(Section, &'a [u8]); 3];
+
+/// Assemble a parsed image, loading the original graph and (with reorder
+/// sections) the relabeled one with `load_csr`.
+fn assemble_image(
+    parsed: &ParsedPrepared<'_>,
+    load_csr: impl Fn(&CsrParts<'_>) -> io::Result<CsrGraph>,
+) -> io::Result<PreparedGraph> {
+    let csr = |parts: &[(Section, &[u8])]| {
+        load_csr(
+            parts
+                .try_into()
+                .map_err(|_| invalid("a CSR takes three sections"))?,
+        )
+    };
+    let (original, relabeled) = parsed
+        .sections
+        .split_at_checked(3)
+        .ok_or_else(|| invalid("a CNCPREP4 image holds at least three sections"))?;
+    let graph = csr(original)?;
+    let reordered = match relabeled {
+        [] => None,
+        [relabeled @ .., (sn, new_to_old)] => {
+            let new_to_old = Reader::new(new_to_old).u32s(sn.count(), "remap table")?;
+            Some(build_reordered(&graph, csr(relabeled)?, new_to_old)?)
+        }
+    };
+    Ok(PreparedGraph::assemble_loaded(graph, reordered, parsed))
+}
+
 fn prepared_from_image(bytes: &[u8]) -> io::Result<PreparedGraph> {
-    let parsed = parse_prepared(bytes)?;
-    let decode_csr = |so: &Section, sd: &Section, sr: &Section| -> io::Result<CsrGraph> {
-        let offsets = decode_usize_payload(so.bytes(bytes))?;
-        let dst = decode_u32_payload(sd.bytes(bytes));
-        let rev = decode_usize_payload(sr.bytes(bytes))?;
-        let mut g = CsrGraph::try_from_parts(offsets, dst)
-            .map_err(|e| invalid(format!("inconsistent CSR: {e}")))?;
-        g.try_attach_reverse_index(rev.into())
-            .map_err(|e| invalid(format!("inconsistent reverse index: {e}")))?;
-        Ok(g)
-    };
-    let graph = decode_csr(
-        &parsed.sections[0],
-        &parsed.sections[1],
-        &parsed.sections[2],
-    )?;
-    let reordered = if parsed.sections.len() == 7 {
-        let relabeled = decode_csr(
-            &parsed.sections[3],
-            &parsed.sections[4],
-            &parsed.sections[5],
-        )?;
-        let new_to_old = decode_u32_payload(parsed.sections[6].bytes(bytes));
-        Some(build_reordered(&graph, relabeled, new_to_old)?)
-    } else {
-        None
-    };
-    Ok(PreparedGraph::assemble_loaded(graph, reordered, &parsed))
+    assemble_image(
+        &parse_prepared(bytes)?,
+        |[(so, offsets), (sd, dst), (sr, rev)]| {
+            let offsets = Reader::new(offsets).usizes(so.count(), "offsets")?;
+            let dst = Reader::new(dst).u32s(sd.count(), "neighbors")?;
+            let rev = Reader::new(rev).usizes(sr.count(), "reverse index")?;
+            let mut g = CsrGraph::try_from_parts(offsets, dst)
+                .map_err(|e| invalid(format!("inconsistent CSR: {e}")))?;
+            g.try_attach_reverse_index(rev.into())
+                .map_err(|e| invalid(format!("inconsistent reverse index: {e}")))?;
+            Ok(g)
+        },
+    )
 }
 
 /// Deserialize a prepared graph written by [`write_prepared`] into owned
@@ -867,40 +870,25 @@ pub fn map_prepared(path: &Path) -> io::Result<PreparedGraph> {
         ));
     }
     let map = MappedFile::open(path)?;
-    let parsed = parse_prepared(map.bytes())?;
-    let map_csr = |so: &Section, sd: &Section, sr: &Section| -> io::Result<CsrGraph> {
-        let offsets: GraphStore<usize> = map.typed_slice::<usize>(so.start, so.count())?.into();
-        let dst: GraphStore<u32> = map.typed_slice::<u32>(sd.start, sd.count())?.into();
-        let rev: GraphStore<usize> = map.typed_slice::<usize>(sr.start, sr.count())?.into();
-        // Structural validation only: the section checksums already verified
-        // these are the exact bytes a valid graph serialized to, so the
-        // O(|E| log d) symmetry probes of the full check are skipped. The
-        // reverse index *is* fully verified (O(|E|), no searches): a wrong
-        // index silently mirrors counts to wrong slots, so it gets the same
-        // trust bar as the CSR symmetry it stands in for.
-        let mut g = CsrGraph::try_from_stores_structural(offsets, dst)
-            .map_err(|e| invalid(format!("inconsistent CSR: {e}")))?;
-        g.try_attach_reverse_index(rev)
-            .map_err(|e| invalid(format!("inconsistent reverse index: {e}")))?;
-        Ok(g)
-    };
-    let graph = map_csr(
-        &parsed.sections[0],
-        &parsed.sections[1],
-        &parsed.sections[2],
+    let pg = assemble_image(
+        &parse_prepared(map.bytes())?,
+        |[(so, _), (sd, _), (sr, _)]| {
+            let offsets: GraphStore<usize> = map.typed_slice::<usize>(so.start, so.count())?.into();
+            let dst: GraphStore<u32> = map.typed_slice::<u32>(sd.start, sd.count())?.into();
+            let rev: GraphStore<usize> = map.typed_slice::<usize>(sr.start, sr.count())?.into();
+            // Structural validation only: the section checksums already verified
+            // these are the exact bytes a valid graph serialized to, so the
+            // O(|E| log d) symmetry probes of the full check are skipped. The
+            // reverse index *is* fully verified (O(|E|), no searches): a wrong
+            // index silently mirrors counts to wrong slots, so it gets the same
+            // trust bar as the CSR symmetry it stands in for.
+            let mut g = CsrGraph::try_from_stores_structural(offsets, dst)
+                .map_err(|e| invalid(format!("inconsistent CSR: {e}")))?;
+            g.try_attach_reverse_index(rev)
+                .map_err(|e| invalid(format!("inconsistent reverse index: {e}")))?;
+            Ok(g)
+        },
     )?;
-    let reordered = if parsed.sections.len() == 7 {
-        let relabeled = map_csr(
-            &parsed.sections[3],
-            &parsed.sections[4],
-            &parsed.sections[5],
-        )?;
-        let new_to_old = decode_u32_payload(parsed.sections[6].bytes(map.bytes()));
-        Some(build_reordered(&graph, relabeled, new_to_old)?)
-    } else {
-        None
-    };
-    let pg = PreparedGraph::assemble_loaded(graph, reordered, &parsed);
     bump(|m| {
         m.mmap_hits += 1;
         m.bytes_mapped += pg.mapped_bytes();
@@ -1274,7 +1262,7 @@ mod tests {
         let parsed = parse_prepared(&buf).unwrap();
         let sections = &parsed.sections;
         assert_eq!(sections.len(), 7);
-        for (i, s) in sections.iter().enumerate() {
+        for (i, (s, _)) in sections.iter().enumerate() {
             assert_eq!(s.start % ALIGN, 0, "payload of section {i} misaligned");
         }
     }
@@ -1321,8 +1309,7 @@ mod tests {
         let pg = PreparedGraph::from_edge_list(&el, ReorderPolicy::None);
         let mut buf = Vec::new();
         write_prepared(&pg, &mut buf).unwrap();
-        let parsed = parse_prepared(&buf).unwrap();
-        let rev = &parsed.sections[2];
+        let rev = parse_prepared(&buf).unwrap().sections[2].0;
         assert_eq!(rev.elem_width, 8);
         let (a, b) = (rev.start, rev.start + 8);
         for i in 0..8 {

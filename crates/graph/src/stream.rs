@@ -49,8 +49,9 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::io::{parse_edge_line, read_exact_vec};
-use crate::mmap::MappedFileMut;
+use crate::codec::{Reader, Writer};
+use crate::io::{inconsistent, parse_edge_line, read_csr_head};
+use crate::mmap::{MappedFile, MappedFileMut};
 use crate::prepare::{self, bump, ReorderPolicy, Section};
 use crate::reorder::{degree_descending_order, invert};
 use crate::stats::{SkewTally, SKEW_THRESHOLD};
@@ -294,115 +295,95 @@ impl<R: Read> EdgeSource for TextSource<R> {
 /// Binary `CNCCSR01` source: holds the O(|V|) offset array, streams the
 /// adjacency array in chunks, and emits each undirected edge once (the
 /// `u < v` direction of the symmetric CSR).
+///
+/// It refuses what [`crate::io::read_csr`] refuses, with its messages: the
+/// header and offsets come from the same parser, each row is checked as it
+/// is read (ids below `|V|`, strictly ascending, no self-loops), and
+/// [`check_csr_image`] checks symmetry against the finished image.
 struct BinaryCsrSource<R: Read> {
     reader: R,
-    offsets: Vec<u64>,
-    num_vertices: usize,
-    /// Next adjacency slot to consume and its owning source vertex.
-    eid: u64,
-    src: u32,
-    total_dst: u64,
-    buf: Vec<u8>,
-    pos: usize,
+    offsets: Vec<usize>,
+    /// The decoded rest of the current chunk, and the slots not read yet.
+    ids: std::vec::IntoIter<u32>,
+    unread: usize,
+    /// Next adjacency slot, its owning source vertex, and the previous id
+    /// of that vertex's row.
+    eid: usize,
+    src: usize,
+    prev: Option<u32>,
     chunk_bytes: usize,
     chunks: u64,
 }
 
 impl<R: Read> BinaryCsrSource<R> {
     fn new(mut reader: R, chunk_bytes: usize) -> io::Result<Self> {
-        let mut header = [0u8; 24];
-        reader.read_exact(&mut header)?;
-        if &header[..8] != b"CNCCSR01" {
-            return Err(invalid("bad magic: not a CNCCSR01 file"));
-        }
-        let n = u64::from_le_bytes(header[8..16].try_into().expect("8-byte range"));
-        let m = u64::from_le_bytes(header[16..24].try_into().expect("8-byte range"));
-        let n_usize = usize::try_from(n).map_err(|_| invalid("|V| exceeds platform usize"))?;
-        let raw = read_exact_vec(
-            &mut reader,
-            n.saturating_add(1).saturating_mul(8),
-            "offsets",
-        )?;
-        let offsets: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect();
-        if offsets.last() != Some(&m) {
-            return Err(invalid("CNCCSR01 offsets endpoint does not match |dst|"));
-        }
+        let (offsets, unread) = read_csr_head(&mut reader)?;
         Ok(Self {
             reader,
             offsets,
-            num_vertices: n_usize,
+            ids: Vec::new().into_iter(),
+            unread,
             eid: 0,
             src: 0,
-            total_dst: m,
-            buf: Vec::new(),
-            pos: 0,
+            prev: None,
             chunk_bytes,
             chunks: 1, // header + offsets
         })
     }
 
-    fn next_dst(&mut self) -> io::Result<Option<u32>> {
-        if self.eid >= self.total_dst {
-            return Ok(None);
-        }
-        if self.pos + 4 > self.buf.len() {
-            let carry = self.buf.len() - self.pos;
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-            let want = self.chunk_bytes.max(4);
-            self.buf.resize(carry + want, 0);
-            let mut filled = carry;
-            while filled < self.buf.len() {
-                let got = self.reader.read(&mut self.buf[filled..])?;
-                if got == 0 {
-                    break;
-                }
-                filled += got;
-            }
-            self.buf.truncate(filled);
+    fn next_id(&mut self) -> io::Result<Option<u32>> {
+        if self.ids.len() == 0 && self.unread > 0 {
+            let take = self.unread.min((self.chunk_bytes / 4).max(1));
+            let mut raw = vec![0u8; take * 4];
+            self.reader.read_exact(&mut raw).map_err(|e| {
+                invalid(format!(
+                    "truncated CNCCSR01 adjacency at slot {}: {e}",
+                    self.eid
+                ))
+            })?;
+            self.ids = Reader::new(&raw).u32s(take, "adjacency")?.into_iter();
+            self.unread -= take;
             self.chunks += 1;
-            if self.buf.len() < 4 {
-                return Err(invalid(format!(
-                    "truncated CNCCSR01 adjacency: slot {} of {} missing",
-                    self.eid, self.total_dst
-                )));
-            }
         }
-        let v = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4]
-                .try_into()
-                .expect("4-byte range"),
-        );
-        self.pos += 4;
-        Ok(Some(v))
+        Ok(self.ids.next())
     }
 }
 
 impl<R: Read> EdgeSource for BinaryCsrSource<R> {
     fn next_pair(&mut self) -> io::Result<Option<(u32, u32)>> {
-        loop {
-            let Some(v) = self.next_dst()? else {
-                return Ok(None);
-            };
+        while let Some(v) = self.next_id()? {
             // Advance the source cursor past empty ranges to the vertex
-            // owning this adjacency slot.
-            while (self.src as usize) < self.num_vertices
-                && self.offsets[self.src as usize + 1] <= self.eid
+            // owning this adjacency slot (the offsets end at |dst|, so it
+            // stays below |V|).
+            while self
+                .offsets
+                .get(self.src + 1)
+                .is_some_and(|&o| o <= self.eid)
             {
                 self.src += 1;
+                self.prev = None;
             }
-            let u = self.src;
             self.eid += 1;
+            let u = u32::try_from(self.src).map_err(|_| invalid("|V| exceeds u32 vertex ids"))?;
+            if self.prev.is_some_and(|p| p >= v) {
+                return Err(inconsistent(format!(
+                    "neighbors of {u} not strictly ascending"
+                )));
+            }
+            if v as usize >= self.declared_vertices() {
+                return Err(inconsistent(format!("neighbor {v} of {u} out of range")));
+            }
+            if v == u {
+                return Err(inconsistent(format!("self-loop at {u}")));
+            }
+            self.prev = Some(v);
             // Symmetric CSR lists each undirected edge twice; forward the
-            // canonical direction only. Self-loops and out-of-order ids in a
-            // corrupt file are handled downstream (dropped / n grows).
+            // canonical direction only.
             if u < v {
                 return Ok(Some((u, v)));
             }
         }
+        Ok(None)
     }
 
     fn chunks(&self) -> u64 {
@@ -410,12 +391,52 @@ impl<R: Read> EdgeSource for BinaryCsrSource<R> {
     }
 
     fn declared_vertices(&self) -> usize {
-        self.num_vertices
+        self.offsets.len() - 1
     }
 
     fn resident_bytes(&self) -> u64 {
         (self.offsets.len() * 8 + self.chunk_bytes * 2) as u64
     }
+}
+
+/// The last step of the `CNCCSR01` acceptance rule, after the build: the
+/// image streamed from `input` must hold the file's own offsets and
+/// adjacency, row for row, in one more sequential read of the file. The
+/// source checked every row's shape, so a difference means the file is not
+/// symmetric; the first differing id names an edge without its mirror.
+fn check_csr_image(input: &Path, image: &Path, summary: &StreamSummary) -> io::Result<()> {
+    let (file, map) = (MappedFile::open(input)?, MappedFile::open(image)?);
+    let mut file_bytes = file.bytes();
+    let (file_offsets, _) = read_csr_head(&mut file_bytes)?;
+    let mut file_ids = Reader::new(file_bytes);
+    let layout = prepare::layout(summary.num_vertices, summary.num_directed_edges, false)?;
+    let [offsets, dst, ..] = layout.sections.as_slice() else {
+        return Err(invalid("CNCPREP4 layout without CSR sections"));
+    };
+    let mut image_offsets = Reader::new(offsets.bytes(map.bytes()));
+    let mut image_ids = Reader::new(dst.bytes(map.bytes()));
+    let mut start = image_offsets.usize("image offsets")?;
+    for (u, f) in file_offsets.windows(2).enumerate() {
+        let end = image_offsets.usize("image offsets")?;
+        let file_row = file_ids.u32s(f[1] - f[0], "adjacency")?;
+        let image_row = image_ids.u32s(end - start, "image adjacency")?;
+        start = end;
+        let k = file_row
+            .iter()
+            .zip(&image_row)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let (x, y) = match (file_row.get(k), image_row.get(k)) {
+            (None, None) => continue,
+            // `b` came from the file's `b → u`, which has no `u → b`.
+            (Some(&a), Some(&b)) if b < a => (b as usize, u),
+            (None, Some(&b)) => (b as usize, u),
+            // `u → a` is in the file's row but not the image's: no `a → u`.
+            (Some(&a), _) => (u, a as usize),
+        };
+        return Err(inconsistent(format!("edge ({x},{y}) not symmetric")));
+    }
+    Ok(())
 }
 
 /// Pair-iterator source (dataset generators): the iterator itself is the
@@ -529,8 +550,10 @@ impl ExternalSorter {
         let path = self.dir.join(format!("run-{}.cncrun", self.runs.len()));
         let file = File::create(&path)?;
         let mut w = BufWriter::new(file);
-        w.write_all(RUN_MAGIC)?;
-        w.write_all(&(self.buf.len() as u64).to_le_bytes())?;
+        let mut header = Writer::with_capacity(16);
+        header.bytes(RUN_MAGIC);
+        header.usize(self.buf.len());
+        w.write_all(header.as_bytes())?;
         for &(u, v) in &self.buf {
             w.write_all(&u.to_le_bytes())?;
             w.write_all(&v.to_le_bytes())?;
@@ -742,13 +765,11 @@ impl RunReader {
         reader
             .read_exact(&mut header)
             .map_err(|e| invalid(format!("truncated spill run {}: {e}", path.display())))?;
-        if &header[..8] != RUN_MAGIC {
-            return Err(invalid(format!(
-                "bad magic in spill run {}",
-                path.display()
-            )));
-        }
-        let remaining = u64::from_le_bytes(header[8..16].try_into().expect("8-byte range"));
+        let mut h = Reader::new(&header);
+        let remaining = h
+            .magic(RUN_MAGIC)
+            .and_then(|()| h.u64("run length"))
+            .map_err(|e| invalid(format!("bad spill run {}: {e}", path.display())))?;
         Ok(Self {
             reader,
             remaining,
@@ -769,10 +790,8 @@ impl RunReader {
             ))
         })?;
         self.remaining -= 1;
-        Ok(Some((
-            u32::from_le_bytes(raw[..4].try_into().expect("4-byte range")),
-            u32::from_le_bytes(raw[4..].try_into().expect("4-byte range")),
-        )))
+        let mut pair = Reader::new(&raw);
+        Ok(Some((pair.u32("pair source")?, pair.u32("pair target")?)))
     }
 }
 
@@ -1018,12 +1037,19 @@ pub fn prepare_file(
     let sniffed = file.read(&mut magic)?;
     file.seek(io::SeekFrom::Start(0))?;
     let chunk = config.chunk_bytes();
-    let source: Box<dyn EdgeSource> = if sniffed == 8 && &magic == b"CNCCSR01" {
+    let binary = sniffed == 8 && &magic == b"CNCCSR01";
+    let source: Box<dyn EdgeSource> = if binary {
         Box::new(BinaryCsrSource::new(file, chunk)?)
     } else {
         Box::new(TextSource::new(file, chunk))
     };
     let summary = build_to_path(source, policy, out, config)?;
+    if binary {
+        if let Err(e) = check_csr_image(input, out, &summary) {
+            let _ = fs::remove_file(out);
+            return Err(e);
+        }
+    }
     bump(|m| {
         m.graph_builds += 1;
         if matches!(policy, ReorderPolicy::DegreeDescending) {
@@ -1286,6 +1312,56 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("truncated spill run"), "{err}");
+    }
+
+    /// The spill-run reader under the byte mutations `tests/decode_mutation.rs`
+    /// applies to the public decoders: it never panics, and a run it reads
+    /// to the end re-encodes to a prefix of its bytes.
+    #[test]
+    fn mutated_spill_runs_never_panic() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut sorter = ExternalSorter::new(&tiny_config(1)).unwrap();
+        for i in 0..600u32 {
+            sorter.push(i % 97, i / 3 + 100).unwrap();
+        }
+        let seed = fs::read(sorter.spill_dir().join("run-0.cncrun")).unwrap();
+        let path = tmp("mutated.cncrun");
+        let mut rng = StdRng::seed_from_u64(10);
+        for _ in 0..3_000 {
+            let mut bytes = seed.clone();
+            let at = rng.gen_range(0..bytes.len() + 1);
+            match rng.gen_range(0u32..4) {
+                0 if at < bytes.len() => bytes[at] ^= 1u8 << rng.gen_range(0u32..8),
+                1 => {
+                    let v = [0, 1, u64::from(u32::MAX), u64::MAX][rng.gen_range(0usize..4)];
+                    for (slot, b) in bytes.iter_mut().skip(at).zip(v.to_le_bytes()) {
+                        *slot = b;
+                    }
+                }
+                2 => bytes.truncate(at),
+                _ => bytes.splice(at..at, [0xff, 0x00, 0x80]).for_each(drop),
+            }
+            fs::write(&path, &bytes).unwrap();
+            let Ok(mut reader) = RunReader::open(&path, MIN_CHUNK_BYTES) else {
+                continue;
+            };
+            let mut pairs = Vec::new();
+            while let Ok(Some(pair)) = reader.next() {
+                pairs.push(pair);
+            }
+            if reader.remaining == 0 {
+                let mut again = Writer::with_capacity(16 + pairs.len() * 8);
+                again.bytes(RUN_MAGIC);
+                again.usize(pairs.len());
+                for (u, v) in pairs {
+                    again.u32(u);
+                    again.u32(v);
+                }
+                assert!(bytes.starts_with(again.as_bytes()), "{bytes:02x?}");
+            }
+        }
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

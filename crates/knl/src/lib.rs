@@ -22,13 +22,16 @@
 //! # Example
 //!
 //! ```
+//! use cnc_cpu::CpuKernel;
 //! use cnc_graph::datasets::{Dataset, Scale};
-//! use cnc_knl::{ModeledAlgo, ModeledProcessor};
+//! use cnc_intersect::{MpsConfig, SimdLevel};
+//! use cnc_knl::ModeledProcessor;
 //! use cnc_machine::MemMode;
 //!
 //! let g = Dataset::TwS.build(Scale::Tiny);
 //! let knl = ModeledProcessor::knl_for(Dataset::TwS.capacity_scale(&g));
-//! let run = knl.run(&g, &ModeledAlgo::mps_avx512(), 256, MemMode::McdramFlat);
+//! let mps = CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx512));
+//! let run = knl.run(&g, &mps, 256, MemMode::McdramFlat);
 //! assert_eq!(run.counts.len(), g.num_directed_edges());
 //! assert!(run.report.seconds > 0.0);
 //! ```
@@ -40,7 +43,7 @@ mod profiles;
 mod runner;
 
 pub use profiles::{
-    counts_and_work_of, cpu_kernel_of, execution_graph_of, profile_from_work, profile_of,
-    profile_of_prepared, working_set_of,
+    counts_and_work_of, execution_graph_of, profile_from_work, profile_of, profile_of_prepared,
+    working_set_of,
 };
-pub use runner::{ModeledAlgo, ModeledProcessor, ModeledRun};
+pub use runner::{ModeledProcessor, ModeledRun};

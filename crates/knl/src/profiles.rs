@@ -2,24 +2,22 @@
 
 use cnc_cpu::{execute, BmpMode, CpuKernel, KernelPool, WorkList};
 use cnc_graph::{CsrGraph, PreparedGraph};
-use cnc_intersect::{Bitmap, CountingMeter, MpsConfig, RfBitmap, WorkCounts};
+use cnc_intersect::{Bitmap, CountingMeter, RfBitmap, WorkCounts};
 use cnc_machine::WorkProfile;
 use cnc_obs::ObsContext;
 use cnc_workload::CncWorkload;
 
-use crate::runner::ModeledAlgo;
-
-/// The random-access working set of one execution context of `algo` on `g`:
+/// The random-access working set of one execution context of `kernel` on `g`:
 /// the thread-local bitmap for BMP (replicated per thread), the shared
 /// neighbor array for the merge family.
-pub fn working_set_of(g: &CsrGraph, algo: &ModeledAlgo) -> (f64, bool) {
-    match algo {
-        ModeledAlgo::MergeBaseline | ModeledAlgo::Mps { .. } => {
+pub fn working_set_of(g: &CsrGraph, kernel: &CpuKernel) -> (f64, bool) {
+    match kernel {
+        CpuKernel::Merge | CpuKernel::Mps(_) => {
             // Binary-search probes during pivot-skip land in the CSR
             // neighbor array, shared by all threads.
             (g.dst().len() as f64 * 4.0, false)
         }
-        ModeledAlgo::Bmp { mode } => {
+        CpuKernel::Bmp(mode) => {
             let n = g.num_vertices().max(1);
             let bytes = match mode {
                 BmpMode::Plain => Bitmap::new(n).bytes(),
@@ -50,28 +48,15 @@ fn to_profile(counts: &WorkCounts, ws_bytes: f64, replicated: bool) -> WorkProfi
     }
 }
 
-/// The CPU-side kernel dispatch equivalent to a modeled algorithm: modeled
-/// processors execute the same source-grouped loop as the real CPU.
-pub fn cpu_kernel_of(algo: &ModeledAlgo) -> CpuKernel {
-    match algo {
-        ModeledAlgo::MergeBaseline => CpuKernel::Merge,
-        ModeledAlgo::Mps { simd, threshold } => CpuKernel::Mps(MpsConfig {
-            skew_threshold: *threshold,
-            simd: *simd,
-        }),
-        ModeledAlgo::Bmp { mode } => CpuKernel::Bmp(*mode),
-    }
-}
-
-/// Execute `algo` on `g` (sequentially, fully instrumented) and return the
+/// Execute `kernel` on `g` (sequentially, fully instrumented) and return the
 /// exact counts plus the raw work tallies.
 ///
 /// This is a one-task pass through `cnc_cpu::execute` — the same loop as
 /// every real-CPU run — with a [`CountingMeter`], so profiles are
 /// deterministic and exactly match the work of a single-task run.
-pub fn counts_and_work_of(g: &CsrGraph, algo: &ModeledAlgo) -> (Vec<u32>, WorkCounts) {
+pub fn counts_and_work_of(g: &CsrGraph, kernel: &CpuKernel) -> (Vec<u32>, WorkCounts) {
     let mut meter = CountingMeter::new();
-    let kernels = KernelPool::new(cpu_kernel_of(algo), g.num_vertices());
+    let kernels = KernelPool::new(*kernel, g.num_vertices());
     let whole = 0..g.num_directed_edges();
     let work = WorkList::Edges(std::slice::from_ref(&whole));
     let (counts, tally) = ObsContext::scoped("modeled_count", || {
@@ -86,24 +71,24 @@ pub fn counts_and_work_of(g: &CsrGraph, algo: &ModeledAlgo) -> (Vec<u32>, WorkCo
     (counts, meter.counts)
 }
 
-/// Turn raw work tallies of `algo` on `g` into the machine model's input.
-pub fn profile_from_work(g: &CsrGraph, algo: &ModeledAlgo, work: &WorkCounts) -> WorkProfile {
-    let (ws, repl) = working_set_of(g, algo);
+/// Turn raw work tallies of `kernel` on `g` into the machine model's input.
+pub fn profile_from_work(g: &CsrGraph, kernel: &CpuKernel, work: &WorkCounts) -> WorkProfile {
+    let (ws, repl) = working_set_of(g, kernel);
     to_profile(work, ws, repl)
 }
 
-/// Execute `algo` on `g` (sequentially, fully instrumented) and return the
+/// Execute `kernel` on `g` (sequentially, fully instrumented) and return the
 /// exact counts plus the machine-neutral work profile.
-pub fn profile_of(g: &CsrGraph, algo: &ModeledAlgo) -> (Vec<u32>, WorkProfile) {
-    let (counts, work) = counts_and_work_of(g, algo);
-    (counts, profile_from_work(g, algo, &work))
+pub fn profile_of(g: &CsrGraph, kernel: &CpuKernel) -> (Vec<u32>, WorkProfile) {
+    let (counts, work) = counts_and_work_of(g, kernel);
+    (counts, profile_from_work(g, kernel, &work))
 }
 
-/// The prepared-graph input `algo` should execute on: BMP takes the
+/// The prepared-graph input `kernel` should execute on: BMP takes the
 /// degree-descending relabel (its complexity bound requires it) when the
 /// preparation computed one; the merge family runs on the original ids.
-pub fn execution_graph_of<'a>(prepared: &'a PreparedGraph, algo: &ModeledAlgo) -> &'a CsrGraph {
-    prepared.execution_graph(matches!(algo, ModeledAlgo::Bmp { .. }))
+pub fn execution_graph_of<'a>(prepared: &'a PreparedGraph, kernel: &CpuKernel) -> &'a CsrGraph {
+    prepared.execution_graph(matches!(kernel, CpuKernel::Bmp(_)))
 }
 
 /// [`profile_of`] over a shared preparation: the graph (and its reorder)
@@ -111,9 +96,9 @@ pub fn execution_graph_of<'a>(prepared: &'a PreparedGraph, algo: &ModeledAlgo) -
 /// are in the executed graph's offsets (the relabeled graph for BMP).
 pub fn profile_of_prepared(
     prepared: &PreparedGraph,
-    algo: &ModeledAlgo,
+    kernel: &CpuKernel,
 ) -> (Vec<u32>, WorkProfile) {
-    profile_of(execution_graph_of(prepared, algo), algo)
+    profile_of(execution_graph_of(prepared, kernel), kernel)
 }
 
 #[cfg(test)]
@@ -121,21 +106,21 @@ mod tests {
     use super::*;
     use cnc_graph::datasets::{Dataset, Scale};
     use cnc_graph::generators;
-    use cnc_intersect::SimdLevel;
+    use cnc_intersect::{MpsConfig, SimdLevel};
 
     #[test]
     fn profiles_carry_positive_work() {
         let g = CsrGraph::from_edge_list(&generators::gnm(200, 1000, 1));
-        for algo in [
-            ModeledAlgo::MergeBaseline,
-            ModeledAlgo::mps_avx2(),
-            ModeledAlgo::mps_avx512(),
-            ModeledAlgo::bmp_plain(),
-            ModeledAlgo::bmp_rf(g.num_vertices()),
+        for kernel in [
+            CpuKernel::Merge,
+            CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx2)),
+            CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx512)),
+            CpuKernel::Bmp(BmpMode::Plain),
+            CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())),
         ] {
-            let (counts, p) = profile_of(&g, &algo);
+            let (counts, p) = profile_of(&g, &kernel);
             assert_eq!(counts.len(), g.num_directed_edges());
-            assert!(p.total_ops() > 0.0, "{algo:?} did no work");
+            assert!(p.total_ops() > 0.0, "{kernel:?} did no work");
             assert!(p.seq_bytes > 0.0);
         }
     }
@@ -143,23 +128,23 @@ mod tests {
     #[test]
     fn all_profiled_algos_agree_on_counts() {
         let g = Dataset::TwS.build(Scale::Tiny);
-        let (want, _) = profile_of(&g, &ModeledAlgo::MergeBaseline);
-        for algo in [
-            ModeledAlgo::mps_scalar(),
-            ModeledAlgo::mps_avx512(),
-            ModeledAlgo::bmp_plain(),
-            ModeledAlgo::bmp_rf(g.num_vertices()),
+        let (want, _) = profile_of(&g, &CpuKernel::Merge);
+        for kernel in [
+            CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Scalar)),
+            CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx512)),
+            CpuKernel::Bmp(BmpMode::Plain),
+            CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())),
         ] {
-            let (got, _) = profile_of(&g, &algo);
-            assert_eq!(got, want, "{algo:?}");
+            let (got, _) = profile_of(&g, &kernel);
+            assert_eq!(got, want, "{kernel:?}");
         }
     }
 
     #[test]
     fn vectorized_mps_shifts_scalar_work_to_vector() {
         let g = Dataset::FrS.build(Scale::Tiny);
-        let (_, scalar) = profile_of(&g, &ModeledAlgo::mps_scalar());
-        let (_, vec512) = profile_of(&g, &ModeledAlgo::mps_avx512());
+        let (_, scalar) = profile_of(&g, &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Scalar)));
+        let (_, vec512) = profile_of(&g, &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx512)));
         assert!(vec512.vector_ops > 0.0);
         assert!(vec512.scalar_ops < scalar.scalar_ops);
         assert_eq!(scalar.vector_ops, 0.0);
@@ -168,10 +153,11 @@ mod tests {
     #[test]
     fn bmp_working_set_is_bitmap_and_replicated() {
         let g = CsrGraph::from_edge_list(&generators::gnm(640, 2000, 2));
-        let (ws, repl) = working_set_of(&g, &ModeledAlgo::bmp_plain());
+        let (ws, repl) = working_set_of(&g, &CpuKernel::Bmp(BmpMode::Plain));
         assert_eq!(ws, 640.0 / 8.0);
         assert!(repl);
-        let (ws_m, repl_m) = working_set_of(&g, &ModeledAlgo::mps_avx2());
+        let (ws_m, repl_m) =
+            working_set_of(&g, &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx2)));
         assert_eq!(ws_m, g.dst().len() as f64 * 4.0);
         assert!(!repl_m);
     }
@@ -180,13 +166,13 @@ mod tests {
     fn mps_on_skewed_graph_does_less_work_than_baseline() {
         // The DSH effect (Figure 3) at the profile level.
         let g = Dataset::WiS.build(Scale::Tiny);
-        let (_, base) = profile_of(&g, &ModeledAlgo::MergeBaseline);
+        let (_, base) = profile_of(&g, &CpuKernel::Merge);
         let (_, mps) = profile_of(
             &g,
-            &ModeledAlgo::Mps {
+            &CpuKernel::Mps(MpsConfig {
+                skew_threshold: 50,
                 simd: SimdLevel::Scalar,
-                threshold: 50,
-            },
+            }),
         );
         assert!(mps.total_ops() < base.total_ops());
     }

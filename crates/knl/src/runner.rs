@@ -1,88 +1,10 @@
 //! The modeled-processor runner.
 
-use cnc_cpu::BmpMode;
+use cnc_cpu::CpuKernel;
 use cnc_graph::CsrGraph;
-use cnc_intersect::SimdLevel;
 use cnc_machine::{cpu_server, estimate, knl, MachineSpec, MemMode, ModelReport, WorkProfile};
 
 use crate::profiles::profile_of;
-
-/// The algorithm variants a modeled processor can run. Mirrors the paper's
-/// technique matrix: the baseline **M**, **MPS** at a vector level
-/// (`V` toggle = `SimdLevel::Scalar` vs AVX2/AVX-512), and **BMP** with or
-/// without **RF**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModeledAlgo {
-    /// Baseline plain merge (**M**).
-    MergeBaseline,
-    /// Hybrid merge/pivot-skip (**MPS**), optionally vectorized.
-    Mps {
-        /// Vector lane configuration for the VB path.
-        simd: SimdLevel,
-        /// Degree-skew threshold `t`.
-        threshold: u32,
-    },
-    /// Dynamic bitmap index (**BMP**), optionally range-filtered.
-    Bmp {
-        /// Plain or range-filtered bitmap.
-        mode: BmpMode,
-    },
-}
-
-impl ModeledAlgo {
-    /// MPS without vectorization (the `V`-off configuration).
-    pub fn mps_scalar() -> Self {
-        ModeledAlgo::Mps {
-            simd: SimdLevel::Scalar,
-            threshold: 50,
-        }
-    }
-
-    /// MPS with AVX2 (the paper's CPU configuration).
-    pub fn mps_avx2() -> Self {
-        ModeledAlgo::Mps {
-            simd: SimdLevel::Avx2,
-            threshold: 50,
-        }
-    }
-
-    /// MPS with AVX-512 (the paper's KNL configuration).
-    pub fn mps_avx512() -> Self {
-        ModeledAlgo::Mps {
-            simd: SimdLevel::Avx512,
-            threshold: 50,
-        }
-    }
-
-    /// Plain BMP.
-    pub fn bmp_plain() -> Self {
-        ModeledAlgo::Bmp {
-            mode: BmpMode::Plain,
-        }
-    }
-
-    /// BMP with scale-aware range filtering for a graph of `num_vertices`.
-    pub fn bmp_rf(num_vertices: usize) -> Self {
-        ModeledAlgo::Bmp {
-            mode: BmpMode::rf_scaled(num_vertices),
-        }
-    }
-
-    /// Paper-style label (`M`, `MPS`, `MPS-AVX512`, `BMP`, `BMP-RF`).
-    pub fn label(&self) -> String {
-        match self {
-            ModeledAlgo::MergeBaseline => "M".into(),
-            ModeledAlgo::Mps { simd, .. } => match simd {
-                SimdLevel::Scalar => "MPS".into(),
-                other => format!("MPS-{}", other.label().to_uppercase()),
-            },
-            ModeledAlgo::Bmp { mode } => match mode {
-                BmpMode::Plain => "BMP".into(),
-                BmpMode::RangeFiltered { .. } => "BMP-RF".into(),
-            },
-        }
-    }
-}
 
 /// A processor whose elapsed time is modeled rather than measured.
 #[derive(Debug, Clone)]
@@ -125,16 +47,16 @@ impl ModeledProcessor {
         Self { spec }
     }
 
-    /// Execute `algo` on `g` functionally and model its elapsed time with
+    /// Execute `kernel` on `g` functionally and model its elapsed time with
     /// `threads` threads in memory mode `mode`.
     pub fn run(
         &self,
         g: &CsrGraph,
-        algo: &ModeledAlgo,
+        kernel: &CpuKernel,
         threads: usize,
         mode: MemMode,
     ) -> ModeledRun {
-        let (counts, profile) = profile_of(g, algo);
+        let (counts, profile) = profile_of(g, kernel);
         let report = estimate(&self.spec, &profile, threads, mode);
         ModeledRun {
             counts,
@@ -149,13 +71,13 @@ impl ModeledProcessor {
     pub fn run_prepared(
         &self,
         prepared: &cnc_graph::PreparedGraph,
-        algo: &ModeledAlgo,
+        kernel: &CpuKernel,
         threads: usize,
         mode: MemMode,
     ) -> ModeledRun {
         self.run(
-            crate::profiles::execution_graph_of(prepared, algo),
-            algo,
+            crate::profiles::execution_graph_of(prepared, kernel),
+            kernel,
             threads,
             mode,
         )
@@ -176,21 +98,14 @@ impl ModeledProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnc_cpu::BmpMode;
     use cnc_graph::datasets::{Dataset, Scale};
+    use cnc_intersect::{MpsConfig, SimdLevel};
 
     fn tw_tiny() -> (CsrGraph, f64) {
         let g = Dataset::TwS.build(Scale::Tiny);
         let f = Dataset::TwS.capacity_scale(&g);
         (g, f)
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(ModeledAlgo::MergeBaseline.label(), "M");
-        assert_eq!(ModeledAlgo::mps_scalar().label(), "MPS");
-        assert_eq!(ModeledAlgo::mps_avx512().label(), "MPS-AVX512");
-        assert_eq!(ModeledAlgo::bmp_plain().label(), "BMP");
-        assert_eq!(ModeledAlgo::bmp_rf(100).label(), "BMP-RF");
     }
 
     #[test]
@@ -200,9 +115,14 @@ mod tests {
         // BMP gain must exceed the MPS gain (paper: 20.1x/29.3x vs 3.6x/7.1x).
         let (g, f) = tw_tiny();
         for proc_ in [ModeledProcessor::cpu_for(f), ModeledProcessor::knl_for(f)] {
-            let m = proc_.run(&g, &ModeledAlgo::MergeBaseline, 1, MemMode::Ddr);
-            let mps = proc_.run(&g, &ModeledAlgo::mps_scalar(), 1, MemMode::Ddr);
-            let bmp = proc_.run(&g, &ModeledAlgo::bmp_plain(), 1, MemMode::Ddr);
+            let m = proc_.run(&g, &CpuKernel::Merge, 1, MemMode::Ddr);
+            let mps = proc_.run(
+                &g,
+                &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Scalar)),
+                1,
+                MemMode::Ddr,
+            );
+            let bmp = proc_.run(&g, &CpuKernel::Bmp(BmpMode::Plain), 1, MemMode::Ddr);
             assert_eq!(m.counts, mps.counts);
             assert_eq!(m.counts, bmp.counts);
             let s_mps = m.report.seconds / mps.report.seconds;
@@ -225,15 +145,28 @@ mod tests {
         let (g, f) = tw_tiny();
         let knl_p = ModeledProcessor::knl_for(f);
         let cpu_p = ModeledProcessor::cpu_for(f);
-        let knl_scalar = knl_p.run(&g, &ModeledAlgo::mps_scalar(), 1, MemMode::Ddr);
-        let knl_v = knl_p.time_profile(
-            &profile_of(&g, &ModeledAlgo::mps_avx512()).1,
+        let knl_scalar = knl_p.run(
+            &g,
+            &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Scalar)),
             1,
             MemMode::Ddr,
         );
-        let cpu_scalar = cpu_p.run(&g, &ModeledAlgo::mps_scalar(), 1, MemMode::Ddr);
-        let cpu_v =
-            cpu_p.time_profile(&profile_of(&g, &ModeledAlgo::mps_avx2()).1, 1, MemMode::Ddr);
+        let knl_v = knl_p.time_profile(
+            &profile_of(&g, &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx512))).1,
+            1,
+            MemMode::Ddr,
+        );
+        let cpu_scalar = cpu_p.run(
+            &g,
+            &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Scalar)),
+            1,
+            MemMode::Ddr,
+        );
+        let cpu_v = cpu_p.time_profile(
+            &profile_of(&g, &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx2))).1,
+            1,
+            MemMode::Ddr,
+        );
         let gain_knl = knl_scalar.report.seconds / knl_v.seconds;
         let gain_cpu = cpu_scalar.report.seconds / cpu_v.seconds;
         assert!(gain_cpu > 1.2, "cpu V gain {gain_cpu:.2}");
@@ -249,9 +182,10 @@ mod tests {
         let (g, f) = tw_tiny();
         let knl_p = ModeledProcessor::knl_for(f);
         let cpu_p = ModeledProcessor::cpu_for(f);
-        let (_, mps_prof) = profile_of(&g, &ModeledAlgo::mps_avx512());
-        let (_, mps2_prof) = profile_of(&g, &ModeledAlgo::mps_avx2());
-        let (_, bmp_prof) = profile_of(&g, &ModeledAlgo::bmp_rf(g.num_vertices()));
+        let (_, mps_prof) =
+            profile_of(&g, &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx512)));
+        let (_, mps2_prof) = profile_of(&g, &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx2)));
+        let (_, bmp_prof) = profile_of(&g, &CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())));
         let knl_mps = knl_p
             .time_profile(&mps_prof, 256, MemMode::McdramFlat)
             .seconds;
@@ -274,7 +208,12 @@ mod tests {
     fn time_profile_is_consistent_with_run() {
         let (g, f) = tw_tiny();
         let p = ModeledProcessor::knl_for(f);
-        let run = p.run(&g, &ModeledAlgo::mps_avx512(), 64, MemMode::McdramFlat);
+        let run = p.run(
+            &g,
+            &CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx512)),
+            64,
+            MemMode::McdramFlat,
+        );
         let again = p.time_profile(&run.profile, 64, MemMode::McdramFlat);
         assert_eq!(run.report.seconds, again.seconds);
     }

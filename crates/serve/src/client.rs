@@ -10,11 +10,11 @@ use std::path::Path;
 use cnc_core::EdgeCount;
 
 use crate::protocol::{
-    decode_reply, encode_request, read_frame, write_frame, FrameRead, ProtocolError, Refusal,
-    Reply, Request,
+    decode_reply, encode_request, read_frame, write_frame, FrameRead, Refusal, Reply, Request,
+    MAX_FRAME,
 };
 use crate::server::Endpoint;
-use crate::ServeError;
+use crate::{DecodeError, ServeError};
 
 trait Stream: Read + Write + Send {}
 impl Stream for TcpStream {}
@@ -64,9 +64,11 @@ impl Client {
         match read_frame(&mut self.stream)? {
             FrameRead::Payload(payload) => Ok(decode_reply(&payload, req)?),
             FrameRead::Closed => Err(ServeError::ConnectionClosed),
-            FrameRead::TooLarge(len) => {
-                Err(ServeError::Protocol(ProtocolError::FrameTooLarge(len)))
-            }
+            FrameRead::TooLarge(len) => Err(ServeError::Protocol(DecodeError::TooLong {
+                field: "frame length",
+                len: u64::from(len),
+                max: MAX_FRAME as u64,
+            })),
         }
     }
 

@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 mod client;
 pub mod framing;
@@ -28,8 +29,9 @@ pub mod protocol;
 mod server;
 
 pub use client::Client;
+pub use cnc_graph::codec::DecodeError;
 pub use framing::{read_frame, write_frame, FrameRead, MAX_FRAME};
-pub use protocol::{ProtocolError, Refusal, Reply, Request, MAX_REPLY_EDGES, PROTOCOL_VERSION};
+pub use protocol::{Refusal, Reply, Request, MAX_REPLY_EDGES, PROTOCOL_VERSION};
 pub use server::{serve, Endpoint, ServeConfig, ServerHandle};
 
 use cnc_core::PlanError;
@@ -40,7 +42,7 @@ pub enum ServeError {
     /// Transport failure.
     Io(std::io::Error),
     /// Malformed bytes on the wire.
-    Protocol(ProtocolError),
+    Protocol(DecodeError),
     /// The session could not be planned (bad kernel config, non-CPU
     /// platform, non-CNC workload).
     Plan(PlanError),
@@ -90,8 +92,8 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-impl From<ProtocolError> for ServeError {
-    fn from(e: ProtocolError) -> Self {
+impl From<DecodeError> for ServeError {
+    fn from(e: DecodeError) -> Self {
         ServeError::Protocol(e)
     }
 }

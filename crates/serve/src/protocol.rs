@@ -36,11 +36,15 @@
 //! then `returned` × `(u: u32, v: u32, count: u32)` triples; `stats` →
 //! UTF-8 cnc-metrics v1 JSON; `shutdown` → empty.
 //!
-//! Decoding is strict: unknown opcode/status bytes, short payloads and
-//! trailing bytes all yield a typed [`ProtocolError`] — never a panic —
-//! so a server can answer garbage with status 3 and move on.
+//! Decoding is strict and goes through the one checked codec,
+//! `cnc_graph::codec`: unknown opcode/status bytes, short payloads, an edge
+//! count the payload cannot hold and trailing bytes all yield a typed
+//! [`DecodeError`] naming the field — never a panic, and never an
+//! allocation larger than the payload — so a server can answer garbage with
+//! status 3 and move on.
 
 use cnc_core::EdgeCount;
+use cnc_graph::codec::{DecodeError, Reader, Writer};
 
 pub use crate::framing::{read_frame, write_frame, FrameRead, MAX_FRAME};
 
@@ -156,229 +160,130 @@ pub enum Reply {
     },
 }
 
-/// Malformed bytes, as a typed value (the server turns these into status-3
-/// responses; a panic is never acceptable on attacker-controlled input).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// The length prefix exceeds [`MAX_FRAME`].
-    FrameTooLarge(u32),
-    /// The payload ended before the field being decoded.
-    Truncated(&'static str),
-    /// The request opcode byte is not assigned.
-    UnknownOpcode(u8),
-    /// The response status byte is not assigned.
-    UnknownStatus(u8),
-    /// Bytes remained after a complete message.
-    TrailingBytes(usize),
-    /// A message field is not valid UTF-8.
-    BadUtf8(&'static str),
-}
-
-impl std::fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtocolError::FrameTooLarge(n) => {
-                write!(f, "frame length {n} exceeds the {MAX_FRAME}-byte cap")
-            }
-            ProtocolError::Truncated(what) => write!(f, "payload truncated while reading {what}"),
-            ProtocolError::UnknownOpcode(op) => write!(f, "unknown request opcode {op}"),
-            ProtocolError::UnknownStatus(st) => write!(f, "unknown response status {st}"),
-            ProtocolError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
-            ProtocolError::BadUtf8(what) => write!(f, "{what} is not valid UTF-8"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
 // --- encoding ----------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 /// Encode a request payload (no frame prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
+    let mut w = Writer::with_capacity(9);
     match *req {
         Request::Count { u, v } => {
-            out.push(OP_COUNT);
-            put_u32(&mut out, u);
-            put_u32(&mut out, v);
+            w.u8(OP_COUNT);
+            w.u32(u);
+            w.u32(v);
         }
         Request::TopK { k } => {
-            out.push(OP_TOPK);
-            put_u32(&mut out, k);
+            w.u8(OP_TOPK);
+            w.u32(k);
         }
         Request::Scan { threshold } => {
-            out.push(OP_SCAN);
-            put_u32(&mut out, threshold);
+            w.u8(OP_SCAN);
+            w.u32(threshold);
         }
-        Request::Stats => out.push(OP_STATS),
-        Request::Shutdown => out.push(OP_SHUTDOWN),
+        Request::Stats => w.u8(OP_STATS),
+        Request::Shutdown => w.u8(OP_SHUTDOWN),
     }
-    out
+    w.into_bytes()
 }
 
 /// Encode a response payload (no frame prefix).
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
+    let mut w = Writer::with_capacity(16);
     match reply {
         Reply::Count(c) => {
-            out.push(ST_OK);
-            put_u32(&mut out, *c);
+            w.u8(ST_OK);
+            w.u32(*c);
         }
         Reply::Edges { total, edges } => {
-            out.push(ST_OK);
-            put_u64(&mut out, *total);
-            put_u32(&mut out, edges.len() as u32);
+            w.u8(ST_OK);
+            w.u64(*total);
+            w.count(edges.len());
             for e in edges {
-                put_u32(&mut out, e.u);
-                put_u32(&mut out, e.v);
-                put_u32(&mut out, e.count);
+                w.u32(e.u);
+                w.u32(e.v);
+                w.u32(e.count);
             }
         }
         Reply::Stats(json) => {
-            out.push(ST_OK);
-            out.extend_from_slice(json.as_bytes());
+            w.u8(ST_OK);
+            w.bytes(json.as_bytes());
         }
-        Reply::ShutdownAck => out.push(ST_OK),
+        Reply::ShutdownAck => w.u8(ST_OK),
         Reply::Refused { refusal, message } => {
-            out.push(refusal.status());
-            out.extend_from_slice(message.as_bytes());
+            w.u8(refusal.status());
+            w.bytes(message.as_bytes());
         }
     }
-    out
+    w.into_bytes()
 }
 
 // --- decoding ----------------------------------------------------------
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self, what: &'static str) -> Result<u8, ProtocolError> {
-        let b = *self
-            .buf
-            .get(self.at)
-            .ok_or(ProtocolError::Truncated(what))?;
-        self.at += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, ProtocolError> {
-        let end = self.at + 4;
-        let bytes = self
-            .buf
-            .get(self.at..end)
-            .ok_or(ProtocolError::Truncated(what))?;
-        self.at = end;
-        Ok(u32::from_le_bytes(
-            bytes.try_into().expect("slice is 4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, ProtocolError> {
-        let end = self.at + 8;
-        let bytes = self
-            .buf
-            .get(self.at..end)
-            .ok_or(ProtocolError::Truncated(what))?;
-        self.at = end;
-        Ok(u64::from_le_bytes(
-            bytes.try_into().expect("slice is 8 bytes"),
-        ))
-    }
-
-    fn rest_utf8(&mut self, what: &'static str) -> Result<String, ProtocolError> {
-        let s = std::str::from_utf8(&self.buf[self.at..])
-            .map_err(|_| ProtocolError::BadUtf8(what))?
-            .to_string();
-        self.at = self.buf.len();
-        Ok(s)
-    }
-
-    fn done(&self) -> Result<(), ProtocolError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::TrailingBytes(self.buf.len() - self.at))
-        }
-    }
-}
-
 /// Decode a request payload.
-pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
-    let mut c = Cursor {
-        buf: payload,
-        at: 0,
-    };
-    let req = match c.u8("opcode")? {
+pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
+    let mut r = Reader::new(payload);
+    let req = match r.u8("request opcode")? {
         OP_COUNT => Request::Count {
-            u: c.u32("count.u")?,
-            v: c.u32("count.v")?,
+            u: r.u32("count.u")?,
+            v: r.u32("count.v")?,
         },
         OP_TOPK => Request::TopK {
-            k: c.u32("topk.k")?,
+            k: r.u32("topk.k")?,
         },
         OP_SCAN => Request::Scan {
-            threshold: c.u32("scan.threshold")?,
+            threshold: r.u32("scan.threshold")?,
         },
         OP_STATS => Request::Stats,
         OP_SHUTDOWN => Request::Shutdown,
-        op => return Err(ProtocolError::UnknownOpcode(op)),
+        op => {
+            return Err(DecodeError::Invalid {
+                field: "request opcode",
+                value: u64::from(op),
+            })
+        }
     };
-    c.done()?;
+    r.finish()?;
     Ok(req)
 }
 
 /// Decode a response payload. OK bodies are request-shaped, so the decoder
 /// needs the request this response answers.
-pub fn decode_reply(payload: &[u8], request: &Request) -> Result<Reply, ProtocolError> {
-    let mut c = Cursor {
-        buf: payload,
-        at: 0,
-    };
-    let status = c.u8("status")?;
-    let refusal = match status {
+pub fn decode_reply(payload: &[u8], request: &Request) -> Result<Reply, DecodeError> {
+    let mut r = Reader::new(payload);
+    let refusal = match r.u8("response status")? {
         ST_OK => {
             let reply = match request {
-                Request::Count { .. } => Reply::Count(c.u32("count")?),
+                Request::Count { .. } => Reply::Count(r.u32("count")?),
                 Request::TopK { .. } | Request::Scan { .. } => {
-                    let total = c.u64("total")?;
-                    let returned = c.u32("returned")? as usize;
-                    if returned > MAX_REPLY_EDGES {
-                        return Err(ProtocolError::Truncated("edge list overlong"));
-                    }
+                    let total = r.u64("total")?;
+                    let returned = r.count(MAX_REPLY_EDGES, 12, "returned")?;
                     let mut edges = Vec::with_capacity(returned);
                     for _ in 0..returned {
                         edges.push(EdgeCount {
-                            u: c.u32("edge.u")?,
-                            v: c.u32("edge.v")?,
-                            count: c.u32("edge.count")?,
+                            u: r.u32("edge.u")?,
+                            v: r.u32("edge.v")?,
+                            count: r.u32("edge.count")?,
                         });
                     }
                     Reply::Edges { total, edges }
                 }
-                Request::Stats => Reply::Stats(c.rest_utf8("stats json")?),
+                Request::Stats => Reply::Stats(r.rest_str("stats json")?),
                 Request::Shutdown => Reply::ShutdownAck,
             };
-            c.done()?;
+            r.finish()?;
             return Ok(reply);
         }
         ST_OVERLOADED => Refusal::Overloaded,
         ST_NOT_AN_EDGE => Refusal::NotAnEdge,
         ST_BAD_REQUEST => Refusal::BadRequest,
         ST_SHUTTING_DOWN => Refusal::ShuttingDown,
-        st => return Err(ProtocolError::UnknownStatus(st)),
+        st => {
+            return Err(DecodeError::Invalid {
+                field: "response status",
+                value: u64::from(st),
+            })
+        }
     };
-    let message = c.rest_utf8("refusal message")?;
+    let message = r.rest_str("refusal message")?;
     Ok(Reply::Refused { refusal, message })
 }
 
@@ -445,24 +350,57 @@ mod tests {
 
     #[test]
     fn malformed_payloads_yield_typed_errors() {
-        assert_eq!(decode_request(&[]), Err(ProtocolError::Truncated("opcode")));
-        assert_eq!(decode_request(&[99]), Err(ProtocolError::UnknownOpcode(99)));
+        assert_eq!(
+            decode_request(&[]),
+            Err(DecodeError::Truncated("request opcode"))
+        );
+        assert_eq!(
+            decode_request(&[99]),
+            Err(DecodeError::Invalid {
+                field: "request opcode",
+                value: 99
+            })
+        );
         assert_eq!(
             decode_request(&[OP_COUNT, 1, 2]),
-            Err(ProtocolError::Truncated("count.u"))
+            Err(DecodeError::Truncated("count.u"))
         );
         assert_eq!(
             decode_request(&[OP_STATS, 0]),
-            Err(ProtocolError::TrailingBytes(1))
+            Err(DecodeError::TrailingBytes(1))
         );
         assert_eq!(
             decode_reply(&[7], &Request::Stats),
-            Err(ProtocolError::UnknownStatus(7))
+            Err(DecodeError::Invalid {
+                field: "response status",
+                value: 7
+            })
         );
         assert_eq!(
             decode_reply(&[ST_OK, 1], &Request::Count { u: 0, v: 0 }),
-            Err(ProtocolError::Truncated("count"))
+            Err(DecodeError::Truncated("count"))
         );
+    }
+
+    #[test]
+    fn an_edge_count_the_payload_cannot_hold_is_refused_before_allocation() {
+        // 13 bytes claiming the maximum 65 536 edges: refused as truncated
+        // by the count check, before any edge vector is reserved.
+        let mut claim = vec![ST_OK];
+        claim.extend_from_slice(&0u64.to_le_bytes());
+        claim.extend_from_slice(&(MAX_REPLY_EDGES as u32).to_le_bytes());
+        assert_eq!(
+            decode_reply(&claim, &Request::TopK { k: 1 }),
+            Err(DecodeError::Truncated("returned"))
+        );
+        claim[9..].copy_from_slice(&(MAX_REPLY_EDGES as u32 + 1).to_le_bytes());
+        assert!(matches!(
+            decode_reply(&claim, &Request::Scan { threshold: 0 }),
+            Err(DecodeError::TooLong {
+                field: "returned",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -84,7 +84,7 @@ struct WorkerRun {
     shard: usize,
     range: std::ops::Range<usize>,
     section: Vec<u32>,
-    spills: Vec<(u64, u32)>,
+    spills: Vec<(usize, u32)>,
     report: String,
     tally: ShardTally,
 }
@@ -199,7 +199,7 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
     }
     for run in &runs {
         for &(rev, c) in &run.spills {
-            full[rev as usize] = c;
+            full[rev] = c;
         }
     }
 
@@ -310,7 +310,7 @@ fn read_worker_stream(
 ) -> Result<WorkerRun, String> {
     let want = range.len();
     let mut section: Vec<u32> = Vec::with_capacity(want);
-    let mut spills: Vec<(u64, u32)> = Vec::new();
+    let mut spills: Vec<(usize, u32)> = Vec::new();
     let mut report = String::new();
     let mut hello_seen = false;
     loop {
@@ -330,10 +330,7 @@ fn read_worker_stream(
                 if version != crate::protocol::SHARD_WIRE_VERSION {
                     return Err(format!("worker speaks wire version {version}"));
                 }
-                if ws as usize != shard
-                    || start as usize != range.start
-                    || end as usize != range.end
-                {
+                if ws as usize != shard || start != range.start || end != range.end {
                     return Err(format!(
                         "worker answered for shard {ws} range {start}..{end}, \
                          expected shard {shard} range {}..{}",
@@ -355,7 +352,18 @@ fn read_worker_stream(
                 section.extend_from_slice(&chunk);
             }
             WorkerMsg::Spills(chunk) => {
-                if let Some(&(rev, _)) = chunk.iter().find(|&&(rev, _)| rev as usize >= m) {
+                if !hello_seen {
+                    return Err("spills before hello".into());
+                }
+                // Each canonical pair in the range spills at most one
+                // mirror write, so a range has at most `want` of them.
+                if spills.len() + chunk.len() > want {
+                    return Err(format!(
+                        "worker sent {} spills for a range of {want}",
+                        spills.len() + chunk.len()
+                    ));
+                }
+                if let Some(&(rev, _)) = chunk.iter().find(|&&(rev, _)| rev >= m) {
                     return Err(format!("spill offset {rev} out of bounds ({m} edges)"));
                 }
                 spills.extend_from_slice(&chunk);
@@ -379,5 +387,39 @@ fn read_worker_stream(
             }
             WorkerMsg::Error(reason) => return Err(format!("worker reported: {reason}")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{encode_msg, write_frame, SHARD_WIRE_VERSION};
+
+    fn stream(msgs: &[WorkerMsg]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for msg in msgs {
+            write_frame(&mut out, &encode_msg(msg)).expect("vec write");
+        }
+        out
+    }
+
+    #[test]
+    fn spills_need_a_hello_and_fit_the_range() {
+        let hello = WorkerMsg::Hello {
+            version: SHARD_WIRE_VERSION,
+            shard: 0,
+            start: 0,
+            end: 2,
+        };
+        let early = stream(&[WorkerMsg::Spills(vec![(3, 1)])]);
+        let err = read_worker_stream(&early[..], 0, &(0..2), 8).err();
+        assert_eq!(err.as_deref(), Some("spills before hello"));
+        // A range of two slots spills at most two mirror writes.
+        let many = stream(&[hello, WorkerMsg::Spills(vec![(3, 1); 3])]);
+        let err = read_worker_stream(&many[..], 0, &(0..2), 8).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("worker sent 3 spills for a range of 2")
+        );
     }
 }

@@ -23,13 +23,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 pub mod coordinator;
 pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{run_sharded, ShardConfig, ShardOutput};
-pub use protocol::{decode_msg, encode_msg, ShardTally, WireError, WorkerMsg, SHARD_WIRE_VERSION};
+pub use protocol::{decode_msg, encode_msg, ShardTally, WorkerMsg, SHARD_WIRE_VERSION};
 pub use worker::{worker_main, WorkerArgs, FAIL_ENV};
 
 use cnc_core::{Algorithm, PlanError, RfChoice};

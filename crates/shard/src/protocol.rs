@@ -28,7 +28,14 @@
 //!   ([`ShardTally`]). Anything else — an [`WorkerMsg::Error`], a closed
 //!   pipe, a malformed frame — marks the attempt failed and triggers the
 //!   coordinator's bounded retry.
+//!
+//! Payloads encode and decode through the one checked codec,
+//! `cnc_graph::codec`: a malformed frame is a [`DecodeError`] naming the
+//! field, a chunk's declared length is checked against its cap and the
+//! payload's size before anything is allocated for it, and offsets decode
+//! straight to `usize`.
 
+use cnc_graph::codec::{DecodeError, Reader, Writer};
 use cnc_intersect::WorkCounts;
 
 pub use cnc_serve::{read_frame, write_frame, FrameRead, MAX_FRAME};
@@ -63,15 +70,15 @@ pub enum WorkerMsg {
         /// Shard index assigned on the command line.
         shard: u32,
         /// First directed edge offset of the assigned range.
-        start: u64,
+        start: usize,
         /// One-past-last directed edge offset of the assigned range.
-        end: u64,
+        end: usize,
     },
     /// A chunk of the per-edge count section, in edge order.
     Counts(Vec<u32>),
     /// Mirror writes landing outside the worker's own range:
     /// `(directed edge offset, count)`.
-    Spills(Vec<(u64, u32)>),
+    Spills(Vec<(usize, u32)>),
     /// The worker's cnc-metrics report JSON (optional).
     Report(String),
     /// Stream closer: the work evidence for the completed range.
@@ -96,29 +103,13 @@ pub struct ShardTally {
     pub wall_nanos: u64,
 }
 
-/// A malformed frame payload (truncation, unknown opcode, bad UTF-8).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError(pub String);
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for WireError {}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Encode one message into a frame payload (pass to [`write_frame`]).
 pub fn encode_msg(msg: &WorkerMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let mut w = Writer::with_capacity(match msg {
+        WorkerMsg::Counts(counts) => 5 + counts.len() * 4,
+        WorkerMsg::Spills(spills) => 5 + spills.len() * 12,
+        _ => 64,
+    });
     match msg {
         WorkerMsg::Hello {
             version,
@@ -126,38 +117,35 @@ pub fn encode_msg(msg: &WorkerMsg) -> Vec<u8> {
             start,
             end,
         } => {
-            out.push(OP_HELLO);
-            put_u32(&mut out, *version);
-            put_u32(&mut out, *shard);
-            put_u64(&mut out, *start);
-            put_u64(&mut out, *end);
+            w.u8(OP_HELLO);
+            w.u32(*version);
+            w.u32(*shard);
+            w.usize(*start);
+            w.usize(*end);
         }
         WorkerMsg::Counts(counts) => {
             debug_assert!(counts.len() <= COUNTS_PER_FRAME, "oversized counts chunk");
-            out.reserve(4 + counts.len() * 4);
-            out.push(OP_COUNTS);
-            put_u32(&mut out, counts.len() as u32);
+            w.u8(OP_COUNTS);
+            w.count(counts.len());
             for &c in counts {
-                put_u32(&mut out, c);
+                w.u32(c);
             }
         }
         WorkerMsg::Spills(spills) => {
             debug_assert!(spills.len() <= SPILLS_PER_FRAME, "oversized spills chunk");
-            out.reserve(4 + spills.len() * 12);
-            out.push(OP_SPILLS);
-            put_u32(&mut out, spills.len() as u32);
+            w.u8(OP_SPILLS);
+            w.count(spills.len());
             for &(eid, c) in spills {
-                put_u64(&mut out, eid);
-                put_u32(&mut out, c);
+                w.usize(eid);
+                w.u32(c);
             }
         }
         WorkerMsg::Report(json) => {
-            out.push(OP_REPORT);
-            put_u32(&mut out, json.len() as u32);
-            out.extend_from_slice(json.as_bytes());
+            w.u8(OP_REPORT);
+            w.str(json);
         }
         WorkerMsg::Done(t) => {
-            out.push(OP_DONE);
+            w.u8(OP_DONE);
             for v in [
                 t.rebuilds,
                 t.visited,
@@ -173,129 +161,67 @@ pub fn encode_msg(msg: &WorkerMsg) -> Vec<u8> {
                 t.work.simd_tail_elems,
                 t.wall_nanos,
             ] {
-                put_u64(&mut out, v);
+                w.u64(v);
             }
         }
         WorkerMsg::Error(message) => {
-            out.push(OP_ERROR);
-            put_u32(&mut out, message.len() as u32);
-            out.extend_from_slice(message.as_bytes());
+            w.u8(OP_ERROR);
+            w.str(message);
         }
     }
-    out
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| WireError(format!("truncated frame reading {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, WireError> {
-        let len = self.u32(what)? as usize;
-        let b = self.take(len, what)?;
-        String::from_utf8(b.to_vec()).map_err(|_| WireError(format!("{what} is not UTF-8")))
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
+    w.into_bytes()
 }
 
 /// Decode one frame payload back into a message.
-pub fn decode_msg(payload: &[u8]) -> Result<WorkerMsg, WireError> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let op = c.take(1, "opcode")?[0];
-    let msg = match op {
+pub fn decode_msg(payload: &[u8]) -> Result<WorkerMsg, DecodeError> {
+    let mut r = Reader::new(payload);
+    let msg = match r.u8("shard opcode")? {
         OP_HELLO => WorkerMsg::Hello {
-            version: c.u32("version")?,
-            shard: c.u32("shard")?,
-            start: c.u64("start")?,
-            end: c.u64("end")?,
+            version: r.u32("version")?,
+            shard: r.u32("shard")?,
+            start: r.usize("range start")?,
+            end: r.usize("range end")?,
         },
         OP_COUNTS => {
-            let n = c.u32("counts length")? as usize;
-            if n > COUNTS_PER_FRAME {
-                return Err(WireError(format!("counts chunk of {n} exceeds the cap")));
-            }
-            let mut counts = Vec::with_capacity(n);
-            for _ in 0..n {
-                counts.push(c.u32("count")?);
-            }
-            WorkerMsg::Counts(counts)
+            let n = r.count(COUNTS_PER_FRAME, 4, "counts length")?;
+            WorkerMsg::Counts(r.u32s(n, "counts")?)
         }
         OP_SPILLS => {
-            let n = c.u32("spills length")? as usize;
-            if n > SPILLS_PER_FRAME {
-                return Err(WireError(format!("spills chunk of {n} exceeds the cap")));
-            }
+            let n = r.count(SPILLS_PER_FRAME, 12, "spills length")?;
             let mut spills = Vec::with_capacity(n);
             for _ in 0..n {
-                spills.push((c.u64("spill offset")?, c.u32("spill count")?));
+                spills.push((r.usize("spill offset")?, r.u32("spill count")?));
             }
             WorkerMsg::Spills(spills)
         }
-        OP_REPORT => WorkerMsg::Report(c.string("report")?),
-        OP_DONE => {
-            let mut v = [0u64; 13];
-            for (i, slot) in v.iter_mut().enumerate() {
-                *slot = c.u64(&format!("done field {i}"))?;
-            }
-            WorkerMsg::Done(ShardTally {
-                rebuilds: v[0],
-                visited: v[1],
-                skipped: v[2],
-                work: WorkCounts {
-                    scalar_ops: v[3],
-                    vector_ops: v[4],
-                    seq_bytes: v[5],
-                    rand_accesses: v[6],
-                    rand_accesses_small: v[7],
-                    write_bytes: v[8],
-                    intersections: v[9],
-                    simd_blocks: v[10],
-                    simd_tail_elems: v[11],
-                },
-                wall_nanos: v[12],
+        OP_REPORT => WorkerMsg::Report(r.str("report")?),
+        // Struct fields evaluate in source order, which is wire order.
+        OP_DONE => WorkerMsg::Done(ShardTally {
+            rebuilds: r.u64("rebuilds")?,
+            visited: r.u64("visited")?,
+            skipped: r.u64("skipped")?,
+            work: WorkCounts {
+                scalar_ops: r.u64("scalar_ops")?,
+                vector_ops: r.u64("vector_ops")?,
+                seq_bytes: r.u64("seq_bytes")?,
+                rand_accesses: r.u64("rand_accesses")?,
+                rand_accesses_small: r.u64("rand_accesses_small")?,
+                write_bytes: r.u64("write_bytes")?,
+                intersections: r.u64("intersections")?,
+                simd_blocks: r.u64("simd_blocks")?,
+                simd_tail_elems: r.u64("simd_tail_elems")?,
+            },
+            wall_nanos: r.u64("wall_nanos")?,
+        }),
+        OP_ERROR => WorkerMsg::Error(r.str("error message")?),
+        op => {
+            return Err(DecodeError::Invalid {
+                field: "shard opcode",
+                value: u64::from(op),
             })
         }
-        OP_ERROR => WorkerMsg::Error(c.string("error message")?),
-        other => return Err(WireError(format!("unknown shard opcode {other}"))),
     };
-    c.finish()?;
+    r.finish()?;
     Ok(msg)
 }
 
@@ -314,7 +240,7 @@ mod tests {
             },
             WorkerMsg::Counts(vec![0, 1, u32::MAX, 7]),
             WorkerMsg::Counts(Vec::new()),
-            WorkerMsg::Spills(vec![(u64::MAX, 9), (0, 0)]),
+            WorkerMsg::Spills(vec![(usize::MAX, 9), (0, 0)]),
             WorkerMsg::Spills(Vec::new()),
             WorkerMsg::Report("{\"enabled\":true}".into()),
             WorkerMsg::Done(ShardTally {
@@ -360,6 +286,16 @@ mod tests {
         let mut huge = vec![super::OP_COUNTS];
         huge.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert!(decode_msg(&huge).is_err(), "oversized counts");
+        // A 5-byte frame claiming a full chunk: refused by the count check
+        // before the chunk is reserved.
+        for (op, cap, field) in [
+            (OP_COUNTS, COUNTS_PER_FRAME, "counts length"),
+            (OP_SPILLS, SPILLS_PER_FRAME, "spills length"),
+        ] {
+            let mut claim = vec![op];
+            claim.extend_from_slice(&(cap as u32).to_le_bytes());
+            assert_eq!(decode_msg(&claim), Err(DecodeError::Truncated(field)));
+        }
         // Trailing garbage.
         let mut noisy = encode_msg(&WorkerMsg::Counts(vec![1]));
         noisy.push(0);

@@ -95,13 +95,15 @@ pub fn worker_main(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String
 
 fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
     let t0 = Instant::now();
+    let shard = u32::try_from(args.shard)
+        .map_err(|_| format!("shard index {} does not fit the wire's u32", args.shard))?;
     send(
         out,
         &WorkerMsg::Hello {
             version: SHARD_WIRE_VERSION,
-            shard: args.shard as u32,
-            start: args.start as u64,
-            end: args.end as u64,
+            shard,
+            start: args.start,
+            end: args.end,
         },
     )?;
 
@@ -174,7 +176,7 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
             visited: tally.visited,
             skipped: tally.skipped,
             work: meter.counts,
-            wall_nanos: t0.elapsed().as_nanos() as u64,
+            wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         }),
     )?;
     out.flush().map_err(|e| format!("flush failed: {e}"))
@@ -189,13 +191,13 @@ fn count_block(
     kernel: CpuKernel,
     block: Range<usize>,
     meter: &mut CountingMeter,
-) -> (Vec<u32>, Vec<(u64, u32)>, RangeTally) {
+) -> (Vec<u32>, Vec<(usize, u32)>, RangeTally) {
     let kernels = KernelPool::new(kernel, g.num_vertices());
     let work = WorkList::Edges(std::slice::from_ref(&block));
     let (counts, tally) = execute(g, work, &kernels, &CncWorkload, meter, None);
     // Re-walk the block's canonical pairs and pick out every mirror slot
     // that falls outside it.
-    let mut spills: Vec<(u64, u32)> = Vec::new();
+    let mut spills: Vec<(usize, u32)> = Vec::new();
     let mut u_hint = 0u32;
     for eid in block.clone() {
         let u = g.find_src(eid, &mut u_hint);
@@ -204,7 +206,7 @@ fn count_block(
         }
         let rev = g.reverse_offset(u, eid);
         if !block.contains(&rev) {
-            spills.push((rev as u64, counts[rev]));
+            spills.push((rev, counts[rev]));
         }
     }
     (counts, spills, tally)
@@ -249,13 +251,13 @@ mod tests {
                     assert!(tally.visited > 0 && meter.counts.intersections == tally.visited);
                     assembled[b.range.clone()].copy_from_slice(&counts[b.range.clone()]);
                     for &(slot, c) in &spills {
-                        assert!(!b.range.contains(&(slot as usize)), "spill inside block");
-                        assert_eq!(c, bulk[slot as usize], "{kernel:?} mirror write {slot}");
+                        assert!(!b.range.contains(&slot), "spill inside block");
+                        assert_eq!(c, bulk[slot], "{kernel:?} mirror write {slot}");
                     }
                     spilled.extend(spills);
                 }
                 for (slot, c) in spilled {
-                    assembled[slot as usize] = c;
+                    assembled[slot] = c;
                 }
                 assert_eq!(assembled, bulk, "{kernel:?} {workers} workers");
             }
