@@ -8,6 +8,7 @@
 //! indexed by this offset.
 
 use std::borrow::Cow;
+use std::convert::Infallible;
 
 use crate::edgelist::EdgeList;
 use crate::store::GraphStore;
@@ -43,157 +44,53 @@ impl PartialEq for CsrGraph {
 impl Eq for CsrGraph {}
 
 impl CsrGraph {
-    /// Build from a normalized-or-not edge list: symmetrizes, sorts and
-    /// deduplicates per-vertex neighbor lists.
+    /// Build from an edge list. A normalized list (every generator's output)
+    /// is scattered as it stands; any other is canonicalized first, as
+    /// [`CsrGraph::from_undirected_pairs`] does.
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        Self::from_pair_slice(el.num_vertices, &el.edges)
+        if el.is_normalized() {
+            Self::from_sorted_pairs(el.num_vertices, &el.edges)
+        } else {
+            Self::from_undirected_pairs(el.num_vertices, el.iter())
+        }
     }
 
     /// Build from raw undirected pairs over `n` vertices. Self-loops are
-    /// dropped; parallel edges are merged.
-    ///
-    /// Feeds the iterator straight into a [`CsrBuilder`]: degrees are
-    /// counted in the same single pass that canonicalizes each pair, with no
-    /// raw staging copy for a second walk.
+    /// dropped; parallel edges are merged. Panics if an endpoint is out of
+    /// range for `n`.
     pub fn from_undirected_pairs(n: usize, pairs: impl Iterator<Item = (u32, u32)>) -> Self {
-        let mut b = CsrBuilder::new(n);
-        for (u, v) in pairs {
-            b.push(u, v);
-        }
-        b.finish()
-    }
-
-    /// Counting-sort construction over an edge slice: pass 1 counts degrees,
-    /// pass 2 scatters. No staging copy of the input is made — peak memory
-    /// is the input slice plus the output CSR.
-    fn from_pair_slice(n: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut deg = vec![0usize; n];
-        for &(u, v) in pairs {
-            if u == v {
-                continue;
-            }
-            assert!(
-                (u as usize) < n && (v as usize) < n,
-                "edge ({u},{v}) out of range for {n} vertices"
-            );
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
-        }
-        let mut offsets = vec![0usize; n + 1];
-        for u in 0..n {
-            offsets[u + 1] = offsets[u] + deg[u];
-        }
-        let mut dst = vec![0u32; offsets[n]];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in pairs {
-            if u == v {
-                continue;
-            }
-            dst[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            dst[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // Sort + dedup each run; rebuild offsets if duplicates were removed.
-        let mut any_dup = false;
-        for u in 0..n {
-            let run = &mut dst[offsets[u]..offsets[u + 1]];
-            run.sort_unstable();
-            if run.windows(2).any(|w| w[0] == w[1]) {
-                any_dup = true;
-            }
-        }
-        if any_dup {
-            let mut new_dst = Vec::with_capacity(dst.len());
-            let mut new_offsets = vec![0usize; n + 1];
-            for u in 0..n {
-                let run = &dst[offsets[u]..offsets[u + 1]];
-                let mut last = None;
-                for &x in run {
-                    if last != Some(x) {
-                        new_dst.push(x);
-                        last = Some(x);
-                    }
-                }
-                new_offsets[u + 1] = new_dst.len();
-            }
-            return Self {
-                offsets: new_offsets.into(),
-                dst: new_dst.into(),
-                rev: None,
-            };
-        }
-        Self {
-            offsets: offsets.into(),
-            dst: dst.into(),
-            rev: None,
-        }
-    }
-
-    /// Parallel CSR construction for large edge lists: degree counting,
-    /// scattering and per-vertex sorting all fan out over rayon. Produces
-    /// exactly the same CSR as [`CsrGraph::from_edge_list`].
-    ///
-    /// The fan-out requires the canonical edge-list form (`u < v`, sorted,
-    /// deduplicated); an input that is not [`EdgeList::is_normalized`] is
-    /// normalized into an internal copy first instead of silently producing
-    /// a corrupt CSR.
-    pub fn from_edge_list_parallel(el: &EdgeList) -> Self {
-        if !el.is_normalized() {
-            let mut owned = el.clone();
-            owned.normalize();
-            return Self::from_normalized_parallel(&owned);
-        }
-        Self::from_normalized_parallel(el)
-    }
-
-    /// The parallel builder proper; `el` must be normalized.
-    fn from_normalized_parallel(el: &EdgeList) -> Self {
-        use rayon::prelude::*;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        debug_assert!(el.is_normalized());
-        let n = el.num_vertices;
-        // Degrees via atomic counters (the edge list is normalized: u < v,
-        // no self-loops, no duplicates).
-        let deg: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        el.edges.par_iter().for_each(|&(u, v)| {
-            deg[u as usize].fetch_add(1, Ordering::Relaxed);
-            deg[v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let mut offsets = vec![0usize; n + 1];
-        for u in 0..n {
-            offsets[u + 1] = offsets[u] + deg[u].load(Ordering::Relaxed);
-        }
-        // Scatter with atomic cursors.
-        let m = offsets[n];
-        let cursor: Vec<AtomicUsize> = offsets[..n].iter().map(|&o| AtomicUsize::new(o)).collect();
-        let dst_cells: Vec<AtomicUsize> = (0..m).map(|_| AtomicUsize::new(0)).collect();
-        el.edges.par_iter().for_each(|&(u, v)| {
-            let pu = cursor[u as usize].fetch_add(1, Ordering::Relaxed);
-            dst_cells[pu].store(v as usize, Ordering::Relaxed);
-            let pv = cursor[v as usize].fetch_add(1, Ordering::Relaxed);
-            dst_cells[pv].store(u as usize, Ordering::Relaxed);
-        });
-        let mut dst: Vec<u32> = dst_cells
-            .into_iter()
-            .map(|c| c.into_inner() as u32)
+        let mut canonical: Vec<(u32, u32)> = pairs
+            .filter(|&(u, v)| u != v)
+            .map(|(u, v)| (u.min(v), u.max(v)))
             .collect();
-        // Sort each neighbor run in parallel.
-        let mut runs: Vec<&mut [u32]> = Vec::with_capacity(n);
-        let mut rest: &mut [u32] = &mut dst;
-        for u in 0..n {
-            let len = offsets[u + 1] - offsets[u];
-            let (run, tail) = rest.split_at_mut(len);
-            runs.push(run);
-            rest = tail;
-        }
-        runs.par_iter_mut().for_each(|run| run.sort_unstable());
-        Self {
+        canonical.sort_unstable();
+        canonical.dedup();
+        Self::from_sorted_pairs(n, &canonical)
+    }
+
+    /// The one heap builder: sorted, deduplicated canonical pairs (`u < v`)
+    /// → degrees → offsets → one cursor scatter. The streaming writer
+    /// ([`crate::stream`]) runs the same fillers over its mapped sections.
+    pub(crate) fn from_sorted_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
+        let infallible = || pairs.iter().copied().map(Ok::<_, Infallible>);
+        let Ok(deg) = count_degrees(n, infallible());
+        let mut offsets = vec![0usize; n + 1];
+        fill_offsets(&mut offsets, deg.iter().map(|&d| d as usize));
+        let mut dst = vec![0u32; offsets[n]];
+        let Ok(()) = scatter_sorted(&offsets, &mut dst, infallible());
+        Self::from_filled(offsets, dst)
+    }
+
+    /// Wrap arrays the fillers of this module (or [`crate::reorder`]) just
+    /// wrote: valid by construction, so only debug builds re-check them.
+    pub(crate) fn from_filled(offsets: Vec<usize>, dst: Vec<u32>) -> Self {
+        let g = Self {
             offsets: offsets.into(),
             dst: dst.into(),
             rev: None,
-        }
+        };
+        debug_assert_eq!(g.validate_structure(), Ok(()));
+        g
     }
 
     /// Build directly from parts. Panics if the parts are inconsistent.
@@ -346,26 +243,14 @@ impl CsrGraph {
     }
 
     /// The reverse-edge index `rev[e(u,v)] == e(v,u)`: borrowed when built
-    /// or attached, otherwise derived in `O(|V| + |E|)` with no searches.
-    ///
-    /// Walking sources in ascending order visits, for every vertex `v`, the
-    /// edges `(u, v)` in ascending `u` — exactly the order of `u` within the
-    /// sorted run `N(v)`. A per-vertex cursor starting at `offsets[v]`
-    /// therefore hands out each reverse slot exactly once:
-    /// `rev[e(u,v)] = cursor[v]++`.
+    /// or attached, otherwise derived in `O(|V| + |E|)` by the cursor walk
+    /// the streaming writer also runs (`fill_reverse`).
     pub fn reverse_slots(&self) -> Cow<'_, [usize]> {
         if let Some(rev) = self.rev.as_deref() {
             return Cow::Borrowed(rev);
         }
-        let n = self.num_vertices();
         let mut rev = vec![0usize; self.dst.len()];
-        let mut cursor = self.offsets[..n].to_vec();
-        for (eid, &v) in self.dst.iter().enumerate() {
-            let v = v as usize;
-            rev[eid] = cursor[v];
-            cursor[v] += 1;
-        }
-        debug_assert!((0..n).all(|v| cursor[v] == self.offsets[v + 1]));
+        fill_reverse(&self.offsets, &self.dst, &mut rev);
         Cow::Owned(rev)
     }
 
@@ -489,97 +374,75 @@ impl CsrGraph {
     }
 }
 
-/// Incremental CSR construction from a stream of undirected pairs.
-///
-/// [`push`](Self::push) canonicalizes each pair (drops self-loops, orients
-/// as `(min, max)`) and counts both endpoint degrees on the spot, so the
-/// input is walked exactly once and never staged in raw form.
-/// [`finish`](Self::finish) sorts the canonical pairs, merges parallel edges
-/// (correcting the affected degrees), and scatters both directions through
-/// per-vertex cursors. Because the canonical pairs are globally sorted at
-/// that point, every neighbor run comes out already ascending — no per-run
-/// sort and no duplicate-removal rebuild copy. The streaming preparation
-/// pipeline ([`crate::stream`]) uses the same two-pass scatter over
-/// externally sorted runs to write CSR sections directly into a mapped
-/// cache file.
-#[derive(Debug)]
-pub struct CsrBuilder {
+/// Degrees of `n` vertices over sorted canonical pairs: one count per
+/// endpoint. The one range check of both builders; its panic message names
+/// the pair.
+pub(crate) fn count_degrees<E>(
     n: usize,
-    deg: Vec<usize>,
-    /// Canonical `(min, max)` pairs; duplicates are resolved in `finish`.
-    edges: Vec<(u32, u32)>,
+    pairs: impl IntoIterator<Item = Result<(u32, u32), E>>,
+) -> Result<Vec<u32>, E> {
+    let mut deg = vec![0u32; n];
+    for pair in pairs {
+        let (u, v) = pair?;
+        assert!(
+            (u as usize) < n && (v as usize) < n,
+            "edge ({u},{v}) out of range for {n} vertices"
+        );
+        deg[u as usize] += 1;
+        deg[v as usize] += 1;
+    }
+    Ok(deg)
 }
 
-impl CsrBuilder {
-    /// A builder over `n` vertices with no edges yet.
-    pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            deg: vec![0usize; n],
-            edges: Vec::new(),
-        }
+/// Offsets from degrees: `offsets[0] = 0` and `offsets[u + 1] = offsets[u]
+/// + degree(u)`.
+pub(crate) fn fill_offsets(offsets: &mut [usize], degrees: impl IntoIterator<Item = usize>) {
+    let mut acc = 0usize;
+    offsets[0] = 0;
+    for (slot, d) in offsets[1..].iter_mut().zip(degrees) {
+        acc += d;
+        *slot = acc;
     }
+}
 
-    /// Add one undirected edge. Self-loops are dropped. Panics if either
-    /// endpoint is out of range for the declared vertex count.
-    pub fn push(&mut self, u: u32, v: u32) {
-        assert!(
-            (u as usize) < self.n && (v as usize) < self.n,
-            "edge ({u},{v}) out of range for {} vertices",
-            self.n
-        );
-        if u == v {
-            return;
-        }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.deg[a as usize] += 1;
-        self.deg[b as usize] += 1;
-        self.edges.push((a, b));
+/// The cursor scatter: place both directions of every pair through one
+/// per-vertex cursor array started at `offsets`.
+///
+/// The pairs must be canonical (`u < v`), sorted and deduplicated. Then
+/// every neighbor run comes out ascending with no per-run sort: for vertex
+/// `w`, the backward neighbors `u < w` arrive first (pairs `(u, w)` in `u`
+/// order), then the forward neighbors `(w, v)` in `v` order, and every
+/// backward value is `< w <` every forward value.
+pub(crate) fn scatter_sorted<E>(
+    offsets: &[usize],
+    dst: &mut [u32],
+    pairs: impl IntoIterator<Item = Result<(u32, u32), E>>,
+) -> Result<(), E> {
+    let mut cursor = offsets[..offsets.len() - 1].to_vec();
+    for pair in pairs {
+        let (u, v) = pair?;
+        dst[cursor[u as usize]] = v;
+        cursor[u as usize] += 1;
+        dst[cursor[v as usize]] = u;
+        cursor[v as usize] += 1;
     }
+    debug_assert!(cursor.iter().zip(&offsets[1..]).all(|(c, end)| c == end));
+    Ok(())
+}
 
-    /// Sort, deduplicate, and scatter into the finished CSR.
-    pub fn finish(self) -> CsrGraph {
-        let Self {
-            n,
-            mut deg,
-            mut edges,
-        } = self;
-        edges.sort_unstable();
-        edges.dedup_by(|dup, kept| {
-            if dup == kept {
-                deg[dup.0 as usize] -= 1;
-                deg[dup.1 as usize] -= 1;
-                true
-            } else {
-                false
-            }
-        });
-        let mut offsets = vec![0usize; n + 1];
-        for u in 0..n {
-            offsets[u + 1] = offsets[u] + deg[u];
-        }
-        let mut dst = vec![0u32; offsets[n]];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in &edges {
-            dst[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            dst[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // Scattering globally sorted canonical edges leaves each run already
-        // ascending: for vertex w, the backward neighbors u < w arrive first
-        // (edges (u, w) sorted by u), then the forward neighbors (w, v) in v
-        // order, and every backward value is < w < every forward value.
-        debug_assert!((0..n).all(|u| {
-            dst[offsets[u]..offsets[u + 1]]
-                .windows(2)
-                .all(|w| w[0] < w[1])
-        }));
-        CsrGraph {
-            offsets: offsets.into(),
-            dst: dst.into(),
-            rev: None,
-        }
+/// The reverse-index cursor walk: `rev[e(u,v)] = e(v,u)` in `O(|V| + |E|)`
+/// with no searches.
+///
+/// Walking sources in ascending order visits, for every vertex `v`, the
+/// edges `(u, v)` in ascending `u` — exactly the order of `u` within the
+/// sorted run `N(v)`. A per-vertex cursor starting at `offsets[v]`
+/// therefore hands out each reverse slot exactly once:
+/// `rev[e(u,v)] = cursor[v]++`.
+pub(crate) fn fill_reverse(offsets: &[usize], dst: &[u32], rev: &mut [usize]) {
+    let mut cursor = offsets[..offsets.len() - 1].to_vec();
+    for (slot, &v) in rev.iter_mut().zip(dst) {
+        *slot = cursor[v as usize];
+        cursor[v as usize] += 1;
     }
 }
 
@@ -748,38 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_builder_matches_sequential() {
-        use crate::generators;
-        for el in [
-            generators::gnm(300, 1200, 4),
-            generators::chung_lu(200, 10.0, 2.2, 5),
-            generators::hub_web(150, 5.0, 2, 0.4, 6),
-            EdgeList::new(0),
-            EdgeList::new(10),
-        ] {
-            let seq = CsrGraph::from_edge_list(&el);
-            let par = CsrGraph::from_edge_list_parallel(&el);
-            assert_eq!(seq, par);
-            par.validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn parallel_builder_normalizes_raw_input() {
-        // Reversed orientation, duplicates, a self-loop, unsorted — the
-        // parallel builder must still agree with the sequential one.
-        let mut el = EdgeList::new(5);
-        for &(u, v) in &[(3, 1), (1, 3), (2, 2), (4, 0), (0, 1), (0, 1)] {
-            el.push(u, v);
-        }
-        assert!(!el.is_normalized());
-        let par = CsrGraph::from_edge_list_parallel(&el);
-        let seq = CsrGraph::from_edge_list(&el);
-        assert_eq!(par, seq);
-        par.validate().unwrap();
-    }
-
-    #[test]
     fn try_from_parts_rejects_inconsistent_parts() {
         assert!(CsrGraph::try_from_parts(vec![], vec![]).is_err());
         // Endpoint broken: last offset != dst.len().
@@ -804,26 +635,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_rejected() {
         let _ = CsrGraph::from_undirected_pairs(2, [(0, 5)].into_iter());
-    }
-
-    #[test]
-    fn builder_matches_slice_path_on_messy_input() {
-        use crate::generators;
-        // Raw inputs with loops, duplicates and reversed orientations: the
-        // single-pass builder must agree exactly with the slice-based path.
-        let messy: Vec<(u32, u32)> = vec![(3, 1), (1, 3), (2, 2), (4, 0), (0, 1), (0, 1), (1, 0)];
-        let a = CsrGraph::from_undirected_pairs(5, messy.iter().copied());
-        let b = CsrGraph::from_pair_slice(5, &messy);
-        assert_eq!(a, b);
-        a.validate().unwrap();
-
-        for el in [
-            generators::gnm(200, 900, 3),
-            generators::chung_lu(150, 9.0, 2.2, 8),
-        ] {
-            let a = CsrGraph::from_undirected_pairs(el.num_vertices, el.iter());
-            let b = CsrGraph::from_edge_list(&el);
-            assert_eq!(a, b);
-        }
     }
 }

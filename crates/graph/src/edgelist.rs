@@ -62,8 +62,9 @@ impl EdgeList {
 
     /// Whether the list is already in canonical form: every edge oriented
     /// as `(min, max)` with `u < v`, sorted, and deduplicated — exactly what
-    /// [`EdgeList::normalize`] produces. The parallel CSR builder requires
-    /// this form and uses the check to normalize a copy when it is not met.
+    /// [`EdgeList::normalize`] produces. [`crate::CsrGraph::from_edge_list`]
+    /// scatters a list in this form as it stands and canonicalizes a copy
+    /// of any other.
     pub fn is_normalized(&self) -> bool {
         self.edges.iter().all(|&(u, v)| u < v) && self.edges.windows(2).all(|w| w[0] < w[1])
     }

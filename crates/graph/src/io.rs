@@ -11,7 +11,7 @@
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{DecodeError, Reader, Writer};
 use crate::csr::CsrGraph;
 use crate::edgelist::EdgeList;
 
@@ -25,6 +25,17 @@ fn read_up_to<R: Read>(r: &mut R, len: u64) -> io::Result<Vec<u8>> {
     let mut buf = Vec::new();
     r.take(len).read_to_end(&mut buf)?;
     Ok(buf)
+}
+
+/// Refuse bytes after a complete file with [`DecodeError::TrailingBytes`]:
+/// two files that differ past the declared arrays are not one graph. The
+/// rule of every reader of `CNCCSR01`, `CNCCNT01` and the streamer's spill
+/// runs; the rest is counted, not buffered.
+pub(crate) fn expect_end<R: Read>(r: &mut R) -> io::Result<()> {
+    match io::copy(r, &mut io::sink())? {
+        0 => Ok(()),
+        n => Err(DecodeError::TrailingBytes(usize::try_from(n).unwrap_or(usize::MAX)).into()),
+    }
 }
 
 /// Parse one line of SNAP text: `Ok(None)` for comment/blank lines,
@@ -162,14 +173,15 @@ pub(crate) fn read_csr_head<R: Read>(r: &mut R) -> io::Result<(Vec<usize>, usize
 
 /// Deserialize a CSR graph written by [`write_csr`].
 ///
-/// Any malformed input — wrong magic, truncation, or a byte stream whose
-/// offsets/dst arrays violate the CSR invariants — is an
-/// [`io::ErrorKind::InvalidData`] error, never a panic.
+/// Any malformed input — wrong magic, truncation, bytes past the declared
+/// arrays, or a byte stream whose offsets/dst arrays violate the CSR
+/// invariants — is an [`io::ErrorKind::InvalidData`] error, never a panic.
 pub fn read_csr<R: Read>(reader: R) -> io::Result<CsrGraph> {
     let mut r = BufReader::new(reader);
     let (offsets, num_dst) = read_csr_head(&mut r)?;
     let raw = read_up_to(&mut r, (num_dst as u64).saturating_mul(4))?;
     let dst = Reader::new(&raw).u32s(num_dst, "dst array")?;
+    expect_end(&mut r)?;
     CsrGraph::try_from_parts(offsets, dst).map_err(inconsistent)
 }
 
@@ -190,8 +202,9 @@ pub fn write_counts<W: Write>(counts: &[u32], writer: W) -> io::Result<()> {
 
 /// Deserialize a counts array written by [`write_counts`].
 ///
-/// Malformed input (wrong magic, truncation, an absurd advertised length) is
-/// an [`io::ErrorKind::InvalidData`] error, never a panic.
+/// Malformed input (wrong magic, truncation, an absurd advertised length,
+/// bytes past the declared array) is an [`io::ErrorKind::InvalidData`]
+/// error, never a panic.
 pub fn read_counts<R: Read>(reader: R) -> io::Result<Vec<u32>> {
     let mut r = BufReader::new(reader);
     let mut header = [0u8; 16];
@@ -200,7 +213,9 @@ pub fn read_counts<R: Read>(reader: R) -> io::Result<Vec<u32>> {
     h.magic(COUNTS_MAGIC)?;
     let m = h.usize("counts length")?;
     let raw = read_up_to(&mut r, (m as u64).saturating_mul(4))?;
-    Ok(Reader::new(&raw).u32s(m, "counts array")?)
+    let counts = Reader::new(&raw).u32s(m, "counts array")?;
+    expect_end(&mut r)?;
+    Ok(counts)
 }
 
 #[cfg(test)]
@@ -208,11 +223,11 @@ mod tests {
     use super::*;
     use crate::generators;
 
-    fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    fn le64(buf: &mut Vec<u8>, v: u64) {
         buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    fn le32(buf: &mut Vec<u8>, v: u32) {
         buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -317,23 +332,23 @@ mod tests {
         // InvalidData error, not a panic out of CsrGraph::from_parts.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        put_u64(&mut buf, 1); // |V| = 1
-        put_u64(&mut buf, 1); // |dst| = 1
-        put_u64(&mut buf, 0); // offsets[0]
-        put_u64(&mut buf, 2); // offsets[1] — endpoint != |dst|
-        put_u32(&mut buf, 0);
+        le64(&mut buf, 1); // |V| = 1
+        le64(&mut buf, 1); // |dst| = 1
+        le64(&mut buf, 0); // offsets[0]
+        le64(&mut buf, 2); // offsets[1] — endpoint != |dst|
+        le32(&mut buf, 0);
         let err = read_csr(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Asymmetric adjacency behind a well-formed header.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        put_u64(&mut buf, 2); // |V| = 2
-        put_u64(&mut buf, 1); // |dst| = 1
+        le64(&mut buf, 2); // |V| = 2
+        le64(&mut buf, 1); // |dst| = 1
         for o in [0u64, 1, 1] {
-            put_u64(&mut buf, o);
+            le64(&mut buf, o);
         }
-        put_u32(&mut buf, 1); // 0 → 1 but no 1 → 0
+        le32(&mut buf, 1); // 0 → 1 but no 1 → 0
         let err = read_csr(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -344,14 +359,14 @@ mod tests {
         // panicking on size arithmetic or attempting a huge allocation.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        put_u64(&mut buf, u64::MAX);
-        put_u64(&mut buf, u64::MAX);
+        le64(&mut buf, u64::MAX);
+        le64(&mut buf, u64::MAX);
         let err = read_csr(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         let mut buf = Vec::new();
         buf.extend_from_slice(COUNTS_MAGIC);
-        put_u64(&mut buf, u64::MAX);
+        le64(&mut buf, u64::MAX);
         let err = read_counts(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -366,6 +381,27 @@ mod tests {
         let mut buf = Vec::new();
         write_counts(&[], &mut buf).unwrap();
         assert!(read_counts(buf.as_slice()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn csr_with_one_trailing_byte_is_refused() {
+        let g = CsrGraph::from_edge_list(&generators::gnm(20, 40, 2));
+        let mut buf = Vec::new();
+        write_csr(&g, &mut buf).unwrap();
+        buf.push(0);
+        let err = read_csr(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("1 trailing bytes"), "{err}");
+    }
+
+    #[test]
+    fn counts_with_one_trailing_byte_are_refused() {
+        let mut buf = Vec::new();
+        write_counts(&[1, 2, 3], &mut buf).unwrap();
+        buf.push(0);
+        let err = read_counts(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("1 trailing bytes"), "{err}");
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod stats;
 pub mod store;
 pub mod stream;
 
-pub use csr::{CsrBuilder, CsrGraph};
+pub use csr::CsrGraph;
 pub use edgelist::EdgeList;
 pub use prepare::{PreparedGraph, ReorderPolicy};
 pub use store::GraphStore;

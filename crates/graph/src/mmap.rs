@@ -60,6 +60,29 @@ pub fn zero_copy_layout() -> bool {
     cfg!(target_endian = "little") && std::mem::size_of::<usize>() == 8
 }
 
+/// View a writable byte region as `&mut [T]`: the one cast from the bytes of
+/// a write-mode mapping to the typed slices the CSR fillers write.
+///
+/// Errors (never panics) unless this platform has the file format's layout
+/// ([`zero_copy_layout`], so a `usize` is a little-endian `u64`), the region
+/// starts aligned for `T` and it holds a whole number of elements.
+pub fn typed_mut<T: Pod>(bytes: &mut [u8]) -> io::Result<&mut [T]> {
+    let size = std::mem::size_of::<T>();
+    if !zero_copy_layout()
+        || !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>())
+        || !bytes.len().is_multiple_of(size)
+    {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "typed views need a 64-bit little-endian platform and a whole, aligned array",
+        ));
+    }
+    // SAFETY: the region is aligned for `T`, spans exactly `len / size`
+    // elements, and is exclusively borrowed for the result's lifetime;
+    // `T: Pod` admits every bit pattern and has no drop glue.
+    Ok(unsafe { std::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast(), bytes.len() / size) })
+}
+
 #[cfg(unix)]
 mod sys {
     use std::ffi::{c_int, c_void};
@@ -279,17 +302,17 @@ impl<T: Pod> Deref for MappedSlice<T> {
     }
 }
 
-/// A read-write, *growable* memory mapping of a file, used by the streaming
-/// preparation pipeline to assemble a `CNCPREP` cache file section by
-/// section without an O(|E|) heap staging copy.
+/// A read-write memory mapping of a file, used by the streaming preparation
+/// pipeline to assemble a `CNCPREP4` cache file section by section without
+/// an O(|E|) heap staging copy.
 ///
 /// The mapping is `MAP_SHARED` + `PROT_READ|PROT_WRITE`: stores through
 /// [`bytes_mut`](Self::bytes_mut) land in the page cache and reach the file.
-/// [`grow`](Self::grow) extends the file (`File::set_len`) and remaps — the
-/// two-pass CSR builder creates the file small, then grows it once the
-/// degree pass has fixed every section size. [`into_file`](Self::into_file)
-/// unmaps and hands the descriptor back so the caller can `sync_all` (which
-/// flushes mmap-dirtied pages on Linux) and atomically rename into place.
+/// [`create`](Self::create) sizes the file once, at its final length: the
+/// streamer's degree pass has fixed every section size before the file
+/// exists. [`into_file`](Self::into_file) unmaps and hands the descriptor
+/// back so the caller can `sync_all` (which flushes mmap-dirtied pages on
+/// Linux) and atomically rename into place.
 ///
 /// Not `Sync`: the builder writes single-threaded. On non-Unix platforms
 /// [`create`](Self::create) returns [`io::ErrorKind::Unsupported`] and
@@ -307,25 +330,50 @@ pub struct MappedFileMut {
 unsafe impl Send for MappedFileMut {}
 
 impl MappedFileMut {
-    /// Create (truncating) `path` at `len` bytes and map it read-write.
+    /// Create (truncating) `path` at `len` zero bytes and map it
+    /// read-write.
     ///
     /// Errors with [`io::ErrorKind::Unsupported`] on non-Unix platforms so
     /// callers can fall back to an owned in-memory build.
     #[cfg(unix)]
     pub fn create(path: &Path, len: usize) -> io::Result<Self> {
+        use std::os::unix::io::AsRawFd;
+
         let file = File::options()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        let mut this = Self {
-            ptr: std::ptr::null_mut(),
-            len: 0,
-            file: Some(file),
+        file.set_len(len as u64)?;
+        if len == 0 {
+            // mmap(2) rejects zero-length mappings.
+            return Ok(Self {
+                ptr: std::ptr::null_mut(),
+                len: 0,
+                file: Some(file),
+            });
+        }
+        // SAFETY: fd is a valid open file of exactly `len` bytes; we request
+        // a fresh shared read-write mapping at a kernel-chosen address.
+        let ptr = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_SHARED,
+                file.as_raw_fd(),
+                0,
+            )
         };
-        this.grow(len)?;
-        Ok(this)
+        if ptr == sys::map_failed() {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Self {
+            ptr: ptr.cast(),
+            len,
+            file: Some(file),
+        })
     }
 
     /// Non-Unix fallback: write-mode mapping is unavailable.
@@ -337,71 +385,17 @@ impl MappedFileMut {
         ))
     }
 
-    fn file(&self) -> &File {
-        // The Option is only vacated by `into_file`, which consumes `self`.
-        self.file.as_ref().expect("file present until into_file")
-    }
-
     fn unmap(&mut self) {
         #[cfg(unix)]
         if self.len != 0 {
             // SAFETY: `ptr`/`len` describe the live mapping created by
-            // `grow`; unmapped exactly once before being overwritten/dropped.
+            // `create`; unmapped exactly once, then cleared.
             unsafe {
                 sys::munmap(self.ptr.cast(), self.len);
             }
         }
         self.ptr = std::ptr::null_mut();
         self.len = 0;
-    }
-
-    /// Extend the file to `new_len` bytes (zero-filled) and remap.
-    ///
-    /// Shrinking is rejected: live references into the tail would become
-    /// dangling file offsets.
-    #[cfg(unix)]
-    pub fn grow(&mut self, new_len: usize) -> io::Result<()> {
-        use std::os::unix::io::AsRawFd;
-
-        if new_len < self.len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("cannot shrink mapping from {} to {new_len} bytes", self.len),
-            ));
-        }
-        if new_len == self.len {
-            return Ok(());
-        }
-        self.unmap();
-        self.file().set_len(new_len as u64)?;
-        // SAFETY: fd is a valid open file of exactly `new_len` bytes; we
-        // request a fresh shared read-write mapping at a kernel-chosen
-        // address.
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                new_len,
-                sys::PROT_READ | sys::PROT_WRITE,
-                sys::MAP_SHARED,
-                self.file().as_raw_fd(),
-                0,
-            )
-        };
-        if ptr == sys::map_failed() {
-            return Err(io::Error::last_os_error());
-        }
-        self.ptr = ptr.cast();
-        self.len = new_len;
-        Ok(())
-    }
-
-    /// Non-Unix fallback (unreachable: `create` already failed).
-    #[cfg(not(unix))]
-    pub fn grow(&mut self, _new_len: usize) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "write-mode memory mapping is only wired up on Unix platforms",
-        ))
     }
 
     /// The mapped bytes, writable.
@@ -413,25 +407,6 @@ impl MappedFileMut {
         // `len` bytes owned by `self`; the exclusive borrow ties the slice to
         // the mapping and prevents aliasing.
         unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
-    }
-
-    /// The mapped bytes, read-only.
-    pub fn bytes(&self) -> &[u8] {
-        if self.len == 0 {
-            return &[];
-        }
-        // SAFETY: as in `bytes_mut`, with a shared borrow.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// Length of the mapping in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the mapping is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Unmap and return the file handle so the caller can `sync_all` and
@@ -571,15 +546,12 @@ mod tests {
     #[test]
     fn mut_mapping_grows_and_persists_writes() {
         let path = std::env::temp_dir().join(format!("cnc-mmap-mut-{}", std::process::id()));
-        let mut map = MappedFileMut::create(&path, 64).unwrap();
-        assert_eq!(map.len(), 64);
-        map.bytes_mut()[..4].copy_from_slice(&[1, 2, 3, 4]);
-        // Growing remaps: the early write must survive, the tail reads zero.
-        map.grow(4096).unwrap();
-        assert_eq!(&map.bytes()[..4], &[1, 2, 3, 4]);
-        assert_eq!(map.bytes()[4095], 0);
-        map.bytes_mut()[4095] = 9;
-        assert!(map.grow(10).is_err(), "shrinking must be rejected");
+        let mut map = MappedFileMut::create(&path, 4096).unwrap();
+        let bytes = map.bytes_mut();
+        assert_eq!(bytes.len(), 4096);
+        assert!(bytes.iter().all(|&b| b == 0), "created zero-filled");
+        bytes[..4].copy_from_slice(&[1, 2, 3, 4]);
+        bytes[4095] = 9;
         let file = map.into_file();
         file.sync_all().unwrap();
         drop(file);
@@ -594,12 +566,32 @@ mod tests {
     fn mut_mapping_zero_length_is_usable() {
         let path = std::env::temp_dir().join(format!("cnc-mmap-mut0-{}", std::process::id()));
         let mut map = MappedFileMut::create(&path, 0).unwrap();
-        assert!(map.is_empty());
         assert!(map.bytes_mut().is_empty());
-        map.grow(8).unwrap();
-        map.bytes_mut().copy_from_slice(&7u64.to_le_bytes());
         drop(map); // Drop (not into_file) must still unmap cleanly.
-        assert_eq!(std::fs::read(&path).unwrap(), 7u64.to_le_bytes());
+        assert!(std::fs::read(&path).unwrap().is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn typed_views_are_checked_casts() {
+        let path = std::env::temp_dir().join(format!("cnc-mmap-typed-{}", std::process::id()));
+        let mut map = MappedFileMut::create(&path, 24).unwrap();
+        let bytes = map.bytes_mut();
+        {
+            let (ints, words) = bytes.split_at_mut(8);
+            let words = typed_mut::<usize>(words).unwrap();
+            assert_eq!(words.len(), 2);
+            words[1] = 7;
+            typed_mut::<u32>(ints).unwrap()[1] = 5;
+        }
+        assert_eq!(&bytes[16..], &7u64.to_le_bytes());
+        assert_eq!(&bytes[4..8], &5u32.to_le_bytes());
+        assert!(typed_mut::<u64>(&mut bytes[4..12]).is_err(), "misaligned");
+        assert!(
+            typed_mut::<u32>(&mut bytes[..6]).is_err(),
+            "partial element"
+        );
+        drop(map);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,8 +8,9 @@
 //! makes that amortization real: a [`PreparedGraph`] runs the whole pipeline
 //!
 //! ```text
-//! edge list → normalized → CSR (parallel builder)
-//!           → optional degree-descending reorder + remap tables
+//! edge list → CSR (one cursor scatter of sorted canonical pairs)
+//!           → optional degree-descending reorder (per-row relabel) + remap tables
+//!           → reverse-edge index (cursor walk)
 //!           → GraphStats + skew percentage + capacity scale
 //! ```
 //!
@@ -255,36 +256,44 @@ pub struct PreparedGraph {
 }
 
 impl PreparedGraph {
-    /// Run the full pipeline on an edge list: normalize (if needed), build
-    /// the CSR through the parallel builder, then apply `policy`.
+    /// Run the full pipeline on an edge list: build the CSR with
+    /// [`CsrGraph::from_edge_list`] (which canonicalizes a list that is not
+    /// normalized), then apply `policy`.
     pub fn from_edge_list(el: &EdgeList, policy: ReorderPolicy) -> Arc<Self> {
         cnc_obs::ObsContext::scoped("prepare", || {
-            let graph =
-                cnc_obs::ObsContext::scoped("csr_build", || CsrGraph::from_edge_list_parallel(el));
+            let graph = cnc_obs::ObsContext::scoped("csr_build", || CsrGraph::from_edge_list(el));
             bump(|m| m.graph_builds += 1);
-            Arc::new(Self::finish(graph, policy, 1.0))
+            Arc::new(Self::finish(graph, policy))
         })
     }
 
     /// Prepare an existing CSR (statistics + optional reorder; no CSR
     /// rebuild).
     pub fn from_csr(graph: CsrGraph, policy: ReorderPolicy) -> Arc<Self> {
-        cnc_obs::ObsContext::scoped("prepare", || Arc::new(Self::finish(graph, policy, 1.0)))
+        cnc_obs::ObsContext::scoped("prepare", || Arc::new(Self::finish(graph, policy)))
     }
 
     /// Pipeline tail shared by every constructor that actually *computes*
     /// (counted in [`metrics`]); deserialization uses
-    /// [`PreparedGraph::assemble`] instead.
-    ///
-    /// Builds the O(1) reverse-edge index on every execution-candidate CSR
-    /// (original and, when reordered, relabeled) so the drivers' symmetric
-    /// assignment never binary-searches — the index is persisted by
-    /// [`write_prepared`], so warm loads get it for free.
-    fn finish(mut graph: CsrGraph, policy: ReorderPolicy, capacity_scale: f64) -> Self {
+    /// [`PreparedGraph::assemble_loaded`] instead.
+    fn finish(graph: CsrGraph, policy: ReorderPolicy) -> Self {
+        if matches!(policy, ReorderPolicy::DegreeDescending) {
+            bump(|m| m.reorders += 1);
+        }
+        Self::derive(graph, policy)
+    }
+
+    /// [`PreparedGraph::finish`]'s work without its counter (the streamer's
+    /// heap fallback, whose callers count the build themselves): relabel
+    /// under `policy`, derive the statistics, and build the O(1)
+    /// reverse-edge index on every execution-candidate CSR (original and,
+    /// when reordered, relabeled) so the drivers' symmetric assignment never
+    /// binary-searches — the index is persisted by [`write_prepared`], so
+    /// warm loads get it for free.
+    pub(crate) fn derive(mut graph: CsrGraph, policy: ReorderPolicy) -> Self {
         let mut reordered = match policy {
             ReorderPolicy::None => None,
             ReorderPolicy::DegreeDescending => {
-                bump(|m| m.reorders += 1);
                 cnc_obs::ObsContext::scoped("reorder", || Some(reorder::degree_descending(&graph)))
             }
         };
@@ -292,17 +301,6 @@ impl PreparedGraph {
         if let Some(r) = &mut reordered {
             r.graph.build_reverse_index();
         }
-        Self::assemble(graph, reordered, policy, capacity_scale)
-    }
-
-    /// Assemble from already-computed parts: derives the statistics, bumps
-    /// no work counters.
-    fn assemble(
-        graph: CsrGraph,
-        reordered: Option<Reordered>,
-        policy: ReorderPolicy,
-        capacity_scale: f64,
-    ) -> Self {
         let stats = GraphStats::of(&graph);
         let skew_pct = skew_percentage(&graph, SKEW_THRESHOLD);
         Self {
@@ -310,7 +308,7 @@ impl PreparedGraph {
             reordered,
             stats,
             skew_pct,
-            capacity_scale,
+            capacity_scale: 1.0,
             policy,
         }
     }
@@ -436,12 +434,14 @@ impl PreparedGraph {
 // `layout` (where every section sits and how long the file is),
 // `file_header` and `section_header` decide every byte that is not
 // payload, and `parse_prepared` reads them back through a `Reader` that
-// hands each section's payload on, so no decoder here indexes bytes. Two fillers supply the payloads: `write_prepared` serializes a
-// prepared graph's in-memory arrays one section at a time, and the
-// streaming writer (`crate::stream`) fills the laid-out payloads of a
-// mapped file in passes over sorted edges. Their images can therefore
-// differ only in payload bytes, which the streaming differential tests pin
-// equal on every dataset analogue and on arbitrary edge lists. Bump the
+// hands each section's payload on, so no decoder here indexes bytes. One
+// set of CSR fillers (offsets from degrees, the cursor scatter, the reverse
+// walk in `crate::csr`, the per-row relabel in `crate::reorder`) computes
+// every payload, into two sinks: the heap graph's `Vec`s, which
+// `write_prepared` serializes one section at a time, and the streaming
+// writer's (`crate::stream`) typed views of a mapped file's laid-out
+// sections. The streaming differential tests pin the two images equal on
+// every dataset analogue and on arbitrary edge lists. Bump the
 // trailing magic digit on any layout change: a stale file fails the magic
 // check and is rebuilt — `CNCPREP2` → `CNCPREP3` added the reverse-index
 // sections, and `CNCPREP3` → `CNCPREP4` retired every file written before
@@ -627,12 +627,6 @@ fn u32_payload(vals: &[u32]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// The reverse-index payload of a graph, deriving the index on the fly for
-/// graphs (hand-assembled in tests, say) that never built one.
-fn rev_payload(g: &CsrGraph) -> Vec<u8> {
-    u64_payload(&g.reverse_slots())
-}
-
 /// Serialize a prepared graph (CSR + reverse-edge index, policy, statistics,
 /// optional relabeled CSR + remap table) in the `CNCPREP4` cache format.
 pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()> {
@@ -661,7 +655,8 @@ pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()>
     for g in std::iter::once(g).chain(pg.reordered.as_ref().map(|r| &r.graph)) {
         put(u64_payload(g.offsets()))?;
         put(u32_payload(g.dst()))?;
-        put(rev_payload(g))?;
+        // Derived on the fly for graphs that never built the index.
+        put(u64_payload(&g.reverse_slots()))?;
     }
     if let Some(r) = &pg.reordered {
         put(u32_payload(&r.new_to_old))?;
@@ -1050,9 +1045,9 @@ pub fn prepared_on_disk(
         }
     }
     let el = dataset.edge_list(scale);
-    let graph = cnc_obs::ObsContext::scoped("csr_build", || CsrGraph::from_edge_list_parallel(&el));
+    let graph = cnc_obs::ObsContext::scoped("csr_build", || CsrGraph::from_edge_list(&el));
     bump(|m| m.graph_builds += 1);
-    let mut pg = PreparedGraph::finish(graph, policy, 1.0);
+    let mut pg = PreparedGraph::finish(graph, policy);
     pg.capacity_scale = dataset.capacity_scale(&pg.graph);
     if lock.is_some() {
         cnc_obs::ObsContext::scoped("cache_io", || {

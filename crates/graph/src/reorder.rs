@@ -4,10 +4,10 @@
 //! invariant `u < v ⇒ d_u ≥ d_v`: the bitmap is always built for the
 //! larger-degree endpoint and the smaller neighbor list is the probe side.
 //! The relabeling sorts vertices by descending degree (ties broken by old
-//! id, making it deterministic) and remaps every edge —
-//! `O(|V| log |V| + |E|)` exactly as the paper states.
+//! id, making it deterministic) and remaps every neighbor row in place,
+//! sorting each relabeled row: `O(|V| log |V| + |E| log d_max)`.
 
-use crate::csr::CsrGraph;
+use crate::csr::{fill_offsets, CsrGraph};
 
 /// The result of a degree-descending relabel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +38,7 @@ impl Reordered {
 /// order from here.
 pub(crate) fn degree_descending_order<D: Ord>(n: u32, degree: impl Fn(u32) -> D) -> Vec<u32> {
     let mut order: Vec<u32> = (0..n).collect();
-    order.sort_by(|&a, &b| degree(b).cmp(&degree(a)).then_with(|| a.cmp(&b)));
+    order.sort_unstable_by(|&a, &b| degree(b).cmp(&degree(a)).then_with(|| a.cmp(&b)));
     order
 }
 
@@ -51,22 +51,52 @@ pub(crate) fn invert(new_to_old: &[u32]) -> Vec<u32> {
     old_to_new
 }
 
-/// Relabel so vertex ids are in descending degree order.
-pub fn degree_descending(g: &CsrGraph) -> Reordered {
-    let n = g.num_vertices();
-    let new_to_old = degree_descending_order(n as u32, |u| g.degree(u));
+/// The per-row relabel, into the heap relabel's `Vec`s and the streaming
+/// writer's mapped sections alike: fill `new_offsets` / `new_dst` with the
+/// CSR `(offsets, dst)` relabeled by `new_to_old` and its inverse. New row
+/// `i` is old row `new_to_old[i]` mapped through `old_to_new` in its output
+/// slot, then sorted there: no row buffer, no re-sort of all pairs.
+pub(crate) fn relabel_rows(
+    (offsets, dst): (&[usize], &[u32]),
+    new_to_old: &[u32],
+    old_to_new: &[u32],
+    new_offsets: &mut [usize],
+    new_dst: &mut [u32],
+) {
+    let row = |u: u32| &dst[offsets[u as usize]..offsets[u as usize + 1]];
+    fill_offsets(new_offsets, new_to_old.iter().map(|&u| row(u).len()));
+    for (span, &old) in new_offsets.windows(2).zip(new_to_old) {
+        let out = &mut new_dst[span[0]..span[1]];
+        for (slot, &v) in out.iter_mut().zip(row(old)) {
+            *slot = old_to_new[v as usize];
+        }
+        out.sort_unstable();
+    }
+}
+
+/// `g` relabeled by `new_to_old`.
+fn relabel(g: &CsrGraph, new_to_old: Vec<u32>) -> Reordered {
     let old_to_new = invert(&new_to_old);
-    // Remap edges; build the CSR from undirected pairs (u < v once each).
-    let pairs = g
-        .iter_edges()
-        .filter(|&(_, u, v)| u < v)
-        .map(|(_, u, v)| (old_to_new[u as usize], old_to_new[v as usize]));
-    let graph = CsrGraph::from_undirected_pairs(n, pairs);
+    let mut offsets = vec![0usize; g.num_vertices() + 1];
+    let mut dst = vec![0u32; g.num_directed_edges()];
+    relabel_rows(
+        (g.offsets(), g.dst()),
+        &new_to_old,
+        &old_to_new,
+        &mut offsets,
+        &mut dst,
+    );
     Reordered {
-        graph,
+        graph: CsrGraph::from_filled(offsets, dst),
         old_to_new,
         new_to_old,
     }
+}
+
+/// Relabel so vertex ids are in descending degree order.
+pub fn degree_descending(g: &CsrGraph) -> Reordered {
+    let order = degree_descending_order(g.num_vertices() as u32, |u| g.degree(u));
+    relabel(g, order)
 }
 
 /// Check the BMP invariant on a graph: `u < v ⇒ d_u ≥ d_v`.
@@ -148,27 +178,15 @@ pub fn degeneracy(g: &CsrGraph) -> u32 {
 /// even more tightly than plain degree order on some graphs. Compared in
 /// the `ablation_reorder` bench.
 pub fn core_descending(g: &CsrGraph) -> Reordered {
-    let n = g.num_vertices();
     let core = core_numbers(g);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
+    let mut order: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
         core[b as usize]
             .cmp(&core[a as usize])
             .then_with(|| g.degree(b).cmp(&g.degree(a)))
             .then_with(|| a.cmp(&b))
     });
-    let new_to_old = order;
-    let old_to_new = invert(&new_to_old);
-    let pairs = g
-        .iter_edges()
-        .filter(|&(_, u, v)| u < v)
-        .map(|(_, u, v)| (old_to_new[u as usize], old_to_new[v as usize]));
-    let graph = CsrGraph::from_undirected_pairs(n, pairs);
-    Reordered {
-        graph,
-        old_to_new,
-        new_to_old,
-    }
+    relabel(g, order)
 }
 
 #[cfg(test)]

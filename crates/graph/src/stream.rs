@@ -12,29 +12,32 @@
 //!   → external sort: budgeted buffer → spill runs  (budget bytes)
 //!   → k-way merge, cross-run dedup (re-iterable)
 //!   → pass 1: degree count                         (|V| words)
-//!   → pass 2: direct placement + skew tally        (|V| cursor words)
-//!   → CNCPREP4 payloads filled straight into the
-//!     mmap'd cache file (offsets / dst / rev, plus
-//!     the relabeled triple + remap table when the
-//!     policy reorders)
+//!   → offsets, then pass 2: cursor scatter + skew  (|V| cursor words)
+//!   → reverse walk; relabel rows when the policy   (|V| cursor words /
+//!     reorders                                       2|V| remap words)
+//!     — all written through typed views of the
+//!     mmap'd cache file's sections
 //! ```
 //!
 //! The memory budget comes from [`PREP_MEM_BYTES_ENV`] (or an explicit
 //! [`StreamConfig`]); when the canonical edges outgrow it, sorted
 //! deduplicated runs spill to disk in the `CNCRUN01` format and are merged
 //! back — twice, since CSR construction needs a degree pass before the
-//! placement pass. Because the merged stream is globally sorted, scattering
-//! both directions through per-vertex cursors emits every neighbor run
-//! already ascending (for vertex `w`, the backward neighbors `u < w` arrive
-//! first in `u` order, then the forward neighbors in `v` order, all larger
-//! than `w`), so no per-run sort is ever needed.
+//! placement pass.
 //!
-//! This module only fills payloads. The file's layout, its file and section
+//! This module fills no array itself. The offsets, the cursor scatter, the
+//! reverse walk and the per-row relabel are the fillers the heap builder
+//! runs ([`crate::CsrGraph::from_edge_list`], [`crate::reorder`]), called
+//! here on `&mut [usize]` / `&mut [u32]` views of the mapped sections
+//! ([`crate::mmap::typed_mut`]). The file's layout, its file and section
 //! headers, the relabel order and the skew statistic come from the same
-//! definitions [`crate::prepare::write_prepared`] uses
-//! ([`crate::prepare`], [`crate::reorder`], [`crate::stats`]), so a streamed
-//! image is **byte-identical** to the in-memory writer's — the property the
-//! differential test suite pins on every dataset analogue.
+//! definitions [`crate::prepare::write_prepared`] uses ([`crate::prepare`],
+//! [`crate::stats`]), so a streamed image is **byte-identical** to the
+//! in-memory writer's — the property the differential test suite pins on
+//! every dataset analogue. The views alias the file's u64 little-endian
+//! sections only where [`crate::mmap::zero_copy_layout`] holds; on other
+//! targets the merged stream goes to the heap builder and the image is
+//! written by `write_prepared` (same bytes, memory no longer bounded).
 //!
 //! Work is accounted in [`crate::prepare::PrepareMetrics`] (`spill_runs`,
 //! `spill_bytes`, `stream_chunks`, `peak_resident_bytes`) and mirrored to
@@ -50,10 +53,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::{Reader, Writer};
-use crate::io::{inconsistent, parse_edge_line, read_csr_head};
-use crate::mmap::{MappedFile, MappedFileMut};
-use crate::prepare::{self, bump, ReorderPolicy, Section};
-use crate::reorder::{degree_descending_order, invert};
+use crate::csr::{count_degrees, fill_offsets, fill_reverse, scatter_sorted, CsrGraph};
+use crate::io::{expect_end, inconsistent, parse_edge_line, read_csr_head};
+use crate::mmap::{self, typed_mut, MappedFile, MappedFileMut};
+use crate::prepare::{self, bump, PreparedGraph, ReorderPolicy, Section};
+use crate::reorder::{degree_descending_order, invert, relabel_rows};
 use crate::stats::{SkewTally, SKEW_THRESHOLD};
 
 /// Environment variable holding the preparation memory budget in bytes.
@@ -154,9 +158,9 @@ pub struct StreamSummary {
     pub spill_bytes: u64,
     /// Fixed-size input chunks consumed.
     pub stream_chunks: u64,
-    /// Peak accounted heap bytes of the build (sort buffer, degree/cursor
-    /// arrays, merge readers, relabel scratch — everything the pipeline
-    /// allocates that scales with the input).
+    /// Peak accounted heap bytes of the build (sort buffer, degree array,
+    /// the one cursor array, merge readers, remap tables — everything the
+    /// pipeline allocates that scales with the input).
     pub peak_resident_bytes: u64,
     /// Size of the finished `CNCPREP4` file.
     pub file_bytes: u64,
@@ -401,7 +405,8 @@ impl<R: Read> EdgeSource for BinaryCsrSource<R> {
 
 /// The last step of the `CNCCSR01` acceptance rule, after the build: the
 /// image streamed from `input` must hold the file's own offsets and
-/// adjacency, row for row, in one more sequential read of the file. The
+/// adjacency, row for row, in one more sequential read of the file, and
+/// nothing may follow the adjacency (as in [`crate::io::read_csr`]). The
 /// source checked every row's shape, so a difference means the file is not
 /// symmetric; the first differing id names an edge without its mirror.
 fn check_csr_image(input: &Path, image: &Path, summary: &StreamSummary) -> io::Result<()> {
@@ -436,7 +441,7 @@ fn check_csr_image(input: &Path, image: &Path, summary: &StreamSummary) -> io::R
         };
         return Err(inconsistent(format!("edge ({x},{y}) not symmetric")));
     }
-    Ok(())
+    Ok(file_ids.finish()?)
 }
 
 /// Pair-iterator source (dataset generators): the iterator itself is the
@@ -749,7 +754,8 @@ impl Iterator for SortedIter<'_> {
 }
 
 /// Reader over one `CNCRUN01` spill run. Truncation — fewer pairs on disk
-/// than the header promised — is an [`io::ErrorKind::InvalidData`] error.
+/// than the header promised — and bytes after the last pair are
+/// [`io::ErrorKind::InvalidData`] errors.
 #[derive(Debug)]
 struct RunReader {
     reader: BufReader<File>,
@@ -779,6 +785,8 @@ impl RunReader {
 
     fn next(&mut self) -> io::Result<Option<(u32, u32)>> {
         if self.remaining == 0 {
+            expect_end(&mut self.reader)
+                .map_err(|e| invalid(format!("bad spill run {}: {e}", self.path.display())))?;
             return Ok(None);
         }
         let mut raw = [0u8; 8];
@@ -799,51 +807,27 @@ impl RunReader {
 // Two-pass CNCPREP4 assembly into a write-mode mapping.
 // ---------------------------------------------------------------------------
 
-fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
-    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
-    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn read_u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte range"))
-}
-
-/// Degree-count pass: one merge iteration.
-fn degree_pass(sorted: &SortedEdges, n: usize) -> io::Result<(Vec<u32>, usize)> {
-    let mut deg = vec![0u32; n];
-    let mut unique = 0usize;
-    for pair in sorted.iter()? {
-        let (u, v) = pair?;
-        deg[u as usize] += 1;
-        deg[v as usize] += 1;
-        unique += 1;
+/// The payload of every section of `image`, in file order, as disjoint
+/// writable slices.
+fn section_payloads<'a>(mut image: &'a mut [u8], sections: &[Section]) -> Vec<&'a mut [u8]> {
+    let mut at = 0;
+    let mut payloads = Vec::with_capacity(sections.len());
+    for s in sections {
+        let (payload, rest) =
+            std::mem::take(&mut image)[s.start - at..].split_at_mut(s.payload_len);
+        payloads.push(payload);
+        image = rest;
+        at = s.start + s.payload_len;
     }
-    Ok((deg, unique))
-}
-
-/// Write the offsets section (u64 prefix sums of `deg`) and return the
-/// cursor array (absolute element indices) the placement pass scatters
-/// through.
-fn write_offsets_section(bytes: &mut [u8], at: usize, deg: &[u32]) -> Vec<usize> {
-    let mut cursor = Vec::with_capacity(deg.len());
-    let mut acc = 0usize;
-    put_u64(bytes, at, 0);
-    for (u, &d) in deg.iter().enumerate() {
-        cursor.push(acc);
-        acc += d as usize;
-        put_u64(bytes, at + (u + 1) * 8, acc as u64);
-    }
-    cursor
+    payloads
 }
 
 /// The streamed build core: consume `source` through an external sorter and
 /// fill the payloads of a `CNCPREP4` image at `out` — laid out, and sealed
-/// with its headers, by [`crate::prepare`] — through a write-mode mapping.
-/// Returns the summary; the caller owns tmp-name/rename protocol and
-/// metrics attribution.
+/// with its headers, by [`crate::prepare`] — through typed views of a
+/// write-mode mapping, with the CSR fillers the heap builder runs. Returns
+/// the summary; the caller owns tmp-name/rename protocol and metrics
+/// attribution.
 fn build_to_path(
     mut source: Box<dyn EdgeSource + '_>,
     policy: ReorderPolicy,
@@ -863,62 +847,11 @@ fn build_to_path(
     drop(source);
     let sorted = sorter.into_sorted()?;
     let n = sorted.max_id_plus1().max(declared);
-
-    // Pass 1: degrees. |V| words + the merge readers.
-    let (deg, unique) = degree_pass(&sorted, n)?;
-    let m_dir = unique
-        .checked_mul(2)
-        .ok_or_else(|| invalid("directed edge count overflows"))?;
-    peak.observe((deg.len() * 4) as u64 + sorted.resident_bytes());
-
-    // Every section size is known now: fix the file layout. File bytes
-    // arrive zero-filled, which is exactly the padding the format requires.
-    let reordered = matches!(policy, ReorderPolicy::DegreeDescending);
-    let layout = prepare::layout(n, m_dir, reordered)?;
-    let sections = &layout.sections;
-    let mut map = MappedFileMut::create(out, layout.len)?;
-    {
-        let bytes = map.bytes_mut();
-
-        // Original offsets + pass 2: direct placement of both directions,
-        // tallying each canonical pair's skew on the way (the degrees are
-        // final since pass 1).
-        let cursor = write_offsets_section(bytes, sections[0].start, &deg);
-        let dst_at = sections[1].start;
-        let mut skew = SkewTally::new(SKEW_THRESHOLD);
-        {
-            let mut cur = cursor.clone();
-            peak.observe((deg.len() * 4 + cursor.len() * 8 * 2) as u64 + sorted.resident_bytes());
-            for pair in sorted.iter()? {
-                let (u, v) = pair?;
-                let (u_at, v_at) = (u as usize, v as usize);
-                put_u32(bytes, dst_at + cur[u_at] * 4, v);
-                cur[u_at] += 1;
-                put_u32(bytes, dst_at + cur[v_at] * 4, u);
-                cur[v_at] += 1;
-                skew.add(deg[u_at] as usize, deg[v_at] as usize);
-            }
-            // The merged stream is globally sorted, so every neighbor run
-            // was written ascending — no per-run sort pass.
-        }
-        write_rev_walk(bytes, dst_at, sections[2].start, m_dir, cursor.clone());
-
-        if reordered {
-            relabel_sections(bytes, sections, &deg, m_dir, &mut peak)?;
-        }
-
-        let max_degree = deg.iter().copied().max().unwrap_or(0);
-        for s in sections {
-            let header = prepare::section_header(s.bytes(bytes), s.elem_width);
-            bytes[s.header_range()].copy_from_slice(&header);
-        }
-        let header = prepare::file_header(policy, skew.percentage(), u64::from(max_degree));
-        bytes[..header.len()].copy_from_slice(&header);
-    }
-    let file = map.into_file();
-    file.sync_all()?;
-    drop(file);
-
+    let (m_dir, file_bytes) = if mmap::zero_copy_layout() {
+        fill_mapped(&sorted, n, policy, out, &mut peak)?
+    } else {
+        write_from_heap(&sorted, n, policy, out, &mut peak)?
+    };
     let summary = StreamSummary {
         num_vertices: n,
         num_directed_edges: m_dir,
@@ -926,7 +859,7 @@ fn build_to_path(
         spill_bytes: sorted.spill_bytes(),
         stream_chunks,
         peak_resident_bytes: peak.peak,
-        file_bytes: layout.len as u64,
+        file_bytes,
     };
     bump(|m| {
         m.stream_chunks += summary.stream_chunks;
@@ -935,83 +868,112 @@ fn build_to_path(
     Ok(summary)
 }
 
-/// Reverse-index cursor walk (`rev[e(u,v)] = cursor[v]++`) over the mapped
-/// dst section, writing `m_dir` u64 slots.
-fn write_rev_walk(
-    bytes: &mut [u8],
-    dst_at: usize,
-    rev_at: usize,
-    m_dir: usize,
-    mut cursor: Vec<usize>,
-) {
-    for eid in 0..m_dir {
-        let v = read_u32_at(bytes, dst_at + eid * 4) as usize;
-        put_u64(bytes, rev_at + eid * 8, cursor[v] as u64);
-        cursor[v] += 1;
+/// Two passes over the merged stream into a mapped image: degrees, then
+/// the cursor scatter of the original CSR with the skew tally, then the
+/// reverse walk and, under the degree-descending policy, the per-row
+/// relabel. Returns the directed edge count and the file length.
+fn fill_mapped(
+    sorted: &SortedEdges,
+    n: usize,
+    policy: ReorderPolicy,
+    out: &Path,
+    peak: &mut Peak,
+) -> io::Result<(usize, u64)> {
+    // Pass 1: degrees. |V| words + the merge readers.
+    let deg = count_degrees(n, sorted.iter()?)?;
+    peak.observe((deg.len() * 4) as u64 + sorted.resident_bytes());
+    let m_dir = deg
+        .iter()
+        .try_fold(0usize, |acc, &d| acc.checked_add(d as usize))
+        .ok_or_else(|| invalid("directed edge count overflows"))?;
+    let max_degree = deg.iter().copied().max().unwrap_or(0);
+
+    // Every section size is known now: fix the file layout. File bytes
+    // arrive zero-filled, which is exactly the padding the format requires.
+    let reordered = matches!(policy, ReorderPolicy::DegreeDescending);
+    let layout = prepare::layout(n, m_dir, reordered)?;
+    let mut map = MappedFileMut::create(out, layout.len)?;
+    let bytes = map.bytes_mut();
+    let skew = {
+        let mut payloads = section_payloads(&mut *bytes, &layout.sections).into_iter();
+        let mut next = || {
+            payloads
+                .next()
+                .ok_or_else(|| invalid("CNCPREP4 layout without its sections"))
+        };
+        let (offsets, dst, rev) = (
+            typed_mut::<usize>(next()?)?,
+            typed_mut::<u32>(next()?)?,
+            typed_mut::<usize>(next()?)?,
+        );
+        fill_offsets(offsets, deg.into_iter().map(|d| d as usize));
+        let offsets = &*offsets;
+        let degree = |u: u32| offsets[u as usize + 1] - offsets[u as usize];
+
+        // Pass 2: the cursor scatter, tallying each canonical pair's skew
+        // on the way (the degrees are final since pass 1). One cursor
+        // array + the merge readers.
+        peak.observe((n * 8) as u64 + sorted.resident_bytes());
+        let mut skew = SkewTally::new(SKEW_THRESHOLD);
+        let tallied = sorted.iter()?.inspect(|pair| {
+            if let Ok((u, v)) = *pair {
+                skew.add(degree(u), degree(v));
+            }
+        });
+        scatter_sorted(offsets, dst, tallied)?;
+        fill_reverse(offsets, dst, rev);
+
+        if reordered {
+            let (offsets2, dst2, rev2, new_to_old) = (
+                typed_mut::<usize>(next()?)?,
+                typed_mut::<u32>(next()?)?,
+                typed_mut::<usize>(next()?)?,
+                typed_mut::<u32>(next()?)?,
+            );
+            let ids = u32::try_from(n).map_err(|_| invalid("|V| exceeds u32 vertex ids"))?;
+            // The order and its inverse, then one cursor array for the walk.
+            peak.observe((n * 8) as u64);
+            new_to_old.copy_from_slice(&degree_descending_order(ids, degree));
+            let old_to_new = invert(new_to_old);
+            relabel_rows((offsets, dst), new_to_old, &old_to_new, offsets2, dst2);
+            drop(old_to_new);
+            fill_reverse(offsets2, dst2, rev2);
+        }
+        skew
+    };
+
+    for s in &layout.sections {
+        let header = prepare::section_header(s.bytes(bytes), s.elem_width);
+        bytes[s.header_range()].copy_from_slice(&header);
     }
+    let header = prepare::file_header(policy, skew.percentage(), u64::from(max_degree));
+    bytes[..header.len()].copy_from_slice(&header);
+    let file = map.into_file();
+    file.sync_all()?;
+    Ok((m_dir, layout.len as u64))
 }
 
-/// Fill the relabeled sections (offsets / dst / rev / new→old) for the
-/// degree-descending policy the way [`crate::reorder::degree_descending`]
-/// relabels: order vertices by [`degree_descending_order`], relabel each
-/// neighbor run through the inverse permutation, sort the single run.
-/// Peak scratch is O(|V|) plus one max-degree run buffer.
-fn relabel_sections(
-    bytes: &mut [u8],
-    sections: &[Section],
-    deg: &[u32],
-    m_dir: usize,
+/// Where typed views cannot alias the file's u64 little-endian sections
+/// (see [`crate::mmap::zero_copy_layout`]): hand the merged stream to the
+/// heap builder and write its image with
+/// [`crate::prepare::write_prepared`]. Same bytes, but the memory is no
+/// longer bounded by the budget.
+fn write_from_heap(
+    sorted: &SortedEdges,
+    n: usize,
+    policy: ReorderPolicy,
+    out: &Path,
     peak: &mut Peak,
-) -> io::Result<()> {
-    let n = deg.len();
-    let ids = u32::try_from(n).map_err(|_| invalid("|V| exceeds u32 vertex ids"))?;
-    let new_to_old = degree_descending_order(ids, |u| deg[u as usize]);
-    let old_to_new = invert(&new_to_old);
-    let max_degree = deg.iter().copied().max().unwrap_or(0) as usize;
-    peak.observe((deg.len() * 4 + n * 8 + n * 8 + n * 8 + max_degree * 4) as u64);
-
-    // Relabeled offsets: prefix sums of permuted degrees; the returned
-    // cursor drives the rev walk below.
-    let mut deg2 = Vec::with_capacity(n);
-    for &old_id in &new_to_old {
-        deg2.push(deg[old_id as usize]);
-    }
-    let cursor2 = write_offsets_section(bytes, sections[3].start, &deg2);
-
-    // Relabeled adjacency: map each original run through old→new, sort it.
-    let (src_dst_at, dst2_at) = (sections[1].start, sections[4].start);
-    let mut run: Vec<u32> = Vec::with_capacity(max_degree);
-    let mut old_start = vec![0usize; n];
-    {
-        let mut acc = 0usize;
-        for (u, &d) in deg.iter().enumerate() {
-            old_start[u] = acc;
-            acc += d as usize;
-        }
-    }
-    let mut write_at = dst2_at;
-    for &old_u in &new_to_old {
-        let d = deg[old_u as usize] as usize;
-        let base = src_dst_at + old_start[old_u as usize] * 4;
-        run.clear();
-        for k in 0..d {
-            let v = read_u32_at(bytes, base + k * 4);
-            run.push(old_to_new[v as usize]);
-        }
-        run.sort_unstable();
-        for &v in &run {
-            put_u32(bytes, write_at, v);
-            write_at += 4;
-        }
-    }
-
-    write_rev_walk(bytes, dst2_at, sections[5].start, m_dir, cursor2);
-
-    let nto_at = sections[6].start;
-    for (i, &old_id) in new_to_old.iter().enumerate() {
-        put_u32(bytes, nto_at + i * 4, old_id);
-    }
-    Ok(())
+) -> io::Result<(usize, u64)> {
+    let pairs = sorted.iter()?.collect::<io::Result<Vec<_>>>()?;
+    let graph = CsrGraph::from_sorted_pairs(n, &pairs);
+    peak.observe((pairs.capacity() * 8 + graph.csr_bytes()) as u64);
+    drop(pairs);
+    let pg = PreparedGraph::derive(graph, policy);
+    let file = File::create(out)?;
+    prepare::write_prepared(&pg, &file)?;
+    file.sync_all()?;
+    Ok((pg.graph().num_directed_edges(), file.metadata()?.len()))
 }
 
 // ---------------------------------------------------------------------------
@@ -1133,6 +1095,28 @@ mod tests {
                 }
                 let _ = fs::remove_file(&out);
             }
+        }
+    }
+
+    /// The fallback for targets whose layout typed views cannot alias
+    /// writes the mapped writer's bytes.
+    #[test]
+    fn heap_fallback_writes_the_mapped_image() {
+        for policy in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
+            let el = generators::hub_web(150, 5.0, 2, 0.4, 6);
+            let mut sorter = ExternalSorter::new(&tiny_config(4096)).unwrap();
+            for (u, v) in el.iter() {
+                sorter.push(u, v).unwrap();
+            }
+            let sorted = sorter.into_sorted().unwrap();
+            let (mapped, heap) = (tmp("fill.prep"), tmp("heap.prep"));
+            let n = el.num_vertices;
+            let a = fill_mapped(&sorted, n, policy, &mapped, &mut Peak::default()).unwrap();
+            let b = write_from_heap(&sorted, n, policy, &heap, &mut Peak::default()).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(fs::read(&mapped).unwrap(), fs::read(&heap).unwrap());
+            let _ = fs::remove_file(&mapped);
+            let _ = fs::remove_file(&heap);
         }
     }
 
@@ -1316,7 +1300,7 @@ mod tests {
 
     /// The spill-run reader under the byte mutations `tests/decode_mutation.rs`
     /// applies to the public decoders: it never panics, and a run it reads
-    /// to the end re-encodes to a prefix of its bytes.
+    /// to the end re-encodes to exactly its bytes.
     #[test]
     fn mutated_spill_runs_never_panic() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1347,10 +1331,14 @@ mod tests {
                 continue;
             };
             let mut pairs = Vec::new();
-            while let Ok(Some(pair)) = reader.next() {
-                pairs.push(pair);
-            }
-            if reader.remaining == 0 {
+            let complete = loop {
+                match reader.next() {
+                    Ok(Some(pair)) => pairs.push(pair),
+                    Ok(None) => break true,
+                    Err(_) => break false,
+                }
+            };
+            if complete {
                 let mut again = Writer::with_capacity(16 + pairs.len() * 8);
                 again.bytes(RUN_MAGIC);
                 again.usize(pairs.len());
@@ -1358,10 +1346,49 @@ mod tests {
                     again.u32(u);
                     again.u32(v);
                 }
-                assert!(bytes.starts_with(again.as_bytes()), "{bytes:02x?}");
+                assert_eq!(bytes, again.as_bytes(), "{bytes:02x?}");
             }
         }
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn spill_run_with_one_trailing_byte_is_refused() {
+        let mut sorter = ExternalSorter::new(&tiny_config(1)).unwrap();
+        for i in 0..600u32 {
+            sorter.push(i, i + 1).unwrap();
+        }
+        let run = sorter.spill_dir().join("run-0.cncrun");
+        let mut bytes = fs::read(&run).unwrap();
+        bytes.push(0);
+        let path = tmp("trailing.cncrun");
+        fs::write(&path, &bytes).unwrap();
+        let mut reader = RunReader::open(&path, MIN_CHUNK_BYTES).unwrap();
+        let err = loop {
+            match reader.next() {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("a run with a trailing byte must be refused"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("1 trailing bytes"), "{err}");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn csr_input_with_one_trailing_byte_is_refused() {
+        let g = CsrGraph::from_edge_list(&generators::gnm(100, 420, 9));
+        let mut bin = Vec::new();
+        crate::io::write_csr(&g, &mut bin).unwrap();
+        bin.push(0);
+        let (input, out) = (tmp("trailing.csr"), tmp("trailing.prep"));
+        fs::write(&input, &bin).unwrap();
+        let err = prepare_file(&input, &out, ReorderPolicy::None, &tiny_config(8192)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("1 trailing bytes"), "{err}");
+        assert!(!out.exists(), "a refused input leaves no image");
+        let _ = fs::remove_file(&input);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for the graph substrate.
 
+use std::collections::BTreeSet;
+
 use cnc_graph::{generators, io, reorder, CsrGraph, EdgeList};
 use proptest::prelude::*;
 
@@ -13,6 +15,33 @@ proptest! {
 
     #[test]
     fn csr_from_arbitrary_pairs_is_valid(ps in pairs(64, 300)) {
+        // Raw input with loops, duplicates and both orientations of a pair.
+        let raw: Vec<(u32, u32)> = ps
+            .iter()
+            .flat_map(|&(u, v)| [(u, v), (v, u), (u, v)])
+            .collect();
+        let n = 64;
+        let mut oracle = vec![BTreeSet::new(); n];
+        let mut pushed = EdgeList::new(n);
+        for &(u, v) in &raw {
+            if u != v {
+                oracle[u as usize].insert(v);
+                oracle[v as usize].insert(u);
+            }
+            pushed.push(u, v);
+        }
+        // Both entries to the one builder: raw pairs, and an unnormalized
+        // list, which `from_edge_list` canonicalizes first.
+        for g in [
+            CsrGraph::from_undirected_pairs(n, raw.iter().copied()),
+            CsrGraph::from_edge_list(&pushed),
+        ] {
+            prop_assert!(g.validate().is_ok());
+            prop_assert_eq!(g.num_vertices(), n);
+            for (u, want) in (0u32..).zip(&oracle) {
+                prop_assert!(g.neighbors(u).iter().eq(want.iter()), "row {}", u);
+            }
+        }
         let el = EdgeList::from_pairs(ps);
         let g = CsrGraph::from_edge_list(&el);
         prop_assert!(g.validate().is_ok());
@@ -58,12 +87,14 @@ proptest! {
     #[test]
     fn relabel_preserves_adjacency(ps in pairs(32, 120)) {
         let g = CsrGraph::from_edge_list(&EdgeList::from_pairs(ps));
-        let r = reorder::degree_descending(&g);
-        for u in 0..g.num_vertices() as u32 {
-            for v in 0..g.num_vertices() as u32 {
-                let before = g.edge_offset(u, v).is_some();
-                let after = r.graph.edge_offset(r.to_new(u), r.to_new(v)).is_some();
-                prop_assert_eq!(before, after, "adjacency changed for ({}, {})", u, v);
+        for r in [reorder::degree_descending(&g), reorder::core_descending(&g)] {
+            prop_assert!(r.graph.validate().is_ok());
+            for u in 0..g.num_vertices() as u32 {
+                for v in 0..g.num_vertices() as u32 {
+                    let before = g.edge_offset(u, v).is_some();
+                    let after = r.graph.edge_offset(r.to_new(u), r.to_new(v)).is_some();
+                    prop_assert_eq!(before, after, "adjacency changed for ({}, {})", u, v);
+                }
             }
         }
     }
