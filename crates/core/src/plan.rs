@@ -2,7 +2,9 @@
 //! touching edge data, resolved into an explicit, inspectable value.
 //!
 //! [`Runner::plan`](crate::Runner::plan) produces a [`Plan`] from the
-//! platform × algorithm configuration and the target [`PreparedGraph`]:
+//! platform × algorithm configuration and the one fact it reads of the
+//! target [`PreparedGraph`], its `|V|` ([`Runner::plan_for_vertices`] takes
+//! that count directly):
 //!
 //! * the reordering decision (degree-descending preprocessing on/off);
 //! * kernel selection — the `RfChoice` is resolved against `|V|` into a
@@ -129,6 +131,14 @@ impl Runner {
     /// descriptive error. Planning reads only the preparation's metadata
     /// (`|V|` for the range-filter ratio) — no edge data is touched.
     pub fn plan(&self, prepared: &PreparedGraph) -> Result<Plan, PlanError> {
+        self.plan_for_vertices(prepared.graph().num_vertices())
+    }
+
+    /// [`Runner::plan`] from the one input it reads, the graph's `|V|`. A
+    /// shard worker that loaded only its execution CSR plans through this
+    /// with that CSR's `|V|` (a relabel keeps `|V|`), so it and the
+    /// coordinator follow one planning rule.
+    pub fn plan_for_vertices(&self, num_vertices: usize) -> Result<Plan, PlanError> {
         let algorithm = self.algorithm();
         let cpu_kernel = match &algorithm {
             Algorithm::MergeBaseline => CpuKernel::Merge,
@@ -136,7 +146,7 @@ impl Runner {
                 simd: modeled_simd(self.platform()).unwrap_or(cfg.simd),
                 ..*cfg
             }),
-            Algorithm::Bmp(rf) => CpuKernel::Bmp(rf.mode(prepared.graph().num_vertices())),
+            Algorithm::Bmp(rf) => CpuKernel::Bmp(rf.mode(num_vertices)),
         };
         cpu_kernel.validate()?;
         let workload = self.workload_kind();

@@ -664,11 +664,35 @@ pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()>
     w.flush()
 }
 
-/// Validate a `CNCPREP4` byte image *in place* — header, section layout,
-/// alignment, per-section checksums — without copying any payload. Returns
-/// the policy, the persisted statistics, and the section table (3 sections,
-/// or 7 with reorder data) with each section's payload.
-fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared<'_>> {
+/// The sections of an image a load checksums and hands on.
+#[derive(Debug, Clone, Copy)]
+enum Sections {
+    /// Every section: both CSRs and the remap table.
+    All,
+    /// The three sections of the CSR [`PreparedGraph::execution_graph`]
+    /// returns for `reorder`: the relabeled one when the image holds it,
+    /// the original otherwise.
+    ExecutionCsr { reorder: bool },
+}
+
+impl Sections {
+    /// Indexes of the selected sections in an image with or without the
+    /// reorder sections.
+    fn range(self, has_reordered: bool) -> std::ops::Range<usize> {
+        match self {
+            Sections::All => 0..section_widths(has_reordered).len(),
+            Sections::ExecutionCsr { reorder: true } if has_reordered => 3..6,
+            Sections::ExecutionCsr { .. } => 0..3,
+        }
+    }
+}
+
+/// Validate a `CNCPREP4` byte image *in place* without copying any
+/// payload: the header, every section's header, length and padding, the
+/// file length, and the checksums of the `select`ed sections. Returns the
+/// policy, the persisted statistics, and the selected sections, in file
+/// order, each with its payload.
+fn parse_prepared(bytes: &[u8], select: Sections) -> io::Result<ParsedPrepared<'_>> {
     let mut r = Reader::new(bytes);
     let sealed = r.bytes(HEADER_LEN - 8, "CNCPREP4 header")?;
     let mut h = Reader::new(sealed);
@@ -696,7 +720,8 @@ fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared<'_>> {
     }
     let skew_pct = f64::from_bits(h.u64("skew percentage")?);
     let max_degree = h.usize("maximum degree")?;
-    let mut sections = Vec::with_capacity(expected_widths.len());
+    let selected = select.range(has_reordered);
+    let mut sections = Vec::with_capacity(selected.len());
     for (i, &width) in expected_widths.iter().enumerate() {
         let in_section = |e: DecodeError| invalid(format!("section {i}: {e}"));
         debug_assert_eq!(r.offset() % ALIGN, 0);
@@ -720,12 +745,14 @@ fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared<'_>> {
         let payload = r
             .bytes(payload_len, "section payload")
             .map_err(in_section)?;
-        if checksum(payload) != want_checksum {
-            return Err(invalid(format!("checksum mismatch in section {i}")));
+        if selected.contains(&i) {
+            if checksum(payload) != want_checksum {
+                return Err(invalid(format!("checksum mismatch in section {i}")));
+            }
+            sections.push((section, payload));
         }
         r.bytes(section.padding(), "section padding")
             .map_err(in_section)?;
-        sections.push((section, payload));
     }
     r.finish()
         .map_err(|_| invalid("file length inconsistent with section table"))?;
@@ -737,8 +764,8 @@ fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared<'_>> {
     })
 }
 
-/// The validated header fields + section table of a `CNCPREP4` image, each
-/// section with its payload bytes.
+/// The validated header fields of a `CNCPREP4` image and its selected
+/// sections, each with its payload bytes.
 struct ParsedPrepared<'a> {
     policy: ReorderPolicy,
     skew_pct: f64,
@@ -817,7 +844,7 @@ fn assemble_image(
 
 fn prepared_from_image(bytes: &[u8]) -> io::Result<PreparedGraph> {
     assemble_image(
-        &parse_prepared(bytes)?,
+        &parse_prepared(bytes, Sections::All)?,
         |[(so, offsets), (sd, dst), (sr, rev)]| {
             let offsets = Reader::new(offsets).usizes(so.count(), "offsets")?;
             let dst = Reader::new(dst).u32s(sd.count(), "neighbors")?;
@@ -858,37 +885,74 @@ pub fn read_prepared<R: Read>(mut reader: R) -> io::Result<PreparedGraph> {
 /// memory layout cannot alias u64 little-endian arrays — leave callers to
 /// fall back to [`read_prepared`].
 pub fn map_prepared(path: &Path) -> io::Result<PreparedGraph> {
+    let map = map_image(path)?;
+    let pg = assemble_image(&parse_prepared(map.bytes(), Sections::All)?, |parts| {
+        mapped_csr(&map, parts)
+    })?;
+    bump(|m| {
+        m.mmap_hits += 1;
+        m.bytes_mapped += pg.mapped_bytes();
+    });
+    Ok(pg)
+}
+
+/// Map only the CSR `PreparedGraph::execution_graph(reorder)` would return
+/// from a `CNCPREP4` file: the loader of a process that executes on one
+/// CSR and needs nothing else of the preparation (a shard worker).
+///
+/// It checks what [`map_prepared`] checks of the file — the header, every
+/// section's header, length and padding, and the file length — and of the
+/// three sections it returns, exactly what [`map_prepared`] checks of each
+/// CSR: their checksums, the structural CSR invariants and the full
+/// reverse-index check. The other sections (the other CSR, the remap table)
+/// are neither checksummed nor read. Counters and errors as in
+/// [`map_prepared`]; on `Unsupported`, fall back to [`read_prepared`].
+pub fn map_execution_csr(path: &Path, reorder: bool) -> io::Result<CsrGraph> {
+    let map = map_image(path)?;
+    let parsed = parse_prepared(map.bytes(), Sections::ExecutionCsr { reorder })?;
+    let parts = parsed
+        .sections
+        .as_slice()
+        .try_into()
+        .map_err(|_| invalid("a CSR takes three sections"))?;
+    let g = mapped_csr(&map, parts)?;
+    bump(|m| {
+        m.mmap_hits += 1;
+        m.bytes_mapped += g.csr_bytes() as u64;
+    });
+    Ok(g)
+}
+
+/// Map `path` read-only where the platform can serve its sections in place.
+fn map_image(path: &Path) -> io::Result<Arc<MappedFile>> {
     if !mmap::zero_copy_layout() {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "zero-copy load needs a 64-bit little-endian platform",
         ));
     }
-    let map = MappedFile::open(path)?;
-    let pg = assemble_image(
-        &parse_prepared(map.bytes())?,
-        |[(so, _), (sd, _), (sr, _)]| {
-            let offsets: GraphStore<usize> = map.typed_slice::<usize>(so.start, so.count())?.into();
-            let dst: GraphStore<u32> = map.typed_slice::<u32>(sd.start, sd.count())?.into();
-            let rev: GraphStore<usize> = map.typed_slice::<usize>(sr.start, sr.count())?.into();
-            // Structural validation only: the section checksums already verified
-            // these are the exact bytes a valid graph serialized to, so the
-            // O(|E| log d) symmetry probes of the full check are skipped. The
-            // reverse index *is* fully verified (O(|E|), no searches): a wrong
-            // index silently mirrors counts to wrong slots, so it gets the same
-            // trust bar as the CSR symmetry it stands in for.
-            let mut g = CsrGraph::try_from_stores_structural(offsets, dst)
-                .map_err(|e| invalid(format!("inconsistent CSR: {e}")))?;
-            g.try_attach_reverse_index(rev)
-                .map_err(|e| invalid(format!("inconsistent reverse index: {e}")))?;
-            Ok(g)
-        },
-    )?;
-    bump(|m| {
-        m.mmap_hits += 1;
-        m.bytes_mapped += pg.mapped_bytes();
-    });
-    Ok(pg)
+    MappedFile::open(path)
+}
+
+/// One CSR served in place out of `map` from its three checksummed
+/// sections. Structural validation only: the section checksums already
+/// verified these are the exact bytes a valid graph serialized to, so the
+/// O(|E| log d) symmetry probes of the full check are skipped. The reverse
+/// index *is* fully verified (O(|E|), no searches): a wrong index silently
+/// mirrors counts to wrong slots, so it gets the same trust bar as the CSR
+/// symmetry it stands in for.
+fn mapped_csr(
+    map: &Arc<MappedFile>,
+    [(so, _), (sd, _), (sr, _)]: &CsrParts<'_>,
+) -> io::Result<CsrGraph> {
+    let offsets: GraphStore<usize> = map.typed_slice::<usize>(so.start, so.count())?.into();
+    let dst: GraphStore<u32> = map.typed_slice::<u32>(sd.start, sd.count())?.into();
+    let rev: GraphStore<usize> = map.typed_slice::<usize>(sr.start, sr.count())?.into();
+    let mut g = CsrGraph::try_from_stores_structural(offsets, dst)
+        .map_err(|e| invalid(format!("inconsistent CSR: {e}")))?;
+    g.try_attach_reverse_index(rev)
+        .map_err(|e| invalid(format!("inconsistent reverse index: {e}")))?;
+    Ok(g)
 }
 
 /// The on-disk cache directory: `$CNC_CACHE_DIR` when set, `results/cache`
@@ -1254,7 +1318,7 @@ mod tests {
         let pg = PreparedGraph::from_edge_list(&el, ReorderPolicy::DegreeDescending);
         let mut buf = Vec::new();
         write_prepared(&pg, &mut buf).unwrap();
-        let parsed = parse_prepared(&buf).unwrap();
+        let parsed = parse_prepared(&buf, Sections::All).unwrap();
         let sections = &parsed.sections;
         assert_eq!(sections.len(), 7);
         for (i, (s, _)) in sections.iter().enumerate() {
@@ -1304,7 +1368,7 @@ mod tests {
         let pg = PreparedGraph::from_edge_list(&el, ReorderPolicy::None);
         let mut buf = Vec::new();
         write_prepared(&pg, &mut buf).unwrap();
-        let rev = parse_prepared(&buf).unwrap().sections[2].0;
+        let rev = parse_prepared(&buf, Sections::All).unwrap().sections[2].0;
         assert_eq!(rev.elem_width, 8);
         let (a, b) = (rev.start, rev.start + 8);
         for i in 0..8 {
@@ -1315,6 +1379,191 @@ mod tests {
         buf[cksum_at..cksum_at + 8].copy_from_slice(&fixed.to_le_bytes());
         let err = read_prepared(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("reverse index"), "{err}");
+    }
+
+    /// Seal `section`'s payload in `image` with a fresh checksum, so only
+    /// the content checks can catch what was changed in it.
+    fn reseal(image: &mut [u8], section: Section) {
+        let fixed = checksum(section.bytes(image));
+        let at = section.header_range().start + 8;
+        image[at..at + 8].copy_from_slice(&fixed.to_le_bytes());
+    }
+
+    /// Load `image` with `load` from a file of its own; the file is
+    /// unlinked at once (a mapping keeps it alive).
+    fn load_from_file<T>(image: &[u8], load: impl FnOnce(&Path) -> io::Result<T>) -> io::Result<T> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "cnc-prep-load-{}-{}.prep",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::write(&path, image)?;
+        let loaded = load(&path);
+        fs::remove_file(&path)?;
+        loaded
+    }
+
+    fn map_execution_bytes(image: &[u8], reorder: bool) -> io::Result<CsrGraph> {
+        load_from_file(image, |path| map_execution_csr(path, reorder))
+    }
+
+    fn full_map(image: &[u8]) -> io::Result<PreparedGraph> {
+        load_from_file(image, map_prepared)
+    }
+
+    fn assert_same_csr(got: &CsrGraph, want: &CsrGraph, what: &str) {
+        assert!(got.storage_mapped(), "{what}: served in place");
+        assert_eq!(got.offsets(), want.offsets(), "{what}: offsets");
+        assert_eq!(got.dst(), want.dst(), "{what}: neighbors");
+        assert_eq!(
+            got.reverse_index(),
+            want.reverse_index(),
+            "{what}: reverse index"
+        );
+    }
+
+    #[test]
+    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
+    fn execution_csr_is_the_full_loads_execution_graph() {
+        let budgeted = stream::StreamConfig {
+            mem_budget: Some(4096),
+            spill_dir: None,
+        };
+        for dataset in Dataset::ALL {
+            let el = dataset.edge_list(Scale::Tiny);
+            for policy in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
+                let mut in_memory = Vec::new();
+                write_prepared(&PreparedGraph::from_edge_list(&el, policy), &mut in_memory)
+                    .unwrap();
+                let path = std::env::temp_dir().join(format!(
+                    "cnc-prep-streamed-{}-{}-{}.prep",
+                    std::process::id(),
+                    dataset.name(),
+                    policy.tag()
+                ));
+                stream::prepare_pairs_to_file(el.num_vertices, el.iter(), policy, &path, &budgeted)
+                    .unwrap();
+                let streamed = fs::read(&path).unwrap();
+                fs::remove_file(&path).unwrap();
+                for (kind, image) in [("in-memory", &in_memory), ("streamed", &streamed)] {
+                    let full = full_map(image).unwrap();
+                    for reorder in [false, true] {
+                        let what = format!(
+                            "{} {} {kind} reorder={reorder}",
+                            dataset.name(),
+                            policy.tag()
+                        );
+                        let got = map_execution_bytes(image, reorder).unwrap();
+                        assert_same_csr(&got, full.execution_graph(reorder), &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
+    fn execution_csr_refuses_damage_in_the_sections_it_reads() {
+        let el = generators::hub_web(300, 6.0, 2, 0.4, 3);
+        for policy in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
+            let pg = PreparedGraph::from_edge_list(&el, policy);
+            let mut image = Vec::new();
+            write_prepared(&pg, &mut image).unwrap();
+            let table: Vec<Section> = parse_prepared(&image, Sections::All)
+                .unwrap()
+                .sections
+                .iter()
+                .map(|&(s, _)| s)
+                .collect();
+            for reorder in [false, true] {
+                let read = Sections::ExecutionCsr { reorder }.range(pg.reordered().is_some());
+                let what = format!("{} reorder={reorder}", policy.tag());
+                for i in read.clone() {
+                    let s = table[i];
+                    let mut flipped = image.clone();
+                    flipped[s.start + s.payload_len / 2] ^= 0x01;
+                    let err = map_execution_bytes(&flipped, reorder).unwrap_err();
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+                    let want = format!("checksum mismatch in section {i}");
+                    assert!(err.to_string().contains(&want), "{what}: {err}");
+                }
+                // A wrong permutation under a valid checksum: swap the first
+                // two reverse-index entries.
+                let rev = table[read.start + 2];
+                let mut swapped = image.clone();
+                for i in 0..8 {
+                    swapped.swap(rev.start + i, rev.start + 8 + i);
+                }
+                reseal(&mut swapped, rev);
+                let err = map_execution_bytes(&swapped, reorder).unwrap_err();
+                assert!(
+                    err.to_string().contains("reverse index corrupt"),
+                    "{what}: {err}"
+                );
+                // An out-of-range neighbor under a valid checksum: the last
+                // neighbor slot (the end of its run, so the run stays
+                // ascending) set to |V|.
+                let dst = table[read.start + 1];
+                let n = u32::try_from(pg.graph().num_vertices()).unwrap();
+                let mut wide = image.clone();
+                let last = dst.start + dst.payload_len - 4;
+                wide[last..last + 4].copy_from_slice(&n.to_le_bytes());
+                reseal(&mut wide, dst);
+                let err = map_execution_bytes(&wide, reorder).unwrap_err();
+                assert!(
+                    err.to_string().contains(&format!("neighbor {n} of")),
+                    "{what}: {err}"
+                );
+                assert!(err.to_string().contains("out of range"), "{what}: {err}");
+            }
+        }
+    }
+
+    /// The split between the two loaders: damage in a section the
+    /// execution-CSR loader does not read (the other CSR, the remap table)
+    /// passes that loader, which returns the intact execution graph, and
+    /// fails `map_prepared`, which checks every section.
+    #[test]
+    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
+    fn unread_section_damage_passes_the_execution_loader_and_fails_map_prepared() {
+        let pg = PreparedGraph::from_edge_list(
+            &generators::gnm(64, 200, 5),
+            ReorderPolicy::DegreeDescending,
+        );
+        let mut image = Vec::new();
+        write_prepared(&pg, &mut image).unwrap();
+        let table: Vec<Section> = parse_prepared(&image, Sections::All)
+            .unwrap()
+            .sections
+            .iter()
+            .map(|&(s, _)| s)
+            .collect();
+        for reorder in [false, true] {
+            let read = Sections::ExecutionCsr { reorder }.range(true);
+            let unread: Vec<usize> = (0..table.len()).filter(|i| !read.contains(i)).collect();
+            assert_eq!(
+                unread.len(),
+                4,
+                "three sections of the other CSR and the remap table"
+            );
+            for i in unread {
+                let s = table[i];
+                let mut flipped = image.clone();
+                flipped[s.start] ^= 0x80;
+                let what = format!("section {i}, reorder={reorder}");
+                let got = map_execution_bytes(&flipped, reorder)
+                    .unwrap_or_else(|e| panic!("{what}: the loader does not read it: {e}"));
+                let mut want = pg.execution_graph(reorder).clone();
+                want.build_reverse_index();
+                assert_eq!(got.offsets(), want.offsets(), "{what}");
+                assert_eq!(got.dst(), want.dst(), "{what}");
+                assert_eq!(got.reverse_index(), want.reverse_index(), "{what}");
+                let err = full_map(&flipped).unwrap_err();
+                let want = format!("checksum mismatch in section {i}");
+                assert!(err.to_string().contains(&want), "{what}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -13,14 +13,22 @@
 //!
 //! Failure policy: a worker that dies mid-stream (crash, truncated frame,
 //! nonzero exit) gets exactly one retry; a second failure surfaces as
-//! [`ShardError::Worker`] with the shard index and attempt count. Spawn
-//! failures (missing executable) are not retried — nothing transient about
-//! them. Every failure increments the `shard.worker_failures` counter.
+//! [`ShardError::Worker`] with the shard index and attempt count, its
+//! reason followed by the last [`STDERR_TAIL_BYTES`] of the failed
+//! worker's stderr (a thread drains each worker's stderr pipe, so a chatty
+//! worker never blocks on it). Spawn failures (missing executable) are not
+//! retried — nothing transient about them. Every failure increments the
+//! `shard.worker_failures` counter.
+//!
+//! With an ambient `ObsContext`, the `shard` span holds one `execute` span
+//! per worker, then `assemble` (sections and spills into the full array)
+//! and `remap` (back to the input graph's offsets).
 
 use std::io::Read;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{ChildStderr, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use cnc_core::{Algorithm, Runner};
@@ -79,6 +87,10 @@ pub struct ShardOutput {
     pub wall_seconds: f64,
 }
 
+/// How much of a worker's stderr the coordinator keeps: its last bytes,
+/// appended to the reason of a failed attempt.
+pub const STDERR_TAIL_BYTES: usize = 4096;
+
 /// One worker attempt's successfully gathered stream.
 struct WorkerRun {
     shard: usize,
@@ -121,11 +133,11 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
     let spawned_workers = AtomicU64::new(0);
     let failures = AtomicU64::new(0);
 
+    // The shard span parents every per-worker execute span, then the
+    // assembly and the remap; monitor threads attach explicitly by id
+    // because span nesting is thread-local.
+    let shard_span = obs.as_ref().map(|ctx| ctx.span("shard"));
     let results: Vec<Result<WorkerRun, ShardError>> = {
-        // The shard span parents every per-worker execute span; monitor
-        // threads attach explicitly by id because span nesting is
-        // thread-local.
-        let shard_span = obs.as_ref().map(|ctx| ctx.span("shard"));
         let parent = shard_span.as_ref().map(|s| s.id());
         std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
@@ -193,15 +205,19 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
     // Assemble: copy every section into place, then let the spills
     // overwrite the mirror slots whose canonical pair lived in another
     // shard. Each slot is written correctly exactly once.
-    let mut full = vec![0u32; m];
-    for run in &runs {
-        full[run.range.clone()].copy_from_slice(&run.section);
-    }
-    for run in &runs {
-        for &(rev, c) in &run.spills {
-            full[rev] = c;
+    let full = {
+        let _s = obs.as_ref().map(|ctx| ctx.span("assemble"));
+        let mut full = vec![0u32; m];
+        for run in &runs {
+            full[run.range.clone()].copy_from_slice(&run.section);
         }
-    }
+        for run in &runs {
+            for &(rev, c) in &run.spills {
+                full[rev] = c;
+            }
+        }
+        full
+    };
 
     let mut work = WorkCounts::default();
     let (mut rebuilds, mut visited, mut skipped) = (0u64, 0u64, 0u64);
@@ -222,14 +238,14 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
 
     // One remap back to the input graph's offsets, exactly where the
     // single-process runner does it.
-    let counts = if plan.reorder {
-        match prepared.reordered() {
-            Some(r) => cnc_core::remap::counts_to_original(prepared.graph(), r, &full),
-            None => full,
+    let counts = match prepared.reordered().filter(|_| plan.reorder) {
+        Some(r) => {
+            let _s = obs.as_ref().map(|ctx| ctx.span("remap"));
+            cnc_core::remap::counts_to_original(prepared.graph(), r, &full)
         }
-    } else {
-        full
+        None => full,
     };
+    drop(shard_span);
 
     Ok(ShardOutput {
         counts,
@@ -267,7 +283,7 @@ fn run_one(
         .arg(attempt.to_string())
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null());
+        .stderr(Stdio::piped());
     if let Some(reorder) = cfg.reorder {
         cmd.arg("--reorder").arg(if reorder { "on" } else { "off" });
     }
@@ -278,28 +294,55 @@ fn run_one(
         .spawn()
         .map_err(|e| OneErr::Spawn(format!("cannot spawn {}: {e}", cfg.worker_exe.display())))?;
     let stdout = child.stdout.take().expect("stdout was piped");
-    match read_worker_stream(stdout, shard, &range, m) {
-        Ok(mut run) => {
-            let status = child
-                .wait()
-                .map_err(|e| OneErr::Failed(format!("wait failed: {e}")))?;
-            if !status.success() {
-                return Err(OneErr::Failed(format!(
-                    "worker exited with {status} after completing its stream"
-                )));
+    let stderr = drain_tail(child.stderr.take().expect("stderr was piped"));
+    let outcome = match read_worker_stream(stdout, shard, &range, m) {
+        Ok(mut run) => match child.wait() {
+            Ok(status) if status.success() => {
+                run.shard = shard;
+                run.range = range;
+                Ok(run)
             }
-            run.shard = shard;
-            run.range = range;
-            Ok(run)
-        }
+            Ok(status) => Err(format!(
+                "worker exited with {status} after completing its stream"
+            )),
+            Err(e) => Err(format!("wait failed: {e}")),
+        },
         Err(reason) => {
             // Never leave a zombie: the stream is broken, so the process is
             // of no further use regardless of what it thinks it is doing.
             let _ = child.kill();
             let _ = child.wait();
-            Err(OneErr::Failed(reason))
+            Err(reason)
         }
-    }
+    };
+    // The worker has exited, so its stderr is at end of file.
+    let tail = stderr.join().unwrap_or_default();
+    outcome.map_err(|reason| match tail.trim_end() {
+        "" => OneErr::Failed(reason),
+        tail => OneErr::Failed(format!("{reason}; worker stderr: {tail}")),
+    })
+}
+
+/// Drain `stderr` on its own thread until end of file and hand back its
+/// last [`STDERR_TAIL_BYTES`] as text.
+fn drain_tail(mut stderr: ChildStderr) -> JoinHandle<String> {
+    std::thread::spawn(move || {
+        let mut tail: Vec<u8> = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            match stderr.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => {
+                    tail.extend_from_slice(&buf[..n]);
+                    let excess = tail.len().saturating_sub(STDERR_TAIL_BYTES);
+                    tail.drain(..excess);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        String::from_utf8_lossy(&tail).into_owned()
+    })
 }
 
 fn read_worker_stream(

@@ -1,23 +1,29 @@
 //! The shard worker: one process, one edge range.
 //!
 //! A worker is the same `cnc` binary re-invoked as the hidden
-//! `shard-worker` subcommand. It loads the one shared prepared graph the
-//! coordinator points it at (memory-mapping warm caches, so N workers share
-//! the page cache instead of re-preparing N times), plans exactly like a
-//! single-process run, executes its assigned `[start, end)` directed edge
-//! range as a one-range list through `cnc_cpu::execute`, and streams its
-//! results back over stdout using the [`crate::protocol`] frames.
+//! `shard-worker` subcommand. From the one shared prepared-graph file the
+//! coordinator points it at, it maps only the CSR it executes on
+//! ([`prepare::map_execution_csr`]: the file's header and section table,
+//! and that CSR's checksums, structure and reverse index), so N workers
+//! share the page cache instead of re-preparing N times, and none checks or
+//! reads the other CSR or the remap table, which the coordinator holds
+//! validated and applies. It plans through the same planning rule as a
+//! single-process run ([`Runner::plan_for_vertices`] with the loaded CSR's
+//! `|V|`), executes its assigned `[start, end)` directed edge range as a
+//! one-range list through `cnc_cpu::execute`, and streams its results back
+//! over stdout using the [`crate::protocol`] frames. Its report records the
+//! `load`, `plan`, `execute` and `frame` stages.
 //!
-//! Determinism note: the worker runs the *full-length* [`ScatterVec`] the
-//! CNC workload always runs — the visit writes both `eid` and its mirror —
-//! then extracts its own section plus the mirror writes that landed outside
-//! the range ("spills"). Every directed slot of the final array is written
-//! by exactly one worker, so the coordinator's assembly is byte-identical
-//! to a single-process run by construction, not by accident of scheduling.
+//! Determinism note: the worker runs the *full-length* scatter target
+//! ([`ScatterVec`](cnc_workload::ScatterVec)) the CNC workload always runs,
+//! whose visit writes both `eid` and its mirror, then extracts its section
+//! and the mirror writes that landed outside the range ("spills"). Every
+//! directed slot of the final array is written by exactly one worker, so the
+//! assembly is byte-identical to a single-process run by construction.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,26 +113,25 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
         },
     )?;
 
-    // Warm-load the shared preparation: the mmap path when the platform
-    // allows it, streaming read otherwise.
-    let prepared = prepare::map_prepared(&args.prep)
-        .or_else(|_| std::fs::File::open(&args.prep).and_then(prepare::read_prepared))
-        .map_err(|e| format!("cannot load prepared graph {}: {e}", args.prep.display()))?;
-
-    // Plan exactly like a single-process sequential run of the same
-    // algorithm — the coordinator planned with the same inputs, so both
-    // sides agree on the kernel and the execution graph.
+    let ctx = Arc::new(ObsContext::new());
+    let _obs = ctx.install();
+    // The coordinator planned a sequential run of the same algorithm with
+    // the same reorder choice, so both sides pick one execution graph.
     let mut runner = Runner::new(Platform::CpuSequential, args.algo);
     if let Some(reorder) = args.reorder {
         runner = runner.reorder(reorder);
     }
-    let ctx = Arc::new(ObsContext::new());
-    let _obs = ctx.install();
+    let g = {
+        let _s = ctx.span("load");
+        load_execution_csr(&args.prep, runner.reorder_enabled())
+            .map_err(|e| format!("cannot load prepared graph {}: {e}", args.prep.display()))?
+    };
     let plan = {
         let _s = ctx.span("plan");
-        runner.plan(&prepared).map_err(|e| e.to_string())?
+        runner
+            .plan_for_vertices(g.num_vertices())
+            .map_err(|e| e.to_string())?
     };
-    let g = prepared.execution_graph(plan.reorder);
     let m = g.num_directed_edges();
     if args.start > args.end || args.end > m {
         return Err(format!(
@@ -139,29 +144,32 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
     let (counts, spills, tally) = {
         let mut s = ctx.span("execute");
         s.set_items((args.end - args.start) as u64);
-        count_block(g, plan.cpu_kernel, args.start..args.end, &mut meter)
+        count_block(&g, plan.cpu_kernel, args.start..args.end, &mut meter)
     };
     meter.counts.record_to(&*ctx);
 
     // Stream the section. Under fault injection, die after half the chunks
     // with the pipe flushed — the coordinator must observe a genuine
     // mid-stream death, not an instant EOF.
-    let section = &counts[args.start..args.end];
-    let chunks: Vec<&[u32]> = section.chunks(COUNTS_PER_FRAME).collect();
-    let die_after = fail_requested(args.shard, args.attempt).then_some(chunks.len() / 2);
-    for (i, chunk) in chunks.iter().enumerate() {
-        if die_after == Some(i) {
+    {
+        let _s = ctx.span("frame");
+        let section = &counts[args.start..args.end];
+        let chunks: Vec<&[u32]> = section.chunks(COUNTS_PER_FRAME).collect();
+        let die_after = fail_requested(args.shard, args.attempt).then_some(chunks.len() / 2);
+        for (i, chunk) in chunks.iter().enumerate() {
+            if die_after == Some(i) {
+                let _ = out.flush();
+                std::process::exit(101);
+            }
+            send(out, &WorkerMsg::Counts(chunk.to_vec()))?;
+        }
+        if die_after == Some(chunks.len()) {
             let _ = out.flush();
             std::process::exit(101);
         }
-        send(out, &WorkerMsg::Counts(chunk.to_vec()))?;
-    }
-    if die_after == Some(chunks.len()) {
-        let _ = out.flush();
-        std::process::exit(101);
-    }
-    for chunk in spills.chunks(SPILLS_PER_FRAME) {
-        send(out, &WorkerMsg::Spills(chunk.to_vec()))?;
+        for chunk in spills.chunks(SPILLS_PER_FRAME) {
+            send(out, &WorkerMsg::Spills(chunk.to_vec()))?;
+        }
     }
 
     // Ship the observability snapshot when it fits a frame comfortably.
@@ -180,6 +188,19 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
         }),
     )?;
     out.flush().map_err(|e| format!("flush failed: {e}"))
+}
+
+/// Map the CSR the run executes on. Only where mapping is unsupported is the
+/// whole image read into the heap instead; any other load error (a damaged
+/// file) is reported as it stands.
+fn load_execution_csr(path: &Path, reorder: bool) -> io::Result<CsrGraph> {
+    match prepare::map_execution_csr(path, reorder) {
+        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+            let prepared = prepare::read_prepared(std::fs::File::open(path)?)?;
+            Ok(prepared.execution_graph(reorder).clone())
+        }
+        loaded => loaded,
+    }
 }
 
 /// Count one block as a one-range list through the same `execute` as a

@@ -10,17 +10,23 @@
 //!   (the task owning `e(v,u)` itself skips it because its source exceeds
 //!   its destination).
 //!
-//! [`ScatterVec`] encapsulates the one `unsafe` block this requires, and in
-//! debug builds verifies the exactly-once discipline with an atomic flag per
-//! slot. It lives in this crate because it is the
-//! [`Shared`](crate::Workload::Shared) state of the CNC and pair-count
+//! [`ScatterVec`] encapsulates the `unsafe` this requires, and in debug
+//! builds verifies the exactly-once discipline with an atomic flag per
+//! slot. It is one zeroed allocation from [`ScatterVec::new`] to
+//! [`ScatterVec::into_vec`]: the allocator hands a large array out as
+//! untouched zero pages, so no pass fills it, and `into_vec` returns that
+//! same buffer, so no pass copies it. It lives in this crate because it is
+//! the [`Shared`](crate::Workload::Shared) state of the CNC and pair-count
 //! workloads.
 
 use std::cell::UnsafeCell;
+use std::mem::ManuallyDrop;
 
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// A `u32` slot with the layout of `u32`: `repr(transparent)` over
+/// `UnsafeCell<u32>`, which has the in-memory representation of `u32`.
 #[repr(transparent)]
 struct SyncCell(UnsafeCell<u32>);
 
@@ -32,16 +38,27 @@ unsafe impl Sync for SyncCell {}
 /// A fixed-length `u32` array supporting disjoint scatter writes from many
 /// threads.
 pub struct ScatterVec {
-    data: Box<[SyncCell]>,
+    data: Vec<SyncCell>,
     #[cfg(debug_assertions)]
     written: Box<[AtomicBool]>,
 }
 
 impl ScatterVec {
-    /// A zero-initialized array of `len` slots.
+    /// A zero-initialized array of `len` slots: one zeroed allocation.
     pub fn new(len: usize) -> Self {
+        let mut zeroed = ManuallyDrop::new(vec![0u32; len]);
+        // SAFETY: `SyncCell` has the layout of `u32`, so the allocation,
+        // with its length and capacity, is a valid `Vec<SyncCell>` of
+        // zeros; `zeroed` is never dropped, so the allocation has one owner.
+        let data = unsafe {
+            Vec::from_raw_parts(
+                zeroed.as_mut_ptr().cast::<SyncCell>(),
+                zeroed.len(),
+                zeroed.capacity(),
+            )
+        };
         Self {
-            data: (0..len).map(|_| SyncCell(UnsafeCell::new(0))).collect(),
+            data,
             #[cfg(debug_assertions)]
             written: (0..len).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -75,14 +92,14 @@ impl ScatterVec {
         unsafe { *self.data[idx].0.get() = value };
     }
 
-    /// Consume and return the plain vector.
+    /// Consume and return the plain vector: the same buffer, not a copy.
     pub fn into_vec(self) -> Vec<u32> {
-        self.data
-            .iter()
-            // SAFETY: `self` is owned here; no other thread can hold a
-            // reference, so reads are unaliased.
-            .map(|c| unsafe { *c.0.get() })
-            .collect()
+        let mut data = ManuallyDrop::new(self.data);
+        // SAFETY: `self` is owned here, so no other thread holds a reference
+        // and every write has happened; `SyncCell` has the layout of `u32`
+        // (see `new`), and `data` is never dropped, so the allocation passes
+        // to the returned vector alone.
+        unsafe { Vec::from_raw_parts(data.as_mut_ptr().cast::<u32>(), data.len(), data.capacity()) }
     }
 }
 
@@ -115,6 +132,23 @@ mod tests {
         let s = ScatterVec::new(3);
         s.set(1, 5);
         assert_eq!(s.into_vec(), vec![0, 5, 0]);
+    }
+
+    #[test]
+    fn large_array_comes_back_with_every_slot() {
+        // Past the allocator's threshold for fresh zero pages: the returned
+        // buffer is the zeroed allocation itself.
+        let n = (1 << 22) + 3;
+        let s = ScatterVec::new(n);
+        for i in (0..n).step_by(7) {
+            s.set(i, i as u32 | 1);
+        }
+        let v = s.into_vec();
+        assert_eq!(v.len(), n);
+        for (i, &x) in v.iter().enumerate() {
+            let want = if i % 7 == 0 { i as u32 | 1 } else { 0 };
+            assert_eq!(x, want, "slot {i}");
+        }
     }
 
     #[cfg(debug_assertions)]

@@ -10,8 +10,10 @@
 //!
 //! The invariant: a decoder never panics. A wire decoder's `Ok` value, a
 //! `CNCCSR01` graph and a `CNCCNT01` array re-encode to exactly their
-//! input, and a file decoder's `Ok` graph passes `validate()`. The streaming preparer accepts a `CNCCSR01` file exactly
-//! when `io::read_csr` does, and then writes the image of the same graph.
+//! input, and a file decoder's `Ok` graph passes `validate()` (the shard
+//! worker's one-CSR loader's with a consistent reverse index too). The
+//! streaming preparer accepts a `CNCCSR01` file exactly when
+//! `io::read_csr` does, and then writes the image of the same graph.
 //! (The `CNCRUN01` spill-run reader is private; the same loop runs as a
 //! unit test in `cnc_graph::stream`.)
 
@@ -217,6 +219,19 @@ fn valid(g: &CsrGraph) -> Result<(), String> {
         .map_err(|e| format!("accepted an invalid graph: {e}"))
 }
 
+/// A valid graph whose reverse index maps every slot `e(u, v)` to `e(v, u)`.
+fn valid_with_reverse_index(g: &CsrGraph) -> Result<(), String> {
+    valid(g)?;
+    let rev = g.reverse_index().ok_or("no reverse index")?;
+    match g
+        .iter_edges()
+        .find(|&(eid, u, v)| !g.offset_range(v).contains(&rev[eid]) || g.dst()[rev[eid]] != u)
+    {
+        Some((eid, ..)) => Err(format!("accepted a wrong reverse index at slot {eid}")),
+        None => Ok(()),
+    }
+}
+
 fn valid_prepared(pg: &PreparedGraph) -> Result<(), String> {
     valid(pg.graph())?;
     pg.reordered().map_or(Ok(()), |r| valid(&r.graph))
@@ -273,6 +288,18 @@ fn prepared_images_survive_mutation() {
     fuzz("map_prepared", 7, 500, &seeds, |input| {
         std::fs::write(&path, input).map_err(|e| e.to_string())?;
         prepare::map_prepared(&path).map_or(Ok(()), |pg| valid_prepared(&pg))
+    });
+    let _ = std::fs::remove_file(&path);
+    // The shard worker's loader, on the inputs `map_prepared` just saw.
+    let path = tmp("map-execution.prep");
+    fuzz("map_execution_csr", 7, 500, &seeds, |input| {
+        std::fs::write(&path, input).map_err(|e| e.to_string())?;
+        for reorder in [false, true] {
+            if let Ok(g) = prepare::map_execution_csr(&path, reorder) {
+                valid_with_reverse_index(&g)?;
+            }
+        }
+        Ok(())
     });
     let _ = std::fs::remove_file(&path);
 }

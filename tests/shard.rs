@@ -136,9 +136,19 @@ fn killed_worker_is_retried_once_and_counted() {
         .iter()
         .find(|s| s.name == "shard")
         .expect("shard span at the root");
-    assert_eq!(shard_span.children.len(), out.workers);
-    assert!(shard_span.children.iter().all(|c| c.name == "execute"));
-    assert!(shard_span.children.iter().all(|c| c.items > 0));
+    // One execute span per worker, then the assembly and the remap.
+    let names: Vec<&str> = shard_span.children.iter().map(|c| c.name).collect();
+    let mut want = vec!["execute"; out.workers];
+    want.extend(["assemble", "remap"]);
+    assert_eq!(names, want);
+    let executes = &shard_span.children[..out.workers];
+    assert!(executes.iter().all(|c| c.items > 0));
+    // Every worker report records its stages.
+    for worker in &out.worker_reports {
+        for stage in ["\"load\"", "\"plan\"", "\"execute\"", "\"frame\""] {
+            assert!(worker.contains(stage), "{stage} missing from {worker}");
+        }
+    }
 
     // Both attempts dying exhausts the retry budget: a typed error naming
     // the shard and the attempt count.
@@ -241,5 +251,98 @@ fn rf_ratio_past_a_u32_shift_is_refused_by_coordinator_and_worker() {
             assert!(reason.contains("RF ratio must be at most"), "{reason}")
         }
         other => panic!("expected Hello then Error, got {other:?}"),
+    }
+}
+
+/// A corrupt image is refused once, for the section the worker reads: one
+/// flipped byte in the relabeled neighbors (section 4) fails that section's
+/// checksum, and the reason says so, on both attempts.
+#[test]
+fn corrupt_execution_section_is_a_typed_worker_error() {
+    let pg = PreparedGraph::from_csr(
+        Dataset::TwS.build(Scale::Tiny),
+        ReorderPolicy::DegreeDescending,
+    );
+    let prep = write_prep(&pg, "corrupt");
+    let mut image = std::fs::read(&prep).expect("read prep file");
+    let _ = std::fs::remove_file(&prep);
+    // Sections are 64-byte aligned after a 64-byte header; each has a
+    // 64-byte header before its payload. Walk to section 4's payload.
+    let mut pos = 64;
+    for _ in 0..4 {
+        let len = u64::from_le_bytes(image[pos..pos + 8].try_into().unwrap()) as usize;
+        pos = (pos + 64 + len).next_multiple_of(64);
+    }
+    image[pos + 64] ^= 0x01;
+    let corrupt = std::env::temp_dir().join(format!(
+        "cnc-shard-test-{}-corrupt-copy.prep",
+        std::process::id()
+    ));
+    std::fs::write(&corrupt, &image).expect("write corrupt copy");
+    let result = run_sharded(&pg, &config(corrupt.clone(), 2, Algorithm::bmp_rf()));
+    let _ = std::fs::remove_file(&corrupt);
+    match result {
+        Err(ShardError::Worker {
+            attempts, reason, ..
+        }) => {
+            assert_eq!(attempts, 2);
+            assert!(
+                reason.contains("checksum mismatch in section 4"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected ShardError::Worker, got {other:?}"),
+    }
+}
+
+/// A failed worker's stderr reaches the error: a stub worker that
+/// complains on stderr and exits 3 without a frame.
+#[test]
+#[cfg(unix)]
+fn failed_worker_stderr_is_kept_in_the_error() {
+    use std::os::unix::fs::PermissionsExt;
+
+    let pg = PreparedGraph::from_csr(
+        Dataset::WiS.build(Scale::Tiny),
+        ReorderPolicy::DegreeDescending,
+    );
+    let prep = write_prep(&pg, "stderr");
+    let stub = std::env::temp_dir().join(format!(
+        "cnc-shard-test-{}-stub-worker.sh",
+        std::process::id()
+    ));
+    // About 90 KB: more than a pipe buffer, so the worker finishes only
+    // if its stderr is drained while it runs, and far more than the kept
+    // tail, so only the last lines survive.
+    std::fs::write(
+        &stub,
+        "#!/bin/sh\n\
+         i=0\n\
+         while [ $i -lt 6000 ]; do echo \"noise line $i\" >&2; i=$((i+1)); done\n\
+         echo 'stub worker: out of cheese' >&2\n\
+         exit 3\n",
+    )
+    .expect("write stub");
+    std::fs::set_permissions(&stub, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+    let mut cfg = config(prep.clone(), 2, Algorithm::bmp_rf());
+    cfg.worker_exe = stub.clone();
+    let result = run_sharded(&pg, &cfg);
+    let _ = std::fs::remove_file(&stub);
+    let _ = std::fs::remove_file(&prep);
+    match result {
+        Err(ShardError::Worker {
+            attempts, reason, ..
+        }) => {
+            assert_eq!(attempts, 2);
+            assert!(
+                reason.contains("worker closed its stream early"),
+                "{reason}"
+            );
+            assert!(reason.ends_with("stub worker: out of cheese"), "{reason}");
+            assert!(!reason.contains("noise line 0\n"), "the tail is bounded");
+            let kept = cnc_shard::coordinator::STDERR_TAIL_BYTES;
+            assert!(reason.len() < kept + 200, "{} bytes", reason.len());
+        }
+        other => panic!("expected ShardError::Worker, got {other:?}"),
     }
 }
