@@ -36,7 +36,8 @@ fn ablation_threshold(c: &mut Criterion) {
     group.finish();
 }
 
-/// Task size |T| for the rayon skeleton: scheduling overhead vs balance.
+/// Task size |T| for the claim-loop skeleton: scheduling overhead vs
+/// balance.
 fn ablation_task_size(c: &mut Criterion) {
     let g = Dataset::TwS.build(Scale::Tiny);
     let mut group = c.benchmark_group("ablation_task_size_tw");

@@ -1,4 +1,4 @@
-//! Wall-clock benchmarks of whole-graph CPU passes (the real rayon
+//! Wall-clock benchmarks of whole-graph CPU passes (the real multicore
 //! backend) on the dataset analogues.
 
 use std::time::Duration;

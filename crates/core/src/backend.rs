@@ -11,7 +11,7 @@
 //! line-up:
 //!
 //! * [`CpuSeqBackend`] — the real host CPU, sequential;
-//! * [`CpuParBackend`] — the real host CPU through the rayon skeleton;
+//! * [`CpuParBackend`] — the real host CPU through the claim-loop skeleton;
 //! * [`ModeledBackend`] — the modeled CPU server and KNL (one backend,
 //!   two machine specs);
 //! * [`GpuSimBackend`] — the simulated GPU.
@@ -94,7 +94,8 @@ impl Backend for CpuSeqBackend {
     }
 }
 
-/// The real host CPU through the rayon Algorithm 3 skeleton.
+/// The real host CPU through the Algorithm 3 skeleton: worker threads claim
+/// tasks from one cursor.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuParBackend {
     /// Task size and thread count.

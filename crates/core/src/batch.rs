@@ -29,7 +29,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use cnc_cpu::{BatchCounter, PoolStats, SchedulePolicy};
+use cnc_cpu::{default_workers, BatchCounter, PoolStats, SchedulePolicy};
 use cnc_graph::{CsrGraph, PreparedGraph};
 use cnc_obs::ObsContext;
 use cnc_workload::WorkloadKind;
@@ -88,8 +88,9 @@ impl BatchSession {
     ///
     /// Rejects non-CPU platforms ([`PlanError::UnsupportedBatchPlatform`])
     /// and non-CNC workloads ([`PlanError::UnsupportedWorkload`]) — point
-    /// queries are common-neighbor counts by definition. The session runs
-    /// on the global rayon pool; a `ParConfig` thread override is ignored.
+    /// queries are common-neighbor counts by definition. Each batch runs on
+    /// the default worker count ([`cnc_cpu::default_workers`]); a
+    /// `ParConfig` thread override is ignored.
     pub fn new(runner: Runner, prepared: Arc<PreparedGraph>) -> Result<Self, PlanError> {
         let plan = runner.plan(&prepared)?;
         if !matches!(
@@ -112,7 +113,7 @@ impl BatchSession {
                 SchedulePolicy::Balanced { tasks } => tasks,
                 // The uniform policy's fixed edge-chunk size has no meaning
                 // for a pair list; default to a few tasks per worker.
-                SchedulePolicy::Uniform { .. } => default_batch_tasks(),
+                SchedulePolicy::Uniform { .. } => 4 * default_workers(),
             },
         };
         let n = prepared.graph().num_vertices();
@@ -138,7 +139,7 @@ impl BatchSession {
     }
 
     /// Kernel-pool usage across every batch so far (`None` for stateless
-    /// kernels). `created` staying at the worker bound however many batches
+    /// kernels). `created` staying at the worker count however many batches
     /// ran is the cross-batch reuse evidence.
     pub fn pool_stats(&self) -> Option<PoolStats> {
         self.counter.pool_stats()
@@ -296,12 +297,6 @@ fn for_each_canonical_row(g: &CsrGraph, counts: &[u32], mut f: impl FnMut(u32, &
     }
 }
 
-fn default_batch_tasks() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_mul(4))
-        .unwrap_or(8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,7 +382,7 @@ mod tests {
         }
         let stats = s.pool_stats().expect("bmp session has a pool");
         assert!(
-            stats.created <= rayon::current_num_threads() * 2 + 1,
+            stats.created <= default_workers(),
             "created {} bitmaps over 30 batches",
             stats.created
         );

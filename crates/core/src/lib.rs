@@ -6,7 +6,8 @@
 //! Given an undirected graph, compute `cnt[e(u,v)] = |N(u) ∩ N(v)|` for
 //! every edge, using either of the paper's two algorithm families (**MPS**,
 //! **BMP**) on any of its three processors — the real multicore CPU
-//! (rayon), the modeled KNL, or the simulated GPU:
+//! (`std::thread` workers claiming tasks), the modeled KNL, or the
+//! simulated GPU:
 //!
 //! ```
 //! use cnc_core::{Algorithm, Platform, Runner};

@@ -99,7 +99,8 @@ impl Algorithm {
 pub enum Platform {
     /// The real host CPU, sequential (measured wall-clock).
     CpuSequential,
-    /// The real host CPU with the rayon skeleton (measured wall-clock).
+    /// The real host CPU with the claim-loop skeleton (measured
+    /// wall-clock).
     CpuParallel(ParConfig),
     /// The modeled 28-core CPU server (exact counts, modeled time).
     CpuModel {

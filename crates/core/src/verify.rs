@@ -1,21 +1,14 @@
 //! Independent verification of count arrays.
 
 use cnc_graph::CsrGraph;
-use rayon::prelude::*;
 
 /// Reference counts via an independent two-pointer implementation
 /// (`cnc_intersect::reference_count`), computed for every directed edge slot
-/// directly — no symmetric assignment, no skew handling, no index.
+/// directly and sequentially — no symmetric assignment, no skew handling,
+/// no index, and no task runner shared with the engine it checks.
 pub fn reference_counts(g: &CsrGraph) -> Vec<u32> {
-    let dst = g.dst();
-    (0..g.num_directed_edges())
-        .into_par_iter()
-        .map(|eid| {
-            let mut hint = 0u32;
-            let u = g.find_src(eid, &mut hint);
-            let v = dst[eid];
-            cnc_intersect::reference_count(g.neighbors(u), g.neighbors(v))
-        })
+    g.iter_edges()
+        .map(|(_, u, v)| cnc_intersect::reference_count(g.neighbors(u), g.neighbors(v)))
         .collect()
 }
 

@@ -6,9 +6,9 @@
 //! [`BatchCounter`] restores it for an arbitrary *list* of pairs: the list
 //! is cut into cost-balanced tasks on source-group boundaries (the
 //! balanced schedule's cut routine) and run through the same [`execute`]
-//! as a bulk pass, with a [`KernelPool`] that outlives the batch — at
-//! steady state it holds one bitmap per worker, however many batches have
-//! been served.
+//! as a bulk pass, with a [`KernelPool`] that outlives the batch — each of
+//! a batch's workers takes one kernel from it, so at steady state it holds
+//! one bitmap per worker, however many batches have been served.
 //!
 //! Pairs are counted as given: `count(u, v) = |N(u) ∩ N(v)|` with `u` as
 //! the kernel's source vertex. The list only has to be *grouped* by
@@ -59,7 +59,8 @@ impl BatchCounter {
     }
 
     /// Count one source-grouped batch of pairs, decomposed into at most
-    /// `tasks` cost-balanced source-aligned tasks run in parallel. Returns
+    /// `tasks` cost-balanced source-aligned tasks claimed by the default
+    /// worker count ([`default_workers`](crate::default_workers)). Returns
     /// one count per pair, in order; the reduced tally is recorded into the
     /// ambient observability context, if any (no spans are opened).
     pub fn count_pairs(&self, g: &CsrGraph, pairs: &[(u32, u32)], tasks: usize) -> Vec<u32> {
@@ -77,7 +78,7 @@ impl BatchCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BmpMode;
+    use crate::{default_workers, BmpMode};
     use cnc_graph::generators;
     use cnc_intersect::MpsConfig;
     use cnc_obs::Counter;
@@ -169,10 +170,23 @@ mod tests {
     }
 
     #[test]
+    fn each_worker_acquires_one_kernel_per_batch() {
+        // Near-uniform degrees, so the batch cuts into all 64 tasks.
+        let g = CsrGraph::from_edge_list(&generators::gnm(2_000, 8_000, 5));
+        let pairs = all_pairs(&g);
+        let model = CpuKernel::Bmp(BmpMode::Plain).cost_model();
+        assert_eq!(pair_task_ranges(&g, &pairs, &model, 64).len(), 64);
+        let counter = BatchCounter::new(CpuKernel::Bmp(BmpMode::Plain), g.num_vertices());
+        counter.count_pairs(&g, &pairs, 64);
+        let stats = counter.pool_stats().expect("bmp pools report stats");
+        assert_eq!(stats.created + stats.reused, default_workers().min(64));
+    }
+
+    #[test]
     fn pool_is_reused_across_batches() {
         // The serve-layer satellite: bitmaps are allocated once per worker,
         // not once per batch. 50 consecutive batches on one counter must
-        // not grow `created` beyond the worker bound.
+        // not grow `created` beyond the worker count.
         let g = test_graph();
         let pairs = all_pairs(&g);
         let counter = BatchCounter::new(CpuKernel::Bmp(BmpMode::Plain), g.num_vertices());
@@ -180,10 +194,10 @@ mod tests {
             counter.count_pairs(&g, &pairs[..100.min(pairs.len())], 4);
         }
         let stats = counter.pool_stats().expect("bmp pools report stats");
-        let bound = rayon::current_num_threads() * 2 + 1;
+        let workers = default_workers();
         assert!(
-            stats.created <= bound,
-            "{} bitmaps created across 50 batches (worker bound {bound})",
+            stats.created <= workers,
+            "{} bitmaps created across 50 batches ({workers} workers)",
             stats.created
         );
         assert!(stats.reused > stats.created, "batches must recycle kernels");

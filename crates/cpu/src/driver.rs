@@ -16,11 +16,15 @@
 //! * the KNL / CPU machine model's profiling run is a metered sequential
 //!   pass.
 //!
-//! Metering is the [`TaskMeter`] type parameter: every task owns a fresh
-//! meter and the run folds them together, so [`NullMeter`] compiles to the
-//! unmetered loop.
+//! Tasks are claimed from one cursor by the run's workers, the calling
+//! thread among them. Metering is the [`TaskMeter`] type parameter: every
+//! worker owns a fresh meter and the run folds them together, so
+//! [`NullMeter`] compiles to the unmetered loop.
 
 use std::ops::Range;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use cnc_graph::CsrGraph;
 use cnc_intersect::{
@@ -31,10 +35,9 @@ use cnc_obs::{Counter as C, MetricsSink, ObsContext, SpanId};
 use cnc_workload::{
     CncWorkload, KCliqueWorkload, TriangleWorkload, Workload, WorkloadKind, WorkloadOutput,
 };
-use rayon::prelude::*;
 
 use crate::pool::{BitmapPool, PoolStats};
-use crate::schedule::{ParConfig, Schedule};
+use crate::schedule::{default_workers, ParConfig, Schedule};
 
 /// BMP index flavor: plain `|V|`-bit bitmap or the range-filtered variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,25 +170,25 @@ fn run_items<W: Workload, K: PairKernel, M: Meter>(
     tally
 }
 
-/// A meter one task owns: built fresh per task and folded into the run's
-/// meter when the task ends.
+/// A meter one worker owns: built fresh per worker and folded into the
+/// run's meter when the run ends.
 pub trait TaskMeter: Meter + Default + Send {
-    /// Fold a finished task's tallies into this meter.
-    fn absorb(&mut self, task: Self);
+    /// Fold a finished worker's tallies into this meter.
+    fn absorb(&mut self, worker: Self);
 }
 
 impl TaskMeter for NullMeter {
     #[inline(always)]
-    fn absorb(&mut self, _task: Self) {}
+    fn absorb(&mut self, _worker: Self) {}
 }
 
 impl TaskMeter for CountingMeter {
-    fn absorb(&mut self, task: Self) {
-        self.counts.merge(&task.counts);
+    fn absorb(&mut self, worker: Self) {
+        self.counts.merge(&worker.counts);
     }
 }
 
-/// Hands kernels to tasks and takes them back clean
+/// Hands kernels to workers and takes them back clean
 /// ([`PairKernel::is_reset`]).
 trait KernelFactory: Sync {
     type Kernel: PairKernel;
@@ -208,7 +211,7 @@ impl<K: PairKernel + Send> KernelFactory for BitmapPool<K> {
     }
 }
 
-/// Stateless kernels (the merge family): cloned per task, dropped after.
+/// Stateless kernels (the merge family): cloned per worker, dropped after.
 struct CloneFactory<K>(K);
 
 impl<K: PairKernel + Clone + Sync> KernelFactory for CloneFactory<K> {
@@ -221,7 +224,7 @@ impl<K: PairKernel + Clone + Sync> KernelFactory for CloneFactory<K> {
     fn release(&self, _kernel: K) {}
 }
 
-/// The kernels a run's tasks borrow: the one dispatch from [`CpuKernel`]
+/// The kernels a run's workers borrow: the one dispatch from [`CpuKernel`]
 /// to a kernel type. Stateful kernels (BMP's `|V|`-bit bitmap) are pooled,
 /// so a pool kept across runs — the serve layer keeps one per session —
 /// allocates one bitmap per worker however many runs it serves.
@@ -267,13 +270,14 @@ impl KernelPool {
 /// Run `work` with kernels from `kernels`, visiting through `workload`;
 /// returns the workload's output and the reduced [`RangeTally`].
 ///
-/// Tasks run in parallel on `threads` workers (`None`: the ambient rayon
-/// pool; a one-task list runs on the calling thread). Each task's meter is
-/// folded into `meter`. With an [`ObsContext`] installed, the run adds its
-/// task count to `driver.tasks`, and each edge-range task opens a `task`
-/// span under the caller's innermost span. Pair lists open no spans: they
-/// are point-query batches inside a long-lived daemon, whose span tree
-/// must not grow per batch. Recording the tally is the caller's choice.
+/// Tasks are claimed by `threads` workers (`None`: [`default_workers`]),
+/// never more workers than tasks; the calling thread is one of them, so a
+/// one-task list runs on it alone. Each worker's meter is folded into
+/// `meter`. With an [`ObsContext`] installed, the run adds its task count
+/// to `driver.tasks`, and each edge-range task opens a `task` span under
+/// the caller's innermost span. Pair lists open no spans: they are
+/// point-query batches inside a long-lived daemon, whose span tree must not
+/// grow per batch. Recording the tally is the caller's choice.
 pub fn execute<W: Workload, M: TaskMeter>(
     g: &CsrGraph,
     work: WorkList<'_>,
@@ -288,24 +292,27 @@ pub fn execute<W: Workload, M: TaskMeter>(
         WorkList::Pairs(..) => None,
     };
     let shared = workload.new_shared(g);
-    let (acc, task_meters, tally) = with_threads(threads, || match &kernels.0 {
-        Pool::Merge(f) => run_task_list(g, work, f, workload, &shared, spans),
-        Pool::Mps(f) => run_task_list(g, work, f, workload, &shared, spans),
-        Pool::Bmp(p) => run_task_list(g, work, p, workload, &shared, spans),
-        Pool::Rf(p) => run_task_list(g, work, p, workload, &shared, spans),
-    });
-    meter.absorb(task_meters);
+    let (acc, worker_meters, tally) = match &kernels.0 {
+        Pool::Merge(f) => run_task_list(g, work, f, workload, &shared, spans, threads),
+        Pool::Mps(f) => run_task_list(g, work, f, workload, &shared, spans, threads),
+        Pool::Bmp(p) => run_task_list(g, work, p, workload, &shared, spans, threads),
+        Pool::Rf(p) => run_task_list(g, work, p, workload, &shared, spans, threads),
+    };
+    meter.absorb(worker_meters);
     if let Some(ctx) = &obs {
         ctx.add(C::DriverTasks, work.tasks().len() as u64);
     }
     (workload.finish(g, shared, acc), tally)
 }
 
-/// The one parallel task runner: acquire a kernel, feed the task's items
-/// (edge offsets resolved to canonical pairs, or a slice of the pair list)
-/// through the loop with a task-local accumulator and meter, release the
-/// kernel. Accumulators, meters and tallies reduce pairwise — no lock on
-/// the hot path.
+/// The one task runner, Algorithm 3's `omp for schedule(dynamic, |T|)`
+/// with a per-thread `mycount`: each worker acquires one kernel, claims
+/// task indices from one shared cursor until none is left, and folds every
+/// task (edge offsets resolved to canonical pairs, or a slice of the pair
+/// list) into its own accumulator, meter and tally. The caller is worker 0;
+/// it joins the helpers, re-raises a helper's panic with its original
+/// payload, and reduces the per-worker results once. No lock on the hot
+/// path.
 fn run_task_list<W: Workload, F: KernelFactory, M: TaskMeter>(
     g: &CsrGraph,
     work: WorkList<'_>,
@@ -313,21 +320,28 @@ fn run_task_list<W: Workload, F: KernelFactory, M: TaskMeter>(
     workload: &W,
     shared: &W::Shared,
     spans: Option<(&ObsContext, Option<SpanId>)>,
+    threads: Option<usize>,
 ) -> (W::Accum, M, RangeTally) {
     let tasks = work.tasks();
-    (0..tasks.len())
-        .into_par_iter()
-        .map(|k| {
+    if tasks.is_empty() {
+        return (workload.new_accum(g), M::default(), RangeTally::default());
+    }
+    // Relaxed suffices: the cursor hands out indices and publishes no
+    // data; workers' results reach the caller through `join`.
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut kernel = factory.acquire();
+        let (mut acc, mut meter) = (workload.new_accum(g), M::default());
+        let mut tally = RangeTally::default();
+        while let Some(range) = tasks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
             let _task_span = spans.map(|(ctx, parent)| {
                 let mut s = ctx.span_under("task", parent);
-                s.set_items(tasks[k].len() as u64);
+                s.set_items(range.len() as u64);
                 s
             });
-            let mut kernel = factory.acquire();
-            let (mut acc, mut meter) = (workload.new_accum(g), M::default());
             let task = (&mut acc, &mut kernel, &mut meter);
-            let range = tasks[k].clone();
-            let tally = match work {
+            let range = range.clone();
+            let task_tally = match work {
                 WorkList::Edges(_) => {
                     let mut u_tls = 0u32; // FindSrc stash (Algorithm 3 line 8)
                     let items = range.filter_map(|eid| {
@@ -345,31 +359,25 @@ fn run_task_list<W: Workload, F: KernelFactory, M: TaskMeter>(
                     run_items(g, items, workload, shared, task)
                 }
             };
-            factory.release(kernel);
-            (acc, meter, tally)
-        })
-        .reduce(
-            || (workload.new_accum(g), M::default(), RangeTally::default()),
-            |mut a, b| {
-                workload.merge(&mut a.0, b.0);
-                a.1.absorb(b.1);
-                a.2.accumulate(&b.2);
-                a
-            },
-        )
-}
-
-/// Run `f` on a dedicated rayon pool of `threads` workers (`None`: the
-/// ambient pool).
-fn with_threads<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
-    match threads {
-        None => f(),
-        Some(t) => rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .expect("failed to build rayon pool")
-            .install(f),
-    }
+            tally.accumulate(&task_tally);
+        }
+        factory.release(kernel);
+        (acc, meter, tally)
+    };
+    let workers = threads
+        .unwrap_or_else(default_workers)
+        .clamp(1, tasks.len());
+    thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(worker)).collect();
+        let (mut acc, mut meter, mut tally) = worker();
+        for helper in helpers {
+            let part = helper.join().unwrap_or_else(|panic| resume_unwind(panic));
+            workload.merge(&mut acc, part.0);
+            meter.absorb(part.1);
+            tally.accumulate(&part.2);
+        }
+        (acc, meter, tally)
+    })
 }
 
 /// The platform-side algorithm choice: one value selects the kernel for
@@ -507,16 +515,5 @@ impl CpuKernel {
             tally.record_to(&**ctx);
         }
         output
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn with_threads_runs_closure() {
-        assert_eq!(with_threads(None, || 41 + 1), 42);
-        assert_eq!(with_threads(Some(2), rayon::current_num_threads), 2);
     }
 }

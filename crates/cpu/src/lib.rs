@@ -1,11 +1,12 @@
 //! Multicore CPU execution of all-edge common neighbor counting.
 //!
-//! This crate ports the paper's OpenMP skeleton (Algorithm 3) to rayon:
-//! the edge-offset range `[0, |E|)` is decomposed into tasks by a
-//! [`SchedulePolicy`] — fixed `|T|`-sized chunks (work stealing plays the
-//! role of `schedule(dynamic, |T|)`) or cost-balanced source-aligned cuts —
-//! and each task amortizes two pieces of state exactly like the paper's
-//! thread-locals:
+//! This crate ports the paper's OpenMP skeleton (Algorithm 3) to
+//! `std::thread`: the edge-offset range `[0, |E|)` is decomposed into tasks
+//! by a [`SchedulePolicy`] — fixed `|T|`-sized chunks or cost-balanced
+//! source-aligned cuts — and the run's workers claim task indices from one
+//! atomic cursor, as `schedule(dynamic, |T|)` hands out chunks. Each worker
+//! keeps one kernel for the whole run, and each task amortizes two pieces of
+//! state exactly like the paper's thread-locals:
 //!
 //! * the previously found source vertex (`FindSrc` stash), and
 //! * for BMP, the bitmap index of the current source's neighbor list,
@@ -38,5 +39,6 @@ pub use batch::BatchCounter;
 pub use driver::{execute, BmpMode, CpuKernel, KernelPool, RangeTally, TaskMeter, WorkList};
 pub use pool::{BitmapPool, PoolStats};
 pub use schedule::{
-    cut_source_blocks, ParConfig, RangeBlock, Schedule, SchedulePolicy, DEFAULT_TASK_SIZE,
+    cut_source_blocks, default_workers, ParConfig, RangeBlock, Schedule, SchedulePolicy,
+    DEFAULT_TASK_SIZE,
 };

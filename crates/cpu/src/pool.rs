@@ -1,11 +1,11 @@
 //! A shared pool of reusable bitmaps.
 //!
-//! BMP's per-task bitmap has `|V|` bits: allocating one per task would
-//! dominate runtime, and one per OS thread is awkward to express safely with
-//! rayon's work stealing. A small lock-protected pool (mirroring the GPU
-//! kernel's `B_A`/`BS_A` bitmap pool, Algorithm 6) hands clean bitmaps to
-//! tasks and takes them back cleared; at steady state it holds one bitmap
-//! per worker thread.
+//! BMP's bitmap has `|V|` bits: allocating one per run would dominate a
+//! point-query batch. A small lock-protected pool (mirroring the GPU
+//! kernel's `B_A`/`BS_A` bitmap pool, Algorithm 6) hands each worker of a
+//! run one clean bitmap and takes it back cleared when the worker is done,
+//! so a pool kept across runs holds one bitmap per worker thread at steady
+//! state.
 
 use std::sync::Mutex;
 
@@ -81,7 +81,6 @@ impl<T> BitmapPool<T> {
 mod tests {
     use super::*;
     use cnc_intersect::Bitmap;
-    use rayon::prelude::*;
 
     #[test]
     fn acquire_creates_then_reuses() {
@@ -97,14 +96,22 @@ mod tests {
 
     #[test]
     fn steady_state_bounded_by_concurrency() {
+        const THREADS: usize = 4;
         let pool = BitmapPool::new(|| Bitmap::new(64));
-        (0..1000).into_par_iter().for_each(|_| {
-            let bm = pool.acquire();
-            // ... would use the bitmap here ...
-            pool.release(bm);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..250 {
+                        let bm = pool.acquire();
+                        // ... would use the bitmap here ...
+                        pool.release(bm);
+                    }
+                });
+            }
         });
         let s = pool.stats();
-        assert!(s.created <= rayon::current_num_threads() * 2 + 1);
+        assert!(s.created <= THREADS);
+        assert_eq!(s.created + s.reused, THREADS * 250);
         assert_eq!(pool.idle(), s.created);
     }
 

@@ -20,6 +20,8 @@
 //! same routine ([`pair_task_ranges`]).
 
 use std::ops::Range;
+use std::sync::OnceLock;
+use std::thread;
 
 use cnc_graph::CsrGraph;
 use cnc_intersect::CostModel;
@@ -57,8 +59,18 @@ pub struct ParConfig {
     /// tasks balance load); the balanced policy prices sources with the
     /// kernel's cost model and cuts on source boundaries.
     pub schedule: SchedulePolicy,
-    /// Worker threads; `None` uses the ambient rayon pool.
+    /// Worker threads; `None` uses [`default_workers`]. A run never uses
+    /// more workers than it has tasks, nor fewer than one.
     pub threads: Option<usize>,
+}
+
+/// The worker count a run uses when none is given: one per CPU this
+/// process may run on (`available_parallelism`, which honours the affinity
+/// mask and cgroup quota), or one when that is unknown. Read once per
+/// process.
+pub fn default_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl ParConfig {

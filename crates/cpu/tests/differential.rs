@@ -6,11 +6,16 @@
 //! a brute-force oracle. The work-accounting assertions that only hold on
 //! particular graphs follow the table.
 
-use cnc_cpu::{BmpMode, CpuKernel, ParConfig, SchedulePolicy};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use cnc_cpu::{execute, BmpMode, CpuKernel, KernelPool, ParConfig, SchedulePolicy, WorkList};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::{generators, reorder, CsrGraph, EdgeList};
-use cnc_intersect::{CountingMeter, MpsConfig, NullMeter, SimdLevel, WorkCounts};
-use cnc_workload::{WorkloadKind, WorkloadOutput};
+use cnc_intersect::{
+    CountingMeter, Meter, MpsConfig, NullMeter, PairKernel, SimdLevel, WorkCounts,
+};
+use cnc_workload::{Workload, WorkloadKind, WorkloadOutput};
 
 const CNC: WorkloadKind = WorkloadKind::Cnc;
 
@@ -53,7 +58,8 @@ fn kernels(num_vertices: usize) -> Vec<CpuKernel> {
 }
 
 /// Uniform task sizes from one edge per task (0 clamps to 1) to one task
-/// far larger than `|E|`, balanced task counts, and explicit thread counts.
+/// far larger than `|E|`, balanced task counts, and explicit thread counts,
+/// some above the task count.
 fn schedules() -> Vec<ParConfig> {
     let sizes = [
         0usize,
@@ -75,6 +81,16 @@ fn schedules() -> Vec<ParConfig> {
         schedule: SchedulePolicy::uniform(37),
         threads: Some(threads),
     }));
+    cfgs.extend(
+        [
+            (SchedulePolicy::uniform(usize::MAX), 4),
+            (SchedulePolicy::balanced(2), 8),
+        ]
+        .map(|(schedule, threads)| ParConfig {
+            schedule,
+            threads: Some(threads),
+        }),
+    );
     cfgs
 }
 
@@ -304,4 +320,68 @@ fn run_with_bad_ratio_panics_with_clear_message() {
     let g = graph(generators::gnm(20, 40, 1));
     let kernel = CpuKernel::Bmp(BmpMode::RangeFiltered { ratio: 3 });
     let _ = kernel.run_par_kind(&g, &ParConfig::default(), CNC);
+}
+
+/// A workload that panics when it visits one item and does nothing else.
+struct PanicAt(usize);
+
+impl Workload for PanicAt {
+    type Shared = ();
+    type Accum = ();
+    type Output = ();
+
+    fn new_shared(&self, _g: &CsrGraph) {}
+
+    fn new_accum(&self, _g: &CsrGraph) {}
+
+    fn visit<K: PairKernel, M: Meter>(
+        &self,
+        _g: &CsrGraph,
+        _shared: &(),
+        _acc: &mut (),
+        item: usize,
+        _u: u32,
+        _v: u32,
+        _kernel: &mut K,
+        _meter: &mut M,
+    ) {
+        if item == self.0 {
+            panic!("planted panic at item {item}");
+        }
+    }
+
+    fn merge(&self, _into: &mut (), _from: ()) {}
+
+    fn finish(&self, _g: &CsrGraph, _shared: (), _acc: ()) {}
+}
+
+#[test]
+fn a_worker_panic_reaches_the_caller_with_its_message() {
+    let g = graph(generators::gnm(500, 4_000, 9));
+    let m = g.num_directed_edges();
+    let tasks: Vec<Range<usize>> = (0..64).map(|k| k * m / 64..(k + 1) * m / 64).collect();
+    let (at, _, _) = g
+        .iter_edges()
+        .find(|&(eid, u, v)| eid >= m / 2 && u < v)
+        .expect("a canonical edge in the second half");
+    let kernels = KernelPool::new(CpuKernel::Bmp(BmpMode::Plain), g.num_vertices());
+    for threads in [1, 2, 4] {
+        let run = || {
+            let work = WorkList::Edges(&tasks);
+            execute(
+                &g,
+                work,
+                &kernels,
+                &PanicAt(at),
+                &mut NullMeter,
+                Some(threads),
+            )
+        };
+        let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("the panic must surface");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(format!("planted panic at item {at}").as_str()),
+            "{threads} threads"
+        );
+    }
 }

@@ -15,30 +15,19 @@
 use std::time::Instant;
 
 use cnc_graph::CsrGraph;
-use rayon::prelude::*;
 
 /// Phase 1: write the reverse edge offset into every `u > v` slot.
 ///
-/// Returns wall-clock seconds of the (parallel) host execution.
+/// Returns wall-clock seconds of the host loop (informational: reported
+/// times are modeled).
 pub fn assign_reverse_offsets(g: &CsrGraph, counts: &mut [u32]) -> f64 {
     assert_eq!(counts.len(), g.num_directed_edges());
     let t0 = Instant::now();
-    const CHUNK: usize = 4096;
-    counts
-        .par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(chunk_idx, chunk)| {
-            let base = chunk_idx * CHUNK;
-            let mut u_tls = 0u32;
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let eid = base + off;
-                let u = g.find_src(eid, &mut u_tls);
-                let v = g.dst()[eid];
-                if u > v {
-                    *slot = g.reverse_offset(u, eid) as u32;
-                }
-            }
-        });
+    for (eid, u, v) in g.iter_edges() {
+        if u > v {
+            counts[eid] = g.reverse_offset(u, eid) as u32;
+        }
+    }
     t0.elapsed().as_secs_f64()
 }
 
@@ -47,23 +36,12 @@ pub fn assign_reverse_offsets(g: &CsrGraph, counts: &mut [u32]) -> f64 {
 pub fn final_symmetric_assign(g: &CsrGraph, counts: &mut [u32]) -> f64 {
     assert_eq!(counts.len(), g.num_directed_edges());
     let t0 = Instant::now();
-    let snapshot = counts.to_vec();
-    const CHUNK: usize = 4096;
-    counts
-        .par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(chunk_idx, chunk)| {
-            let base = chunk_idx * CHUNK;
-            let mut u_tls = 0u32;
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let eid = base + off;
-                let u = g.find_src(eid, &mut u_tls);
-                let v = g.dst()[eid];
-                if u > v {
-                    *slot = snapshot[*slot as usize];
-                }
-            }
-        });
+    // Stored offsets point at `u < v` slots, which this loop never writes.
+    for (eid, u, v) in g.iter_edges() {
+        if u > v {
+            counts[eid] = counts[counts[eid] as usize];
+        }
+    }
     t0.elapsed().as_secs_f64()
 }
 
@@ -74,26 +52,13 @@ pub fn final_symmetric_assign(g: &CsrGraph, counts: &mut [u32]) -> f64 {
 pub fn postprocess_without_coprocessing(g: &CsrGraph, counts: &mut [u32]) -> f64 {
     assert_eq!(counts.len(), g.num_directed_edges());
     let t0 = Instant::now();
-    let snapshot = counts.to_vec();
-    const CHUNK: usize = 4096;
-    counts
-        .par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(chunk_idx, chunk)| {
-            let base = chunk_idx * CHUNK;
-            let mut u_tls = 0u32;
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let eid = base + off;
-                let u = g.find_src(eid, &mut u_tls);
-                let v = g.dst()[eid];
-                if u > v {
-                    // The binary search happens *after* the kernels: its
-                    // latency is fully exposed.
-                    let rev = g.reverse_offset(u, eid);
-                    *slot = snapshot[rev];
-                }
-            }
-        });
+    for (eid, u, v) in g.iter_edges() {
+        if u > v {
+            // The binary search happens *after* the kernels: its latency is
+            // fully exposed.
+            counts[eid] = counts[g.reverse_offset(u, eid)];
+        }
+    }
     t0.elapsed().as_secs_f64()
 }
 

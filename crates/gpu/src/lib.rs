@@ -22,8 +22,9 @@
 //! * [`pool::DeviceBitmapPool`] is Algorithm 6's `B_A`/`BS_A` bitmap pool
 //!   with CAS acquisition.
 //! * [`coprocess`] implements Algorithm 4's CPU–GPU co-processing: the
-//!   reverse-offset assignment runs on the *real* host CPU (rayon) and its
-//!   wall-clock is overlapped with the modeled kernel time.
+//!   reverse-offset assignment and the final gather run as sequential
+//!   loops on the *real* host CPU, and their reported time is modeled on
+//!   the paper's CPU server (the host wall clock is informational only).
 //!
 //! # Example
 //!

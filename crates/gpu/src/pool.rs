@@ -158,12 +158,16 @@ mod tests {
 
     #[test]
     fn concurrent_acquires_are_disjoint() {
-        use rayon::prelude::*;
         let pool = DeviceBitmapPool::new(64, 100);
-        let slots: Vec<usize> = (0..64)
-            .into_par_iter()
-            .map(|_| pool.acquire().slot)
-            .collect();
+        let slots: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..16).map(|_| pool.acquire().slot).collect::<Vec<_>>()))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("acquiring thread"))
+                .collect()
+        });
         let mut sorted = slots.clone();
         sorted.sort_unstable();
         sorted.dedup();

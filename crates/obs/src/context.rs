@@ -8,10 +8,10 @@
 //! scopes — a metered verification run inside an observed benchmark, say —
 //! each see their own context and restore the outer one on drop.
 //!
-//! The context is `Arc`-shared so it can be captured by value into rayon
-//! closures: worker threads do not see the installing thread's stack, so
-//! parallel drivers clone the `Arc` (plus the parent [`SpanId`]) before the
-//! parallel loop and record through it explicitly.
+//! The context is `Arc`-shared so it can be captured into worker threads:
+//! they do not see the installing thread's stack, so the parallel driver
+//! takes the context (plus the parent [`SpanId`]) before spawning its
+//! workers and records through it explicitly.
 
 use std::cell::RefCell;
 use std::sync::Arc;

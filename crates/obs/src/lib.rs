@@ -12,7 +12,7 @@
 //!   warp/memory statistics, machine-model components — identified by one
 //!   [`Counter`] enum and recorded through the [`MetricsSink`] trait. The
 //!   default sink is a lock-free sharded array of atomics, safe to hammer
-//!   from every rayon worker at once;
+//!   from every worker thread at once;
 //! * a **run report** ([`report`]): the immutable snapshot of both, with a
 //!   stable versioned JSON rendering (`--metrics`) and a human-readable span
 //!   tree (`--trace`).

@@ -9,7 +9,7 @@
 //! [`ShardedRegistry`] is the default [`MetricsSink`]: a fixed number of
 //! cache-line-padded shards, each a `[AtomicU64; Counter::COUNT]`. A record
 //! is one relaxed `fetch_add` on the shard picked from the calling thread's
-//! id — no locks anywhere, so rayon workers recording per-task tallies never
+//! id — no locks anywhere, so worker threads recording per-task tallies never
 //! serialize against each other. Reads sum across shards; totals are exact
 //! once the recording threads have quiesced (the only state a reader can
 //! observe mid-run is a momentarily stale partial sum).
@@ -175,7 +175,7 @@ counters! {
 /// Sink for counter increments.
 ///
 /// Implementations must be safe to call concurrently from many threads
-/// (rayon workers record per-task tallies directly).
+/// (worker threads record per-task tallies directly).
 pub trait MetricsSink: Send + Sync {
     /// Add `n` to `counter`.
     fn add(&self, counter: Counter, n: u64);
@@ -244,7 +244,7 @@ impl Shard {
 }
 
 /// Number of shards in the default registry. A small power of two: enough
-/// to spread a laptop's worth of rayon workers, cheap to sum at read time.
+/// to spread a laptop's worth of worker threads, cheap to sum at read time.
 const SHARDS: usize = 16;
 
 static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);

@@ -10,9 +10,9 @@
 //! Parentage is explicit: a guard opened via [`SpanRecorder::span`] nests
 //! under the recorder's notion of "current span on this thread", while
 //! [`SpanRecorder::span_under`] takes the parent id directly. The latter is
-//! what the rayon driver uses — worker threads do not inherit the installing
-//! thread's current span, so the driver captures the `execute` span's id once
-//! and passes it to every task explicitly.
+//! what the parallel driver uses — worker threads do not inherit the
+//! installing thread's current span, so the driver captures the caller's
+//! span id once and passes it to every task explicitly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

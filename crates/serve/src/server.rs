@@ -391,10 +391,14 @@ impl ListenerKind {
 }
 
 /// Accept loop: poll for connections until shutdown, then join every
-/// connection thread (they exit once drained — see [`Patient`]).
+/// connection thread (they exit once drained — see [`Patient`]). Handles
+/// of finished connections are dropped as the loop runs, which frees their
+/// threads' stacks: a daemon serving one client after another keeps no
+/// more than its live connections mapped.
 fn listener(shared: &Arc<Shared>, kind: ListenerKind) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutting_down() {
+        conns.retain(|c| !c.is_finished());
         match kind.try_accept() {
             Ok(Some(stream)) => {
                 let shared = Arc::clone(shared);

@@ -85,17 +85,18 @@ fn fail_requested(shard: usize, attempt: usize) -> bool {
 
 /// Run the worker protocol to completion on `out` (the stdout pipe).
 ///
-/// Failures are reported twice: as a terminal [`WorkerMsg::Error`] frame so
-/// the coordinator sees the reason, and as the returned `Err` so the
-/// process exits nonzero.
+/// A failure is reported once. Its reason goes out in a terminal
+/// [`WorkerMsg::Error`] frame, where the coordinator reads it, and the
+/// process exits with status 1. Only when that frame cannot be written does
+/// the reason come back as `Err`, for the caller to print.
 pub fn worker_main(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
-    match run_worker(args, out) {
-        Ok(()) => Ok(()),
-        Err(reason) => {
-            let _ = write_frame(out, &encode_msg(&WorkerMsg::Error(reason.clone())));
-            let _ = out.flush();
-            Err(reason)
-        }
+    let Err(reason) = run_worker(args, out) else {
+        return Ok(());
+    };
+    let frame = write_frame(out, &encode_msg(&WorkerMsg::Error(reason.clone())));
+    match frame.and_then(|()| out.flush()) {
+        Ok(()) => std::process::exit(1),
+        Err(_) => Err(reason),
     }
 }
 

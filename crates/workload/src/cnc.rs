@@ -27,7 +27,7 @@ pub fn meter_reverse<M: Meter>(has_rev: bool, dv: usize, meter: &mut M) {
 /// every directed edge slot, with the symmetric-assignment mirror
 /// (`cnt[e(v,u)] ← cnt[e(u,v)]`, computed once per canonical pair).
 ///
-/// Shared state is the full per-edge [`ScatterVec`]; the per-task
+/// Shared state is the full per-edge [`ScatterVec`]; the per-worker
 /// accumulator is empty. Every canonical pair is covered, so the balanced
 /// schedule prices sources exactly as it always has — the refactor's
 /// byte-identity guarantee rests on this implementation being the old

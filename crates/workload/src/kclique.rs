@@ -41,7 +41,7 @@ impl KCliqueWorkload {
     }
 }
 
-/// Per-task state for [`KCliqueWorkload`]: the per-size tallies plus the
+/// Per-worker state for [`KCliqueWorkload`]: the per-size tallies plus the
 /// recursion's scratch buffers (reused across visits; only the tallies
 /// survive the merge).
 #[derive(Debug, Default)]

@@ -14,8 +14,8 @@
 //!    kernels.
 //! 2. **The accumulator shape** — a shared scatter target
 //!    ([`Workload::Shared`], written disjointly by all tasks) plus a
-//!    per-task accumulator ([`Workload::Accum`], merged pairwise by the
-//!    parallel reduction). CNC uses `Shared = ScatterVec, Accum = ()`;
+//!    per-worker accumulator ([`Workload::Accum`], merged once per worker
+//!    at the end of the run). CNC uses `Shared = ScatterVec, Accum = ()`;
 //!    the global counters invert that.
 //! 3. **Cost-model hooks** — [`Workload::covers`] prunes pairs before they
 //!    are priced or visited, and [`Workload::pair_cost`] /
@@ -56,17 +56,18 @@ use cnc_intersect::{CostModel, Meter, PairKernel};
 /// offsets (skipping non-canonical `u >= v` slots) or a slice of a
 /// source-grouped pair list — maintains the kernel's per-source state, and
 /// calls [`visit`](Workload::visit) for every covered pair.
-/// Implementations must be cheap to share across rayon tasks (`Sync`) and
-/// must keep [`visit`](Workload::visit) free of cross-task coordination:
-/// all mutation goes through the task-local `Accum` or the disjoint-write
-/// `Shared` state.
+/// Implementations must be cheap to share across worker threads (`Sync`)
+/// and must keep [`visit`](Workload::visit) free of cross-task
+/// coordination: all mutation goes through the worker-local `Accum` or the
+/// disjoint-write `Shared` state.
 pub trait Workload: Sync {
     /// Per-run state shared by every task. Writes must be disjoint across
     /// tasks (CNC's [`ScatterVec`] mirror stores); workloads without shared
     /// state use `()`.
     type Shared: Sync;
-    /// Per-task accumulator, merged pairwise by the parallel reduction.
-    /// May carry scratch buffers — only the merged result survives.
+    /// Per-worker accumulator: every task a worker claims folds into it,
+    /// and the run merges the workers' accumulators once. May carry
+    /// scratch buffers — only the merged result survives.
     type Accum: Send;
     /// The workload's final result type.
     type Output;
@@ -74,7 +75,7 @@ pub trait Workload: Sync {
     /// Build the per-run shared state for `g`.
     fn new_shared(&self, g: &CsrGraph) -> Self::Shared;
 
-    /// Build one task's accumulator for `g`.
+    /// Build one worker's accumulator for `g`.
     fn new_accum(&self, g: &CsrGraph) -> Self::Accum;
 
     /// Whether the canonical pair `(u, v)` (guaranteed `u < v`) should be
@@ -128,7 +129,7 @@ pub trait Workload: Sync {
         meter: &mut M,
     );
 
-    /// Fold one task's accumulator into another (parallel reduction).
+    /// Fold one worker's accumulator into another (the run's reduction).
     fn merge(&self, into: &mut Self::Accum, from: Self::Accum);
 
     /// Produce the final output from the run's shared state and the merged

@@ -99,8 +99,8 @@ fn main() {
     // And one real measured run on this host for comparison.
     let real = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&graph);
     println!(
-        "\nthis host (real, {} rayon threads): {:.1} ms wall",
-        rayon::current_num_threads(),
+        "\nthis host (real, {} workers): {:.1} ms wall",
+        cnc_cpu::default_workers(),
         real.wall_seconds * 1e3
     );
 }

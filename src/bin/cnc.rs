@@ -101,7 +101,7 @@ use cnc_core::{
     truss_decomposition, try_scan, Algorithm, CncView, Platform, PreparedGraph, Runner,
     WorkloadKind,
 };
-use cnc_cpu::{ParConfig, SchedulePolicy};
+use cnc_cpu::{default_workers, ParConfig, SchedulePolicy};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::prepare;
 use cnc_graph::stats::{skew_percentage, GraphStats};
@@ -389,10 +389,9 @@ fn parse_schedule(args: &mut Vec<String>) -> Result<Option<SchedulePolicy>, Stri
         None => Ok(None),
         Some("uniform") => Ok(Some(SchedulePolicy::default())),
         Some("balanced") => {
-            // Enough tasks for work stealing to smooth residual estimation
-            // error, few enough to keep per-task overhead negligible.
-            let workers = std::thread::available_parallelism().map_or(8, |n| n.get());
-            Ok(Some(SchedulePolicy::balanced(4 * workers)))
+            // Enough tasks for claiming to smooth residual estimation error,
+            // few enough to keep per-task overhead negligible.
+            Ok(Some(SchedulePolicy::balanced(4 * default_workers())))
         }
         Some(other) => Err(format!(
             "unknown --schedule {other:?} (try uniform|balanced)"
