@@ -20,7 +20,6 @@
 //! runs) goes through `cnc_cpu::execute`, i.e. the one source-grouped
 //! loop.
 
-use cnc_cpu::ParConfig;
 use cnc_gpu::{GpuAlgo, GpuRunConfig, GpuRunner};
 use cnc_graph::PreparedGraph;
 use cnc_intersect::{CountingMeter, NullMeter, WorkCounts};
@@ -95,12 +94,9 @@ impl Backend for CpuSeqBackend {
 }
 
 /// The real host CPU through the Algorithm 3 skeleton: worker threads claim
-/// tasks from one cursor.
+/// tasks from one cursor, under the plan's partitioning.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CpuParBackend {
-    /// Task size and thread count.
-    pub cfg: ParConfig,
-}
+pub struct CpuParBackend;
 
 impl Backend for CpuParBackend {
     fn label(&self) -> String {
@@ -109,7 +105,7 @@ impl Backend for CpuParBackend {
 
     fn execute(&self, prepared: &PreparedGraph, plan: &Plan) -> Execution {
         let g = prepared.execution_graph(plan.reorder);
-        let cfg = plan.partitioning.unwrap_or(self.cfg);
+        let cfg = plan.partitioning.unwrap_or_default();
         // Observed runs take the metered parallel path (identical counts by
         // construction — every run goes through the same `execute`) and
         // record the merged per-task tallies.

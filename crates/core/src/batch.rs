@@ -29,7 +29,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use cnc_cpu::{default_workers, BatchCounter, PoolStats, SchedulePolicy};
+use cnc_cpu::{default_workers, BatchCounter, PoolStats};
 use cnc_graph::{CsrGraph, PreparedGraph};
 use cnc_obs::ObsContext;
 use cnc_workload::WorkloadKind;
@@ -88,9 +88,11 @@ impl BatchSession {
     ///
     /// Rejects non-CPU platforms ([`PlanError::UnsupportedBatchPlatform`])
     /// and non-CNC workloads ([`PlanError::UnsupportedWorkload`]) — point
-    /// queries are common-neighbor counts by definition. Each batch runs on
-    /// the default worker count ([`cnc_cpu::default_workers`]); a
-    /// `ParConfig` thread override is ignored.
+    /// queries are common-neighbor counts by definition. On
+    /// `CpuParallel` each batch is cut into `4 ×`
+    /// [`cnc_cpu::default_workers`] tasks claimed by the default worker
+    /// count (the `ParConfig` is ignored); on `CpuSequential` it runs as
+    /// one task.
     pub fn new(runner: Runner, prepared: Arc<PreparedGraph>) -> Result<Self, PlanError> {
         let plan = runner.plan(&prepared)?;
         if !matches!(
@@ -107,14 +109,11 @@ impl BatchSession {
                 platform: "point-query batch".to_string(),
             });
         }
-        let tasks = match &plan.partitioning {
-            None => 1,
-            Some(cfg) => match cfg.schedule {
-                SchedulePolicy::Balanced { tasks } => tasks,
-                // The uniform policy's fixed edge-chunk size has no meaning
-                // for a pair list; default to a few tasks per worker.
-                SchedulePolicy::Uniform { .. } => 4 * default_workers(),
-            },
+        // A fixed edge-chunk size has no meaning for a pair list: a parallel
+        // session cuts each batch into a few tasks per worker.
+        let tasks = match runner.platform() {
+            Platform::CpuParallel(_) => 4 * default_workers(),
+            _ => 1,
         };
         let n = prepared.graph().num_vertices();
         let counter = BatchCounter::new(plan.cpu_kernel, n);

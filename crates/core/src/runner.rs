@@ -317,7 +317,7 @@ impl Runner {
     pub fn backend(&self) -> Box<dyn Backend> {
         match &self.platform {
             Platform::CpuSequential => Box::new(CpuSeqBackend),
-            Platform::CpuParallel(cfg) => Box::new(CpuParBackend { cfg: *cfg }),
+            Platform::CpuParallel(_) => Box::new(CpuParBackend),
             Platform::CpuModel {
                 threads,
                 capacity_scale,

@@ -4,8 +4,8 @@
 //! per-source kernel state (BMP's bitmap) is built once per source. Point
 //! queries answered one at a time lose that amortization. A
 //! [`BatchCounter`] restores it for an arbitrary *list* of pairs: the list
-//! is cut into cost-balanced tasks on source-group boundaries (the
-//! balanced schedule's cut routine) and run through the same [`execute`]
+//! is cut into cost-balanced tasks on source-group boundaries (the cut
+//! routine shard blocks use) and run through the same [`execute`]
 //! as a bulk pass, with a [`KernelPool`] that outlives the batch — each of
 //! a batch's workers takes one kernel from it, so at steady state it holds
 //! one bitmap per worker, however many batches have been served.

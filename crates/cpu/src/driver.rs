@@ -8,9 +8,11 @@
 //! covered pair through the active [`Workload`]. Here that skeleton is
 //! written once and serves every entry:
 //!
-//! * a **bulk pass** (`cpu-seq`, `cpu`) is the whole edge range cut by a
-//!   [`Schedule`] — a sequential run is the one-task list `[0..|E|]`;
-//! * a **shard block** is the one-range list `[start..end]`;
+//! * a **bulk pass** (`cpu-seq`, `cpu`) is the whole edge range cut into
+//!   fixed-size chunks by a [`Schedule`] — a sequential run is the
+//!   one-task list `[0..|E|]`;
+//! * a **shard block** is the one-range list `[start..end]`, cut by
+//!   [`cut_source_blocks`](crate::cut_source_blocks);
 //! * a **serve batch** is a source-grouped pair list ([`WorkList::Pairs`])
 //!   cut on source-group boundaries by the same cost-balanced routine;
 //! * the KNL / CPU machine model's profiling run is a metered sequential
@@ -401,7 +403,8 @@ impl CpuKernel {
         }
     }
 
-    /// The cost model the balanced scheduler prices this kernel with.
+    /// The cost model that prices this kernel's work: shard blocks, serve
+    /// batch cuts and the `schedule.est_cost_*` estimates.
     pub fn cost_model(&self) -> CostModel {
         match self {
             CpuKernel::Merge => CostModel::Merge,
@@ -486,8 +489,8 @@ impl CpuKernel {
             // A sequential run is a one-task list.
             None => (std::iter::once(0..g.num_directed_edges()).collect(), None),
             Some(cfg) => {
-                // Estimates are only worth the uniform policy's O(E)
-                // pricing pass when someone is watching.
+                // Estimates are only worth their O(E) pricing pass when
+                // someone is watching.
                 let s =
                     Schedule::compute(g, cfg.schedule, &self.cost_model(), workload, obs.is_some());
                 if let Some(ctx) = &obs {

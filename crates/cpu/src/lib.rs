@@ -1,12 +1,13 @@
 //! Multicore CPU execution of all-edge common neighbor counting.
 //!
 //! This crate ports the paper's OpenMP skeleton (Algorithm 3) to
-//! `std::thread`: the edge-offset range `[0, |E|)` is decomposed into tasks
-//! by a [`SchedulePolicy`] — fixed `|T|`-sized chunks or cost-balanced
-//! source-aligned cuts — and the run's workers claim task indices from one
-//! atomic cursor, as `schedule(dynamic, |T|)` hands out chunks. Each worker
-//! keeps one kernel for the whole run, and each task amortizes two pieces of
-//! state exactly like the paper's thread-locals:
+//! `std::thread`: the edge-offset range `[0, |E|)` is cut into fixed
+//! `|T|`-sized chunks ([`SchedulePolicy`]), and the run's workers claim task
+//! indices from one atomic cursor, as `schedule(dynamic, |T|)` hands out
+//! chunks. Only shard blocks ([`cut_source_blocks`]) and serve batches are
+//! cut by the cost model, on source boundaries. Each worker keeps one
+//! kernel for the whole run, and each task amortizes two pieces of state
+//! exactly like the paper's thread-locals:
 //!
 //! * the previously found source vertex (`FindSrc` stash), and
 //! * for BMP, the bitmap index of the current source's neighbor list,
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 mod batch;
 mod driver;

@@ -1,23 +1,20 @@
-//! Workload-aware task decomposition of the edge range.
+//! Task decomposition of the edge range.
 //!
-//! A parallel pass splits the directed edge range `0..m` into tasks.
-//! How it splits matters twice over:
+//! A parallel pass splits the directed edge range `0..m` into fixed-size
+//! chunks of `task_size` edges, and the run's workers claim them from one
+//! cursor, as the paper's `schedule(dynamic, |T|)` hands out chunks.
+//! Claiming balances the load, so the chunks ignore both the cost model and
+//! source boundaries: a per-source kernel (BMP, BMP-RF) re-indexes a source
+//! once per task that starts inside it.
 //!
-//! * **Balance** — uniform edge counts are not uniform work. A hub source
-//!   with degree 10⁴ makes its task an order of magnitude more expensive
-//!   than a task of leaf edges, and the whole run waits on the straggler.
-//! * **Source alignment** — per-source kernels (BMP, BMP-RF) rebuild their
-//!   bitmap whenever a task starts mid-source: the same source is re-indexed
-//!   once per task that touches it. Cutting only on source boundaries makes
-//!   `begin_source` run once per (source, run) instead of once per
-//!   (source, task).
-//!
-//! [`SchedulePolicy::Uniform`] reproduces the historical fixed-size chunks
-//! byte-for-byte and stays the default. [`SchedulePolicy::Balanced`] prices
-//! every source with the kernel's [`CostModel`], prefix-sums the costs, and
-//! binary-searches near-equal cut points that always land on source
-//! boundaries. Serve batches cut their source-grouped pair lists with the
-//! same routine ([`pair_task_ranges`]).
+//! Two callers cut cost-balanced, source-aligned pieces instead: the shard
+//! coordinator hands one block to each worker process
+//! ([`cut_source_blocks`]), and processes cannot claim each other's work;
+//! a serve batch cuts its source-grouped pair list, where an edge-chunk
+//! size has no meaning ([`pair_task_ranges`]). Both price items with the
+//! kernel's [`CostModel`], prefix-sum the costs, and binary-search
+//! near-equal cut points that land on source boundaries, through one
+//! routine.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -27,37 +24,23 @@ use cnc_graph::CsrGraph;
 use cnc_intersect::CostModel;
 use cnc_workload::Workload;
 
-/// How the parallel driver decomposes the edge range into tasks.
+/// How the parallel driver decomposes the edge range into tasks: contiguous
+/// chunks of `task_size` edges, cut without regard to source boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulePolicy {
-    /// Fixed-size contiguous chunks of `task_size` edges (the historical
-    /// behavior, kept as the baseline). Cuts ignore source boundaries.
-    Uniform {
-        /// Edges per task; clamped to at least 1.
-        task_size: usize,
-    },
-    /// Cost-balanced, source-aligned decomposition into at most `tasks`
-    /// tasks. Cut points are chosen so every task carries a near-equal
-    /// share of the kernel's estimated work, and always fall on source
-    /// boundaries.
-    Balanced {
-        /// Upper bound on the number of tasks; clamped to at least 1.
-        /// Degenerate cuts (empty tasks) are merged away, so the actual
-        /// count may be lower.
-        tasks: usize,
-    },
+pub struct SchedulePolicy {
+    /// Edges per task; clamped to at least 1.
+    pub task_size: usize,
 }
 
-/// The historical default chunk size of the uniform policy.
+/// The historical default chunk size.
 pub const DEFAULT_TASK_SIZE: usize = 8192;
 
 /// Parallel execution parameters for the Algorithm 3 skeleton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParConfig {
-    /// How the edge range is decomposed into tasks. The uniform policy is
-    /// the Section 4 trade-off (large tasks amortize scheduling, small
-    /// tasks balance load); the balanced policy prices sources with the
-    /// kernel's cost model and cuts on source boundaries.
+    /// How the edge range is decomposed into tasks: the Section 4
+    /// trade-off (large tasks amortize scheduling, small tasks balance
+    /// load).
     pub schedule: SchedulePolicy,
     /// Worker threads; `None` uses [`default_workers`]. A run never uses
     /// more workers than it has tasks, nor fewer than one.
@@ -74,19 +57,12 @@ pub fn default_workers() -> usize {
 }
 
 impl ParConfig {
-    /// Uniform chunks with an explicit task size (clamped to ≥ 1).
+    /// Chunks of an explicit task size (clamped to ≥ 1).
     pub fn with_task_size(task_size: usize) -> Self {
         Self {
-            schedule: SchedulePolicy::uniform(task_size),
-            threads: None,
-        }
-    }
-
-    /// Cost-balanced, source-aligned decomposition into at most `tasks`
-    /// tasks (clamped to ≥ 1).
-    pub fn balanced(tasks: usize) -> Self {
-        Self {
-            schedule: SchedulePolicy::balanced(tasks),
+            schedule: SchedulePolicy {
+                task_size: task_size.max(1),
+            },
             threads: None,
         }
     }
@@ -94,25 +70,8 @@ impl ParConfig {
 
 impl Default for SchedulePolicy {
     fn default() -> Self {
-        SchedulePolicy::Uniform {
+        SchedulePolicy {
             task_size: DEFAULT_TASK_SIZE,
-        }
-    }
-}
-
-impl SchedulePolicy {
-    /// Uniform chunks of `task_size` edges (clamped to ≥ 1).
-    pub fn uniform(task_size: usize) -> Self {
-        SchedulePolicy::Uniform {
-            task_size: task_size.max(1),
-        }
-    }
-
-    /// Cost-balanced decomposition into at most `tasks` tasks (clamped
-    /// to ≥ 1).
-    pub fn balanced(tasks: usize) -> Self {
-        SchedulePolicy::Balanced {
-            tasks: tasks.max(1),
         }
     }
 }
@@ -128,15 +87,13 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Decompose `g`'s directed edge range under `policy`, pricing pairs
-    /// and sources through `workload` (CNC prices every pair with the raw
-    /// kernel model; pruning workloads zero out uncovered pairs, so their
-    /// balanced cuts visibly differ on the same graph).
+    /// Decompose `g`'s directed edge range under `policy`: task k covers
+    /// `[k·t, min((k+1)·t, m))`, byte-for-byte the legacy `|T|` split.
     ///
-    /// `with_estimates` controls whether per-task cost estimates are
-    /// computed for the uniform policy (the balanced policy prices every
-    /// source anyway, so its estimates are free). Skipping them keeps the
-    /// unobserved uniform path free of the O(E) costing pass.
+    /// `with_estimates` prices every task through `workload` (CNC prices
+    /// every pair with the raw kernel model; pruning workloads zero out
+    /// uncovered pairs). Skipping the estimates keeps the unobserved path
+    /// free of the O(E) costing pass.
     pub fn compute<W: Workload>(
         g: &CsrGraph,
         policy: SchedulePolicy,
@@ -145,48 +102,24 @@ impl Schedule {
         with_estimates: bool,
     ) -> Self {
         let m = g.num_directed_edges();
-        if m == 0 {
-            return Schedule {
-                tasks: Vec::new(),
-                est_cost_max: 0,
-                est_cost_min: 0,
-            };
-        }
-        match policy {
-            SchedulePolicy::Uniform { task_size } => {
-                let t = task_size.max(1);
-                // Reproduce the legacy chunks exactly: task k covers
-                // [k*t, min((k+1)*t, m)). Saturating arithmetic keeps
-                // t = usize::MAX well-defined.
-                let tasks: Vec<Range<usize>> = (0..m.div_ceil(t))
-                    .map(|k| {
-                        let start = k.saturating_mul(t);
-                        start..start.saturating_add(t).min(m)
-                    })
-                    .collect();
-                let (est_cost_max, est_cost_min) = if with_estimates {
-                    let prefix = source_cost_prefix(g, model, workload);
-                    estimate_spread(g, &prefix, &tasks)
-                } else {
-                    (0, 0)
-                };
-                Schedule {
-                    tasks,
-                    est_cost_max,
-                    est_cost_min,
-                }
-            }
-            SchedulePolicy::Balanced { tasks: want } => {
-                let prefix = source_cost_prefix(g, model, workload);
-                let bounds = balanced_bounds(g, &prefix, want);
-                let tasks: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-                let (est_cost_max, est_cost_min) = estimate_spread(g, &prefix, &tasks);
-                Schedule {
-                    tasks,
-                    est_cost_max,
-                    est_cost_min,
-                }
-            }
+        let t = policy.task_size.max(1);
+        // Saturating arithmetic keeps t = usize::MAX well-defined.
+        let tasks: Vec<Range<usize>> = (0..m.div_ceil(t))
+            .map(|k| {
+                let start = k.saturating_mul(t);
+                start..start.saturating_add(t).min(m)
+            })
+            .collect();
+        let (est_cost_max, est_cost_min) = if with_estimates && m > 0 {
+            let prefix = source_cost_prefix(g, model, workload);
+            estimate_spread(g, &prefix, &tasks)
+        } else {
+            (0, 0)
+        };
+        Schedule {
+            tasks,
+            est_cost_max,
+            est_cost_min,
         }
     }
 
@@ -218,22 +151,24 @@ pub struct RangeBlock {
 }
 
 /// Cut `g`'s directed edge range into at most `blocks` contiguous,
-/// source-aligned blocks of near-equal estimated cost — the exact cuts
-/// [`SchedulePolicy::Balanced`] would pick for the same inputs, exposed
-/// for callers that distribute ranges across processes rather than
-/// threads (the shard coordinator assigns one block per worker and feeds
-/// the estimates into its `shard.range_cost_*` counters).
+/// source-aligned blocks of near-equal estimated cost, for callers that
+/// distribute ranges across processes rather than threads: the shard
+/// coordinator assigns one block per worker and feeds the estimates into
+/// its `shard.range_cost_*` counters. A process cannot claim another's
+/// work, so these cuts are priced up front.
 pub fn cut_source_blocks<W: Workload>(
     g: &CsrGraph,
     model: &CostModel,
     workload: &W,
     blocks: usize,
 ) -> Vec<RangeBlock> {
-    if g.num_directed_edges() == 0 {
+    let m = g.num_directed_edges();
+    if m == 0 {
         return Vec::new();
     }
     let prefix = source_cost_prefix(g, model, workload);
-    let bounds = balanced_bounds(g, &prefix, blocks);
+    let offsets = g.offsets();
+    let bounds = balanced_cuts(&prefix, blocks, m, |s| offsets[s]);
     bounds
         .windows(2)
         .map(|w| RangeBlock {
@@ -241,15 +176,6 @@ pub fn cut_source_blocks<W: Workload>(
             est_cost: prefix_at_edge(g, &prefix, w[1]) - prefix_at_edge(g, &prefix, w[0]),
         })
         .collect()
-}
-
-/// Source-aligned cut points of `g`'s edge range for a cost-balanced
-/// decomposition into at most `want` pieces. Shared by
-/// [`SchedulePolicy::Balanced`] and [`cut_source_blocks`] so thread tasks
-/// and process shards agree byte-for-byte.
-fn balanced_bounds(g: &CsrGraph, prefix: &[u64], want: usize) -> Vec<usize> {
-    let offsets = g.offsets();
-    balanced_cuts(prefix, want, g.num_directed_edges(), |s| offsets[s])
 }
 
 /// Cost-balanced, source-aligned decomposition of a source-grouped pair
@@ -304,7 +230,8 @@ fn balanced_cuts(
     let want = want.max(1);
     let mut bounds: Vec<usize> = vec![0];
     for k in 1..want {
-        let target = ((total as u128 * k as u128) / want as u128) as u64;
+        let target = u64::try_from(u128::from(total) * k as u128 / want as u128)
+            .expect("k < want, so the target is below the u64 total");
         let cut = snap(prefix.partition_point(|&c| c < target).min(items));
         if cut > *bounds.last().expect("bounds starts non-empty") && cut < end {
             bounds.push(cut);
@@ -326,10 +253,9 @@ fn balanced_cuts(
 fn source_cost_prefix<W: Workload>(g: &CsrGraph, model: &CostModel, workload: &W) -> Vec<u64> {
     let n = g.num_vertices();
     let mut prefix = vec![0u64; n + 1];
-    for u in 0..n {
-        let u = u as u32;
-        let du = g.degree(u);
-        let mut cost = du as u64;
+    for s in 0..n {
+        let u = u32::try_from(s).expect("a CSR's vertex ids are u32");
+        let mut cost = g.degree(u) as u64;
         let mut counted = false;
         for &v in g.neighbors(u) {
             if v > u && workload.covers(g, u, v) {
@@ -340,14 +266,14 @@ fn source_cost_prefix<W: Workload>(g: &CsrGraph, model: &CostModel, workload: &W
         if counted {
             cost = cost.saturating_add(workload.source_cost(model, g, u));
         }
-        prefix[u as usize + 1] = prefix[u as usize].saturating_add(cost);
+        prefix[s + 1] = prefix[s].saturating_add(cost);
     }
     prefix
 }
 
 /// Estimated cost prefix at an arbitrary edge offset: exact on source
-/// boundaries, linearly interpolated inside a source's range (uniform cuts
-/// can land mid-source).
+/// boundaries, linearly interpolated inside a source's range (fixed-size
+/// chunks can end mid-source).
 fn prefix_at_edge(g: &CsrGraph, prefix: &[u64], e: usize) -> u64 {
     let m = g.num_directed_edges();
     if e >= m {
@@ -393,10 +319,15 @@ mod tests {
         ))
     }
 
-    /// Every schedule must tile `0..m` exactly: disjoint, covering, in order.
-    fn assert_tiles(s: &Schedule, m: usize) {
+    fn chunks(t: usize) -> SchedulePolicy {
+        SchedulePolicy { task_size: t }
+    }
+
+    /// Every decomposition must tile `0..m` exactly: disjoint, covering, in
+    /// order.
+    fn assert_tiles<'a>(ranges: impl IntoIterator<Item = &'a Range<usize>>, m: usize) {
         let mut next = 0usize;
-        for r in s.tasks() {
+        for r in ranges {
             assert_eq!(r.start, next, "tasks must be contiguous and ordered");
             assert!(r.end > r.start, "no empty tasks");
             next = r.end;
@@ -404,19 +335,17 @@ mod tests {
         assert_eq!(next, m, "tasks must cover the whole edge range");
     }
 
+    fn block_ranges(blocks: &[RangeBlock]) -> Vec<Range<usize>> {
+        blocks.iter().map(|b| b.range.clone()).collect()
+    }
+
     #[test]
     fn uniform_reproduces_legacy_chunks() {
         let g = hub_graph();
         let m = g.num_directed_edges();
         for t in [1usize, 3, 17, 8192, usize::MAX] {
-            let s = Schedule::compute(
-                &g,
-                SchedulePolicy::uniform(t),
-                &CostModel::Merge,
-                &CncWorkload,
-                false,
-            );
-            assert_tiles(&s, m);
+            let s = Schedule::compute(&g, chunks(t), &CostModel::Merge, &CncWorkload, false);
+            assert_tiles(s.tasks(), m);
             let expect: Vec<Range<usize>> = (0..m.div_ceil(t))
                 .map(|k| (k.saturating_mul(t))..(k.saturating_mul(t).saturating_add(t)).min(m))
                 .collect();
@@ -429,31 +358,26 @@ mod tests {
         let g = hub_graph();
         let m = g.num_directed_edges();
         for (want, model) in [
-            (1usize, CostModel::Merge),
+            (0usize, CostModel::Merge),
+            (1, CostModel::Merge),
             (2, CostModel::Bmp),
             (7, CostModel::Mps { skew_threshold: 50 }),
             (16, CostModel::Bmp),
             (10_000, CostModel::Merge),
         ] {
-            let s = Schedule::compute(
-                &g,
-                SchedulePolicy::balanced(want),
-                &model,
-                &CncWorkload,
-                false,
-            );
-            assert_tiles(&s, m);
+            let blocks = cut_source_blocks(&g, &model, &CncWorkload, want);
+            assert_tiles(&block_ranges(&blocks), m);
             assert!(
-                s.tasks().len() <= want,
+                blocks.len() <= want.max(1),
                 "requested {want}, got {}",
-                s.tasks().len()
+                blocks.len()
             );
-            for r in s.tasks() {
+            for b in &blocks {
                 // Interior boundaries must be source boundaries.
                 assert!(
-                    g.offsets().binary_search(&r.start).is_ok(),
+                    g.offsets().binary_search(&b.range.start).is_ok(),
                     "cut at edge {} is not a source boundary",
-                    r.start
+                    b.range.start
                 );
             }
         }
@@ -465,20 +389,19 @@ mod tests {
         let model = CostModel::Bmp;
         let uniform = Schedule::compute(
             &g,
-            SchedulePolicy::uniform(g.num_directed_edges().div_ceil(8)),
+            chunks(g.num_directed_edges().div_ceil(8)),
             &model,
             &CncWorkload,
             true,
         );
-        let balanced =
-            Schedule::compute(&g, SchedulePolicy::balanced(8), &model, &CncWorkload, true);
-        assert!(uniform.est_cost_max() > 0 && balanced.est_cost_max() > 0);
+        let blocks = cut_source_blocks(&g, &model, &CncWorkload, 8);
+        let straggler = blocks.iter().map(|b| b.est_cost).max().unwrap();
+        assert!(uniform.est_cost_max() > 0 && straggler > 0);
         // The balanced straggler must not be heavier than the uniform one
         // (on a hub-skewed graph it is strictly lighter).
         assert!(
-            balanced.est_cost_max() <= uniform.est_cost_max(),
-            "balanced straggler {} vs uniform {}",
-            balanced.est_cost_max(),
+            straggler <= uniform.est_cost_max(),
+            "balanced straggler {straggler} vs uniform {}",
             uniform.est_cost_max()
         );
     }
@@ -486,90 +409,47 @@ mod tests {
     #[test]
     fn balanced_on_uniform_degrees_is_near_even() {
         let g = path_graph(2_000);
-        let s = Schedule::compute(
-            &g,
-            SchedulePolicy::balanced(8),
-            &CostModel::Merge,
-            &CncWorkload,
-            true,
-        );
-        assert_tiles(&s, g.num_directed_edges());
-        assert_eq!(s.tasks().len(), 8);
+        let blocks = cut_source_blocks(&g, &CostModel::Merge, &CncWorkload, 8);
+        assert_tiles(&block_ranges(&blocks), g.num_directed_edges());
+        assert_eq!(blocks.len(), 8);
         // On a degree-uniform graph the spread collapses.
-        assert!(s.est_cost_max() <= 2 * s.est_cost_min().max(1));
+        let max = blocks.iter().map(|b| b.est_cost).max().unwrap();
+        let min = blocks.iter().map(|b| b.est_cost).min().unwrap();
+        assert!(max <= 2 * min.max(1));
     }
 
     #[test]
     fn empty_and_tiny_graphs_schedule_cleanly() {
         let empty = CsrGraph::from_edge_list(&EdgeList::from_pairs(std::iter::empty()));
-        for policy in [SchedulePolicy::uniform(8), SchedulePolicy::balanced(8)] {
-            let s = Schedule::compute(&empty, policy, &CostModel::Merge, &CncWorkload, true);
-            assert!(s.tasks().is_empty());
-            assert_eq!((s.est_cost_max(), s.est_cost_min()), (0, 0));
-        }
+        let s = Schedule::compute(&empty, chunks(8), &CostModel::Merge, &CncWorkload, true);
+        assert!(s.tasks().is_empty());
+        assert_eq!((s.est_cost_max(), s.est_cost_min()), (0, 0));
+        assert!(cut_source_blocks(&empty, &CostModel::Merge, &CncWorkload, 8).is_empty());
         let two = path_graph(2);
-        for policy in [SchedulePolicy::uniform(1), SchedulePolicy::balanced(64)] {
-            let s = Schedule::compute(&two, policy, &CostModel::Merge, &CncWorkload, true);
-            assert_tiles(&s, two.num_directed_edges());
-        }
+        let s = Schedule::compute(&two, chunks(1), &CostModel::Merge, &CncWorkload, true);
+        assert_tiles(s.tasks(), two.num_directed_edges());
+        let blocks = cut_source_blocks(&two, &CostModel::Merge, &CncWorkload, 64);
+        assert_tiles(&block_ranges(&blocks), two.num_directed_edges());
     }
 
     #[test]
     fn pruning_workload_reshapes_the_pricing() {
         // A star plus a short tail: a star edge (0, v) with v > 3 ends at a
         // leaf whose list stops below v, so the triangle workload covers
-        // almost nothing and its priced total (balanced(1) ⇒ est_cost_max
-        // = whole-range cost) drops strictly below CNC's on the same graph
+        // almost nothing and its priced total (one block's estimate is the
+        // whole-range cost) drops strictly below CNC's on the same graph
         // and model.
         let g = CsrGraph::from_edge_list(&EdgeList::from_pairs(
             (1u32..60).map(|v| (0, v)).chain([(1, 2), (2, 3)]),
         ));
-        let cnc = Schedule::compute(
-            &g,
-            SchedulePolicy::balanced(1),
-            &CostModel::Merge,
-            &CncWorkload,
-            true,
-        );
-        let tri = Schedule::compute(
-            &g,
-            SchedulePolicy::balanced(1),
-            &CostModel::Merge,
-            &TriangleWorkload,
-            true,
-        );
+        let cnc = cut_source_blocks(&g, &CostModel::Merge, &CncWorkload, 1);
+        let tri = cut_source_blocks(&g, &CostModel::Merge, &TriangleWorkload, 1);
         assert!(
-            tri.est_cost_max() < cnc.est_cost_max(),
+            tri[0].est_cost < cnc[0].est_cost,
             "triangle pricing {} must undercut cnc pricing {}",
-            tri.est_cost_max(),
-            cnc.est_cost_max()
+            tri[0].est_cost,
+            cnc[0].est_cost
         );
-    }
-
-    #[test]
-    fn cut_source_blocks_matches_balanced_schedule() {
-        let g = hub_graph();
-        for (want, model) in [
-            (1usize, CostModel::Merge),
-            (4, CostModel::Bmp),
-            (8, CostModel::Mps { skew_threshold: 50 }),
-        ] {
-            let s = Schedule::compute(
-                &g,
-                SchedulePolicy::balanced(want),
-                &model,
-                &CncWorkload,
-                true,
-            );
-            let blocks = cut_source_blocks(&g, &model, &CncWorkload, want);
-            let ranges: Vec<Range<usize>> = blocks.iter().map(|b| b.range.clone()).collect();
-            assert_eq!(ranges, s.tasks(), "cuts must match Balanced exactly");
-            let max = blocks.iter().map(|b| b.est_cost).max().unwrap();
-            let min = blocks.iter().map(|b| b.est_cost).min().unwrap();
-            assert_eq!((max, min), (s.est_cost_max(), s.est_cost_min()));
-        }
-        let empty = CsrGraph::from_edge_list(&EdgeList::from_pairs(std::iter::empty()));
-        assert!(cut_source_blocks(&empty, &CostModel::Merge, &CncWorkload, 4).is_empty());
     }
 
     #[test]
@@ -604,17 +484,5 @@ mod tests {
             }
         }
         assert!(pair_task_ranges(&g, &[], &CostModel::Merge, 8).is_empty());
-    }
-
-    #[test]
-    fn policy_constructors_clamp_to_one() {
-        assert_eq!(
-            SchedulePolicy::uniform(0),
-            SchedulePolicy::Uniform { task_size: 1 }
-        );
-        assert_eq!(
-            SchedulePolicy::balanced(0),
-            SchedulePolicy::Balanced { tasks: 1 }
-        );
     }
 }

@@ -9,13 +9,15 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cnc_cpu::{execute, BmpMode, CpuKernel, KernelPool, ParConfig, SchedulePolicy, WorkList};
+use cnc_cpu::{
+    cut_source_blocks, execute, BmpMode, CpuKernel, KernelPool, ParConfig, SchedulePolicy, WorkList,
+};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::{generators, reorder, CsrGraph, EdgeList};
 use cnc_intersect::{
     CountingMeter, Meter, MpsConfig, NullMeter, PairKernel, SimdLevel, WorkCounts,
 };
-use cnc_workload::{Workload, WorkloadKind, WorkloadOutput};
+use cnc_workload::{CncWorkload, Workload, WorkloadKind, WorkloadOutput};
 
 const CNC: WorkloadKind = WorkloadKind::Cnc;
 
@@ -57,9 +59,9 @@ fn kernels(num_vertices: usize) -> Vec<CpuKernel> {
     ]
 }
 
-/// Uniform task sizes from one edge per task (0 clamps to 1) to one task
-/// far larger than `|E|`, balanced task counts, and explicit thread counts,
-/// some above the task count.
+/// Task sizes from one edge per task (0 clamps to 1) to one task far
+/// larger than `|E|`, and explicit thread counts, some above the task
+/// count.
 fn schedules() -> Vec<ParConfig> {
     let sizes = [
         0usize,
@@ -76,19 +78,10 @@ fn schedules() -> Vec<ParConfig> {
         usize::MAX,
     ];
     let mut cfgs: Vec<ParConfig> = sizes.into_iter().map(ParConfig::with_task_size).collect();
-    cfgs.extend([1usize, 2, 7, 8, 9].map(ParConfig::balanced));
-    cfgs.extend([1usize, 2, 4].map(|threads| ParConfig {
-        schedule: SchedulePolicy::uniform(37),
-        threads: Some(threads),
-    }));
     cfgs.extend(
-        [
-            (SchedulePolicy::uniform(usize::MAX), 4),
-            (SchedulePolicy::balanced(2), 8),
-        ]
-        .map(|(schedule, threads)| ParConfig {
-            schedule,
+        [(37, 1), (37, 2), (37, 4), (usize::MAX, 4)].map(|(size, threads)| ParConfig {
             threads: Some(threads),
+            ..ParConfig::with_task_size(size)
         }),
     );
     cfgs
@@ -179,12 +172,9 @@ fn every_entry_matches_the_oracle() {
     for (i, g) in reordered.into_iter().enumerate() {
         table.push((format!("degree-reordered {i}"), g, schedules()));
     }
-    // Far more balanced tasks than sources: every source its own task.
-    let mut hub_cfgs = schedules();
-    hub_cfgs.push(ParConfig::balanced(1_000_000));
-    table.push(("hub_web seed 1".into(), hub, hub_cfgs));
+    table.push(("hub_web seed 1".into(), hub, schedules()));
     for d in Dataset::ALL {
-        let cfgs = vec![ParConfig::with_task_size(257), ParConfig::balanced(8)];
+        let cfgs = vec![ParConfig::with_task_size(257), ParConfig::default()];
         table.push((d.name().into(), d.build(Scale::Tiny), cfgs));
     }
     for (name, g, cfgs) in &table {
@@ -212,7 +202,7 @@ fn known_counts_on_small_graphs() {
     }
     assert_eq!(
         ParConfig::with_task_size(0).schedule,
-        SchedulePolicy::Uniform { task_size: 1 }
+        SchedulePolicy { task_size: 1 }
     );
 }
 
@@ -228,10 +218,23 @@ fn bmp_task_boundaries_cost_bounded_reindexing() {
     // A single whole-range task does exactly the sequential work.
     let (_, one_task) = par_work(kernel, &g, &ParConfig::with_task_size(usize::MAX));
     assert_eq!(one_task, seq);
-    // Balanced cuts land on source boundaries, so no source is ever
+    // Shard blocks land on source boundaries, so no source is ever
     // re-indexed: the bitmap writes equal the sequential run's exactly.
-    let (_, balanced) = par_work(kernel, &g, &ParConfig::balanced(8));
-    assert_eq!(balanced.write_bytes, seq.write_bytes);
+    let blocks: Vec<Range<usize>> = cut_source_blocks(&g, &kernel.cost_model(), &CncWorkload, 8)
+        .into_iter()
+        .map(|b| b.range)
+        .collect();
+    let mut meter = CountingMeter::new();
+    let kernels = KernelPool::new(kernel, g.num_vertices());
+    let _ = execute(
+        &g,
+        WorkList::Edges(&blocks),
+        &kernels,
+        &CncWorkload,
+        &mut meter,
+        None,
+    );
+    assert_eq!(meter.counts.write_bytes, seq.write_bytes);
 }
 
 #[test]

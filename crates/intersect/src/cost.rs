@@ -1,12 +1,14 @@
-//! Kernel-aware work estimation for workload-balanced scheduling.
+//! Kernel-aware work estimation for cost-balanced cuts.
 //!
-//! The parallel edge-range driver cuts `[0, |E|)` into tasks. Uniform cuts
-//! ignore power-law skew: a task that lands on a hub source can carry orders
-//! of magnitude more intersection work than its neighbors. [`CostModel`]
-//! estimates, per kernel family, how expensive a single `(u, v)` pair is
-//! (`pair_cost`) and how expensive the once-per-source setup is
-//! (`source_cost`), in abstract work units. The scheduler prefix-sums these
-//! over sources and picks cut points of near-equal estimated cost.
+//! Equal edge counts are not equal work: under power-law skew a range that
+//! lands on a hub source can carry orders of magnitude more intersection
+//! work than its neighbors. [`CostModel`] estimates, per kernel family, how
+//! expensive a single `(u, v)` pair is (`pair_cost`) and how expensive the
+//! once-per-source setup is (`source_cost`), in abstract work units. The
+//! cuts that cannot rely on workers claiming small chunks — shard blocks
+//! and serve batches — prefix-sum these over sources and pick cut points
+//! of near-equal estimated cost; a parallel pass reports its chunks'
+//! estimates as `schedule.est_cost_*`.
 //!
 //! The estimates mirror the asymptotics the paper establishes:
 //!
@@ -25,7 +27,7 @@
 
 use crate::mps::MpsConfig;
 
-/// Per-kernel-family cost estimator used by the balanced scheduler.
+/// Per-kernel-family cost estimator behind the cost-balanced cuts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostModel {
     /// Merge-family kernels (M and VB): both lists are walked.

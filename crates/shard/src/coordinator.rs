@@ -2,14 +2,14 @@
 //!
 //! [`run_sharded`] plans once (same planner as a single-process run), cuts
 //! the directed edge range into cost-balanced source-aligned blocks with
-//! the kernel-aware cost model (`cnc_cpu::cut_source_blocks` — the same
-//! cuts `SchedulePolicy::Balanced` would make), spawns one worker process
-//! per block, and reassembles their sections and spills into the full
-//! per-edge count array. Because every directed slot is written by exactly
-//! one worker (its own section, or a spill from the shard holding the
-//! canonical pair), the assembled array is byte-identical to a
-//! single-process run — the differential tests and the CI smoke job `cmp`
-//! the output files to hold that line.
+//! the kernel-aware cost model (`cnc_cpu::cut_source_blocks`; unlike the
+//! in-process pass's claimed chunks, a block is fixed once its worker
+//! starts), spawns one worker process per block, and reassembles their
+//! sections and spills into the full per-edge count array. Because every
+//! directed slot is written by exactly one worker (its own section, or a
+//! spill from the shard holding the canonical pair), the assembled array
+//! is byte-identical to a single-process run — the differential tests and
+//! the CI smoke job `cmp` the output files to hold that line.
 //!
 //! Failure policy: a worker that dies mid-stream (crash, truncated frame,
 //! nonzero exit) gets exactly one retry; a second failure surfaces as

@@ -2,11 +2,11 @@
 //!
 //! Scatter-gather execution of all-edge common neighbor counting across
 //! worker *processes*: the coordinator cuts the directed edge range into
-//! cost-balanced source-aligned blocks (the exact cuts the in-process
-//! balanced scheduler makes, via `cnc_cpu::cut_source_blocks`), spawns one
-//! `cnc shard-worker` child per block against a single shared prepared
-//! graph file, and gathers per-shard count sections and spilled mirror
-//! writes over the `cnc-serve` length-prefixed frame protocol.
+//! cost-balanced source-aligned blocks (`cnc_cpu::cut_source_blocks`; a
+//! process cannot claim another's work, so the cut is priced up front),
+//! spawns one `cnc shard-worker` child per block against a single shared
+//! prepared graph file, and gathers per-shard count sections and spilled
+//! mirror writes over the `cnc-serve` length-prefixed frame protocol.
 //!
 //! The layer's acceptance property is *byte-identity*: for any worker
 //! count, the assembled per-edge array equals a single-process run of the

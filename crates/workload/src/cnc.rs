@@ -28,8 +28,8 @@ pub fn meter_reverse<M: Meter>(has_rev: bool, dv: usize, meter: &mut M) {
 /// (`cnt[e(v,u)] ← cnt[e(u,v)]`, computed once per canonical pair).
 ///
 /// Shared state is the full per-edge [`ScatterVec`]; the per-worker
-/// accumulator is empty. Every canonical pair is covered, so the balanced
-/// schedule prices sources exactly as it always has — the refactor's
+/// accumulator is empty. Every canonical pair is covered, so the source
+/// pricing is the kernel model's, unchanged — the refactor's
 /// byte-identity guarantee rests on this implementation being the old
 /// driver body verbatim.
 #[derive(Debug, Clone, Copy, Default)]

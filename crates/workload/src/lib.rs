@@ -1,7 +1,7 @@
 //! The workload abstraction over the source-grouped loop.
 //!
 //! The paper's machinery — the `FindSrc` stash, per-source kernel state,
-//! source-aligned cost-balanced scheduling — is workload-agnostic in shape:
+//! source-aligned cost-balanced cuts — is workload-agnostic in shape:
 //! nothing in the traversal skeleton cares that the per-pair result is a
 //! common-neighbor count scattered into a per-edge array. This crate makes
 //! that latent genericity explicit. A [`Workload`] owns three things the
@@ -19,9 +19,10 @@
 //!    the global counters invert that.
 //! 3. **Cost-model hooks** — [`Workload::covers`] prunes pairs before they
 //!    are priced or visited, and [`Workload::pair_cost`] /
-//!    [`Workload::source_cost`] let a workload reshape the balanced
-//!    schedule's per-source pricing (k-clique multiplies by its recursion
-//!    depth; triangle counting prices only covered pairs).
+//!    [`Workload::source_cost`] let a workload reshape the per-source
+//!    pricing behind shard cuts and schedule estimates (k-clique
+//!    multiplies by its recursion depth; triangle counting prices only
+//!    covered pairs).
 //!
 //! The source-grouped loop in `cnc-cpu` is the *only* traversal; it is
 //! generic over this trait, and walks either the directed edge range (bulk
@@ -80,8 +81,8 @@ pub trait Workload: Sync {
 
     /// Whether the canonical pair `(u, v)` (guaranteed `u < v`) should be
     /// visited at all. Pairs not covered are skipped by the driver *and*
-    /// carry no cost in the balanced schedule, so a pruning workload
-    /// visibly reshapes the task decomposition.
+    /// carry no cost in the source pricing, so a pruning workload visibly
+    /// reshapes its shard cuts and cost estimates.
     #[inline]
     fn covers(&self, _g: &CsrGraph, _u: u32, _v: u32) -> bool {
         true
@@ -137,7 +138,8 @@ pub trait Workload: Sync {
     fn finish(&self, g: &CsrGraph, shared: Self::Shared, acc: Self::Accum) -> Self::Output;
 
     /// Estimated cost of visiting the covered pair `(u, v)` under `model`
-    /// — the balanced scheduler prices only covered pairs through this.
+    /// — shard cuts and cost estimates price covered pairs only, through
+    /// this.
     /// The default is the kernel model's pair cost unchanged (exactly the
     /// historical CNC pricing).
     #[inline]

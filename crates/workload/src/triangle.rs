@@ -15,8 +15,8 @@ use crate::Workload;
 /// `N(v)` past `v` without a search; `N(u)` past `v` starts right after
 /// the edge's own slot. An edge is visited only when both lists reach past
 /// `v` (an O(1) test of their last entries); skipped edges contribute
-/// nothing to the sum *and* nothing to the balanced schedule's per-source
-/// pricing, so the task decomposition differs from CNC's.
+/// nothing to the sum *and* nothing to the per-source pricing, so its
+/// shard cuts and cost estimates differ from CNC's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TriangleWorkload;
 

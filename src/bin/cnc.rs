@@ -3,12 +3,11 @@
 //! ```text
 //! cnc count  (GRAPH | --dataset NAME [--scale S])
 //!            [--algo mps|bmp|bmp-rf|m] [--platform cpu|cpu-seq|knl|gpu]
-//!            [--workload cnc|triangle|kclique] [--k K]
-//!            [--schedule uniform|balanced] [--shards N] [--out FILE]
-//!            [--stats] [--metrics FILE] [--trace]
+//!            [--workload cnc|triangle|kclique] [--k K] [--shards N]
+//!            [--out FILE] [--stats] [--metrics FILE] [--trace]
 //! cnc run    [--scale tiny|small|medium] [--dataset NAME] [--algo A]
 //!            [--platform P] [--workload cnc|triangle|kclique] [--k K]
-//!            [--schedule uniform|balanced] [--metrics FILE] [--trace]
+//!            [--metrics FILE] [--trace]
 //! cnc stats  GRAPH
 //! cnc scan   GRAPH [--eps 0.6] [--mu 3]
 //! cnc truss  GRAPH
@@ -17,8 +16,7 @@
 //! cnc cache  [ls|gc|clear] [--dir D] [--max-bytes N]
 //! cnc serve  (GRAPH | --dataset NAME [--scale S]) [--algo A]
 //!            [--listen ADDR | --socket PATH] [--batch-window-us N]
-//!            [--queue-cap N] [--reply-limit N] [--schedule uniform|balanced]
-//!            [--metrics FILE]
+//!            [--queue-cap N] [--reply-limit N] [--metrics FILE]
 //! cnc query  (--connect ADDR | --socket PATH)
 //!            (count U V | topk K | scan THRESHOLD | stats | shutdown)
 //! ```
@@ -28,7 +26,8 @@
 //! intersection kernels dispatch to (equivalent to setting `CNC_SIMD=`, but
 //! an unsupported or unknown tier is a hard error instead of a fallback).
 //! The forced tier is exported to child processes, so `--shards N` workers
-//! execute at the same tier as the coordinator.
+//! execute at the same tier as the coordinator. A flag no subcommand knows
+//! is refused by name (`unknown flag "--x"`), never read as `GRAPH`.
 //!
 //! `GRAPH` is a SNAP-style edge-list text file (`u v` per line, `#`
 //! comments), a binary CSR written by `cnc-graph::io::write_csr`, or a
@@ -47,7 +46,7 @@
 //!
 //! `cnc count --shards N` runs the count as N cooperating *processes*: the
 //! coordinator cuts the edge range into cost-balanced source-aligned blocks
-//! (the balanced scheduler's own cuts), each worker (`cnc shard-worker`, an
+//! (`cnc_cpu::cut_source_blocks`), each worker (`cnc shard-worker`, an
 //! internal subcommand) loads the one shared prepared-graph file and
 //! executes its block, and the per-shard sections are reassembled into
 //! per-edge counts byte-identical to a single-process run (DESIGN.md §3h).
@@ -77,9 +76,10 @@
 //! `cnc serve` keeps one prepared graph resident and answers point queries
 //! over a length-prefixed socket protocol (DESIGN.md §3g). Requests that
 //! arrive within the coalescing window (`--batch-window-us`, default 200)
-//! are deduplicated, sorted by source vertex, and executed as one
-//! source-aligned balanced schedule; the admission queue is bounded
-//! (`--queue-cap`), refusing with a typed `overloaded` reply when full.
+//! are deduplicated, sorted by source vertex, and executed as one pair
+//! list cut into cost-balanced source-aligned tasks; the admission queue
+//! is bounded (`--queue-cap`), refusing with a typed `overloaded` reply
+//! when full.
 //! The daemon runs until a client sends `shutdown` (`cnc query ...
 //! shutdown`); in-flight queries are drained and answered first.
 //! `--metrics FILE` writes the final cnc-metrics JSON — including the
@@ -101,7 +101,6 @@ use cnc_core::{
     truss_decomposition, try_scan, Algorithm, CncView, Platform, PreparedGraph, Runner,
     WorkloadKind,
 };
-use cnc_cpu::{default_workers, ParConfig, SchedulePolicy};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::prepare;
 use cnc_graph::stats::{skew_percentage, GraphStats};
@@ -285,6 +284,7 @@ fn run_prepare(mut args: Vec<String>) -> Result<(), String> {
         Some(other) => return Err(format!("unknown --reorder {other:?} (try degdesc|none)")),
     };
     let metrics_path = parse_flag(&mut args, "--metrics");
+    refuse_unknown_flags(&args)?;
     let input = args
         .first()
         .cloned()
@@ -381,37 +381,18 @@ fn parse_workload(args: &mut Vec<String>) -> Result<WorkloadKind, String> {
     }
 }
 
-/// Parse `--schedule uniform|balanced` into a task decomposition policy for
-/// the parallel CPU platform (`None` keeps the platform default; modeled
-/// platforms ignore it).
-fn parse_schedule(args: &mut Vec<String>) -> Result<Option<SchedulePolicy>, String> {
-    match parse_flag(args, "--schedule").as_deref() {
-        None => Ok(None),
-        Some("uniform") => Ok(Some(SchedulePolicy::default())),
-        Some("balanced") => {
-            // Enough tasks for claiming to smooth residual estimation error,
-            // few enough to keep per-task overhead negligible.
-            Ok(Some(SchedulePolicy::balanced(4 * default_workers())))
-        }
-        Some(other) => Err(format!(
-            "unknown --schedule {other:?} (try uniform|balanced)"
-        )),
+/// Refuse a flag that no parser consumed, so a misspelled or retired flag
+/// is named instead of being read as the GRAPH argument.
+fn refuse_unknown_flags(args: &[String]) -> Result<(), String> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(format!("unknown flag {flag:?}")),
+        None => Ok(()),
     }
 }
 
-fn platform_for(
-    name: &str,
-    capacity_scale: f64,
-    schedule: Option<SchedulePolicy>,
-) -> Result<Platform, String> {
+fn platform_for(name: &str, capacity_scale: f64) -> Result<Platform, String> {
     match name {
-        "cpu" => Ok(match schedule {
-            None => Platform::cpu_parallel(),
-            Some(schedule) => Platform::CpuParallel(ParConfig {
-                schedule,
-                threads: None,
-            }),
-        }),
+        "cpu" => Ok(Platform::cpu_parallel()),
         "cpu-seq" => Ok(Platform::CpuSequential),
         "knl" => Ok(Platform::knl_flat(capacity_scale)),
         "gpu" => Ok(Platform::gpu(capacity_scale)),
@@ -477,7 +458,6 @@ fn run_suite(mut args: Vec<String>) -> Result<(), String> {
     let algo = parse_algo(&mut args)?;
     let workload = parse_workload(&mut args)?;
     let platform_name = parse_flag(&mut args, "--platform").unwrap_or_else(|| "cpu".into());
-    let schedule = parse_schedule(&mut args)?;
     let metrics_path = parse_flag(&mut args, "--metrics");
     let trace = parse_switch(&mut args, "--trace");
     let datasets: Vec<Dataset> = match parse_flag(&mut args, "--dataset") {
@@ -487,6 +467,7 @@ fn run_suite(mut args: Vec<String>) -> Result<(), String> {
             .ok_or_else(|| format!("unknown --dataset {name:?} (try lj-s|or-s|wi-s|tw-s|fr-s)"))?],
         None => Dataset::ALL.to_vec(),
     };
+    refuse_unknown_flags(&args)?;
     if let Some(stray) = args.first() {
         return Err(format!("unexpected argument {stray:?}"));
     }
@@ -501,13 +482,13 @@ fn run_suite(mut args: Vec<String>) -> Result<(), String> {
             // The reorder policy doesn't depend on the capacity scale, so a
             // provisional runner decides how to prepare; the real runner is
             // built once the graph (and its edge count) exists.
-            let policy = Runner::new(platform_for(&platform_name, 1.0, schedule)?, algo)
+            let policy = Runner::new(platform_for(&platform_name, 1.0)?, algo)
                 .workload(workload)
                 .reorder_policy();
             let prepared = d.prepare(scale, policy);
             let capacity = d.capacity_scale(prepared.graph());
-            let runner = Runner::new(platform_for(&platform_name, capacity, schedule)?, algo)
-                .workload(workload);
+            let runner =
+                Runner::new(platform_for(&platform_name, capacity)?, algo).workload(workload);
             runner
                 .try_run_prepared(&prepared)
                 .map_err(|e| format!("{}: {e}", d.name()))?
@@ -551,7 +532,6 @@ fn parse_endpoint(
 /// over the batching daemon until a client requests shutdown.
 fn run_serve(mut args: Vec<String>) -> Result<(), String> {
     let algo = parse_algo(&mut args)?;
-    let schedule = parse_schedule(&mut args)?;
     let endpoint = parse_endpoint(&mut args, Some("127.0.0.1:7071"), "--listen")?;
     let window_us: u64 = parse_flag(&mut args, "--batch-window-us")
         .map(|s| s.parse().map_err(|e| format!("bad --batch-window-us: {e}")))
@@ -568,12 +548,12 @@ fn run_serve(mut args: Vec<String>) -> Result<(), String> {
     let metrics_path = parse_flag(&mut args, "--metrics");
     let dataset = parse_flag(&mut args, "--dataset");
     let scale = parse_scale(&mut args)?;
+    refuse_unknown_flags(&args)?;
 
     // The session plans on the real CPU backends only (the plan layer
     // rejects modeled platforms), so the runner is built directly on the
-    // parallel CPU platform with the chosen schedule.
-    let platform = platform_for("cpu", 1.0, schedule)?;
-    let runner = Runner::new(platform, algo);
+    // parallel CPU platform.
+    let runner = Runner::new(Platform::cpu_parallel(), algo);
     let (label, prepared) = match (dataset, args.first().cloned()) {
         (Some(_), Some(path)) => {
             return Err(format!(
@@ -877,7 +857,7 @@ fn run() -> Result<(), String> {
     }
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
         eprintln!(
-            "usage: cnc <count|stats|scan|truss> (GRAPH | --dataset D [--scale S]) [--algo A] [--platform P] [--workload cnc|triangle|kclique] [--k K] [--schedule uniform|balanced] [--shards N] [--out F] [--eps E] [--mu M] [--stats] [--metrics F] [--trace]\n       cnc run [--scale S] [--dataset D] [--algo A] [--platform P] [--workload cnc|triangle|kclique] [--k K] [--schedule uniform|balanced] [--metrics F] [--trace]\n       cnc prepare GRAPH [--out F.prep] [--mem-budget BYTES] [--spill-dir D] [--reorder degdesc|none] [--metrics F]\n       cnc cache [ls|gc|clear] [--dir D] [--max-bytes N]\n       cnc serve (GRAPH | --dataset D [--scale S]) [--algo A] [--listen ADDR | --socket PATH] [--batch-window-us N] [--queue-cap N] [--reply-limit N] [--schedule uniform|balanced] [--metrics F]\n       cnc query (--connect ADDR | --socket PATH) (count U V | topk K | scan T | stats | shutdown)\n       global: [--simd scalar|portable|avx2|avx512] (or CNC_SIMD=) pins the vector instruction tier"
+            "usage: cnc <count|stats|scan|truss> (GRAPH | --dataset D [--scale S]) [--algo A] [--platform P] [--workload cnc|triangle|kclique] [--k K] [--shards N] [--out F] [--eps E] [--mu M] [--stats] [--metrics F] [--trace]\n       cnc run [--scale S] [--dataset D] [--algo A] [--platform P] [--workload cnc|triangle|kclique] [--k K] [--metrics F] [--trace]\n       cnc prepare GRAPH [--out F.prep] [--mem-budget BYTES] [--spill-dir D] [--reorder degdesc|none] [--metrics F]\n       cnc cache [ls|gc|clear] [--dir D] [--max-bytes N]\n       cnc serve (GRAPH | --dataset D [--scale S]) [--algo A] [--listen ADDR | --socket PATH] [--batch-window-us N] [--queue-cap N] [--reply-limit N] [--metrics F]\n       cnc query (--connect ADDR | --socket PATH) (count U V | topk K | scan T | stats | shutdown)\n       global: [--simd scalar|portable|avx2|avx512] (or CNC_SIMD=) pins the vector instruction tier"
         );
         return Ok(());
     }
@@ -915,7 +895,6 @@ fn run() -> Result<(), String> {
     let metrics_path = parse_flag(&mut args, "--metrics");
     let trace = parse_switch(&mut args, "--trace");
     let platform_arg = parse_flag(&mut args, "--platform");
-    let schedule = parse_schedule(&mut args)?;
     let shards: Option<usize> = parse_flag(&mut args, "--shards")
         .map(|s| s.parse().map_err(|e| format!("bad --shards: {e}")))
         .transpose()?;
@@ -930,6 +909,7 @@ fn run() -> Result<(), String> {
             None => None,
         };
     let ds_scale = parse_scale(&mut args)?;
+    refuse_unknown_flags(&args)?;
     let graph_path = match (&dataset, args.first()) {
         (Some(_), Some(path)) => {
             return Err(format!(
@@ -1009,7 +989,7 @@ fn run() -> Result<(), String> {
     // Modeled platforms need a capacity scale; for ad-hoc files use the
     // graph's ratio to the paper's twitter dataset as a sensible default.
     let scale = (und_edges as f64 / 684_500_375.0).min(1.0);
-    let platform = platform_for(&platform_name, scale, schedule)?;
+    let platform = platform_for(&platform_name, scale)?;
 
     // Derived analytics need per-edge counts; global workload tallies
     // cannot feed them, so reject the combination up front.

@@ -1,0 +1,37 @@
+//! The `cnc` binary refuses a flag no parser consumes by name, before it
+//! resolves `GRAPH`, so a misspelled or retired flag (`--schedule`) fails
+//! loudly instead of being read as the graph file or reported as a clash
+//! with `--dataset`. Drives the binary built by this package
+//! (`CARGO_BIN_EXE_cnc`); every case fails before any graph is read.
+
+use std::process::Command;
+
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let missing = std::env::temp_dir().join(format!("cnc-cli-missing-{}.txt", std::process::id()));
+    let missing = missing.to_str().expect("utf-8 temp path");
+    let cases: [(&[&str], &str); 9] = [
+        (&["count", "--dataset", "tw-s", "--bogus", "x"], "--bogus"),
+        (&["count", "--bogus"], "--bogus"),
+        (&["count", missing, "--schedule", "balanced"], "--schedule"),
+        (&["stats", missing, "--schedule", "uniform"], "--schedule"),
+        (&["serve", "--dataset", "tw-s", "--bogus", "x"], "--bogus"),
+        (&["serve", "--bogus"], "--bogus"),
+        (&["serve", missing, "--schedule", "balanced"], "--schedule"),
+        (&["run", "--bogus"], "--bogus"),
+        (&["prepare", "--bogus"], "--bogus"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_cnc"))
+            .args(args)
+            .output()
+            .expect("spawn cnc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("cnc: unknown flag \"{flag}\""),
+            "{args:?}"
+        );
+    }
+}

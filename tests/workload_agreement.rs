@@ -5,11 +5,11 @@
 //! families), so any disagreement with a from-scratch enumeration points at
 //! the shared machinery. Every tiny paper analogue and a proptest corpus of
 //! random multigraph-ish pair lists run under both reorder policies and
-//! every schedule shape; triangle counting runs every kernel, because its
+//! two chunk sizes; triangle counting runs every kernel, because its
 //! oriented suffixes reach each kernel's skew paths differently.
 
 use cnc_core::{Algorithm, Platform, Runner, WorkloadKind, WorkloadOutput};
-use cnc_cpu::{ParConfig, SchedulePolicy};
+use cnc_cpu::ParConfig;
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::{CsrGraph, EdgeList};
 use proptest::prelude::*;
@@ -60,22 +60,11 @@ fn naive_kcliques(g: &CsrGraph, k: u8) -> Vec<u64> {
     counts
 }
 
-/// Both real CPU platforms, with the parallel one under three schedule
-/// shapes: default uniform chunks, three-edge chunks (tasks start
-/// mid-source, so `N(u)` past `v` must come from the edge offset rather
-/// than the source start) and cost-balanced source-aligned tasks.
+/// Both real CPU platforms, with the parallel one under two chunk sizes:
+/// the default and three-edge chunks (tasks start mid-source, so `N(u)`
+/// past `v` must come from the edge offset rather than the source start).
 fn cpu_platforms() -> Vec<Platform> {
-    let parallel = [
-        SchedulePolicy::default(),
-        SchedulePolicy::uniform(3),
-        SchedulePolicy::balanced(13),
-    ]
-    .map(|schedule| {
-        Platform::CpuParallel(ParConfig {
-            schedule,
-            threads: None,
-        })
-    });
+    let parallel = [ParConfig::default(), ParConfig::with_task_size(3)].map(Platform::CpuParallel);
     std::iter::once(Platform::CpuSequential)
         .chain(parallel)
         .collect()
