@@ -11,6 +11,11 @@
 //!    offset `e(v, u)` in the slot (runs under the GPU kernels).
 //! 2. GPU kernels fill every `u < v` slot with its count.
 //! 3. Final pass: `cnt[e] ← cnt[cnt[e]]` for `u > v` slots.
+//!
+//! Without co-processing, steps 1 and 3 collapse into one pass after the
+//! kernels ([`postprocess_without_coprocessing`]): cnc-graph's
+//! `CsrGraph::mirror_counts`, the pass the shard coordinator also runs over
+//! its assembled count array.
 
 use std::time::Instant;
 
@@ -46,19 +51,14 @@ pub fn final_symmetric_assign(g: &CsrGraph, counts: &mut [u32]) -> f64 {
 }
 
 /// Sequential reverse-offset + assignment in one go — the *non*-co-processed
-/// baseline of Table 5 (all post-processing happens after the GPU finishes).
+/// baseline of Table 5 (all post-processing happens after the GPU finishes):
+/// one [`CsrGraph::mirror_counts`] pass, whose reverse-offset lookups are
+/// fully exposed after the kernels.
 ///
 /// Returns wall-clock seconds.
 pub fn postprocess_without_coprocessing(g: &CsrGraph, counts: &mut [u32]) -> f64 {
-    assert_eq!(counts.len(), g.num_directed_edges());
     let t0 = Instant::now();
-    for (eid, u, v) in g.iter_edges() {
-        if u > v {
-            // The binary search happens *after* the kernels: its latency is
-            // fully exposed.
-            counts[eid] = counts[g.reverse_offset(u, eid)];
-        }
-    }
+    g.mirror_counts(counts);
     t0.elapsed().as_secs_f64()
 }
 

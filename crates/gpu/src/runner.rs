@@ -1,6 +1,6 @@
 //! Top-level GPU runs: Algorithm 4's main program.
 
-use cnc_graph::{CsrGraph, PreparedGraph};
+use cnc_graph::CsrGraph;
 use cnc_machine::{cpu_server, estimate, MachineSpec, MemMode, WorkProfile};
 
 use crate::coprocess::{
@@ -127,27 +127,6 @@ impl GpuRunner {
             spec: crate::spec::titan_xp().scaled(capacity_scale),
             host: cpu_server().scaled(capacity_scale),
         }
-    }
-
-    /// The paper's TITAN Xp scaled for a prepared dataset graph: the
-    /// capacity scale is the one the preparation layer derived from the
-    /// dataset's Table 1 size.
-    pub fn titan_xp_for_prepared(prepared: &PreparedGraph) -> Self {
-        Self::titan_xp_for(prepared.capacity_scale())
-    }
-
-    /// [`GpuRunner::run`] over a shared preparation: BMP executes on the
-    /// prepared degree-descending relabel (when the preparation computed
-    /// one), the merge family on the original ids. Counts are in the
-    /// executed graph's offsets.
-    pub fn run_prepared(
-        &self,
-        prepared: &PreparedGraph,
-        algo: GpuAlgo,
-        cfg: &GpuRunConfig,
-    ) -> GpuRun {
-        let g = prepared.execution_graph(matches!(algo, GpuAlgo::Bmp { .. }));
-        self.run(g, algo, cfg)
     }
 
     /// Modeled host seconds of the two post-processing phases on `g`:

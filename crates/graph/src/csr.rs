@@ -6,6 +6,7 @@
 //! the index into `dst` with `dst[e(u,v)] == v` and
 //! `e(u,v) ∈ [offsets[u], offsets[u+1])`; the common-neighbor counts array is
 //! indexed by this offset.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use std::borrow::Cow;
 use std::convert::Infallible;
@@ -159,6 +160,11 @@ impl CsrGraph {
         self.offsets.len() - 1
     }
 
+    /// Every vertex id, `0..|V|`.
+    pub(crate) fn vertex_ids(&self) -> std::ops::Range<u32> {
+        0..u32::try_from(self.num_vertices()).expect("vertex ids are u32")
+    }
+
     /// Number of *directed* edge slots (`2 ×` undirected edges). This is the
     /// `|E|` of the paper's CSR and the length of the counts array.
     #[inline]
@@ -230,6 +236,20 @@ impl CsrGraph {
             .expect("CSR must be symmetric: reverse edge missing")
     }
 
+    /// The symmetric assignment as one pass after counting (the final step
+    /// of Algorithm 4): fill every `u > v` slot from its `u < v` twin,
+    /// `counts[e(u, v)] = counts[e(v, u)]`. Only the `u < v` slots need to
+    /// hold counts beforehand. Panics unless `counts` has one value per
+    /// directed edge slot.
+    pub fn mirror_counts(&self, counts: &mut [u32]) {
+        assert_eq!(counts.len(), self.dst.len(), "one count per edge slot");
+        for (eid, u, v) in self.iter_edges() {
+            if u > v {
+                counts[eid] = counts[self.reverse_offset(u, eid)];
+            }
+        }
+    }
+
     /// Whether the O(1) reverse-edge index is present.
     #[inline]
     pub fn has_reverse_index(&self) -> bool {
@@ -278,7 +298,7 @@ impl CsrGraph {
                 self.dst.len()
             ));
         }
-        for u in 0..self.num_vertices() as u32 {
+        for u in self.vertex_ids() {
             for eid in self.offset_range(u) {
                 let v = self.dst[eid] as usize;
                 let r = rev[eid];
@@ -303,27 +323,26 @@ impl CsrGraph {
     #[inline]
     pub fn find_src(&self, eid: usize, u_hint: &mut u32) -> u32 {
         debug_assert!(eid < self.dst.len());
-        let mut u = *u_hint as usize;
-        if eid < self.offsets[u] || eid >= self.offsets[u + 1] {
+        let hint = *u_hint as usize;
+        if eid < self.offsets[hint] || eid >= self.offsets[hint + 1] {
             // partition_point returns the first index with offsets[i] > eid;
             // the owning vertex is that index - 1, adjusted past zero-degree
             // vertices (whose empty ranges also satisfy offsets[i] == offsets[i+1]).
-            u = self.offsets.partition_point(|&o| o <= eid) - 1;
+            let u = self.offsets.partition_point(|&o| o <= eid) - 1;
+            *u_hint = u32::try_from(u).expect("vertex ids are u32");
         }
         debug_assert!(
-            eid >= self.offsets[u] && eid < self.offsets[u + 1],
+            self.offset_range(*u_hint).contains(&eid),
             "find_src landed on wrong vertex"
         );
-        *u_hint = u as u32;
-        u as u32
+        *u_hint
     }
 
     /// Check the CSR invariants: monotone offsets, in-range ids, strictly
     /// ascending neighbor runs, no self-loops, and symmetry.
     pub fn validate(&self) -> Result<(), String> {
         self.validate_structure()?;
-        let n = self.num_vertices();
-        for u in 0..n as u32 {
+        for u in self.vertex_ids() {
             for &v in self.neighbors(u) {
                 if self.edge_offset(v, u).is_none() {
                     return Err(format!("edge ({u},{v}) not symmetric"));
@@ -345,7 +364,7 @@ impl CsrGraph {
         if self.offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("offsets not monotone".into());
         }
-        for u in 0..n as u32 {
+        for u in self.vertex_ids() {
             let run = self.neighbors(u);
             if run.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("neighbors of {u} not strictly ascending"));
@@ -364,7 +383,7 @@ impl CsrGraph {
 
     /// Iterate `(eid, u, v)` over all directed edge slots.
     pub fn iter_edges(&self) -> impl Iterator<Item = (usize, u32, u32)> + '_ {
-        (0..self.num_vertices() as u32)
+        self.vertex_ids()
             .flat_map(move |u| self.offset_range(u).map(move |eid| (eid, u, self.dst[eid])))
     }
 
@@ -517,6 +536,33 @@ mod tests {
             let before = indexed.reverse_index().unwrap().to_vec();
             indexed.build_reverse_index();
             assert_eq!(indexed.reverse_index().unwrap(), &before[..]);
+        }
+    }
+
+    #[test]
+    fn mirror_counts_fills_every_upper_slot_from_its_twin() {
+        use crate::generators;
+        for el in [
+            generators::hub_web(150, 5.0, 2, 0.4, 6),
+            EdgeList::from_pairs([(0, 1), (0, 2), (1, 2), (2, 3)]),
+            EdgeList::new(3),
+        ] {
+            let searched = CsrGraph::from_edge_list(&el);
+            let mut indexed = searched.clone();
+            indexed.build_reverse_index();
+            for g in [&searched, &indexed] {
+                // A `u < v` slot sits before its twin, so after the pass
+                // every slot holds the smaller offset of its pair.
+                let mut counts: Vec<u32> = g
+                    .iter_edges()
+                    .map(|(eid, u, v)| if u < v { eid as u32 } else { u32::MAX })
+                    .collect();
+                g.mirror_counts(&mut counts);
+                for (eid, u, _) in g.iter_edges() {
+                    let pair_min = eid.min(g.reverse_offset(u, eid));
+                    assert_eq!(counts[eid] as usize, pair_min, "eid={eid}");
+                }
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 //! fraction of set intersections in the all-edge counting that are *highly
 //! skewed* (`d_u / d_v > 50` supposing `d_u > d_v`), the statistic that
 //! predicts whether pivot-skip pays off on a dataset.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use crate::csr::CsrGraph;
 
@@ -30,7 +31,7 @@ impl GraphStats {
     pub fn of(g: &CsrGraph) -> Self {
         let n = g.num_vertices();
         let m = g.num_directed_edges();
-        let max_degree = (0..n as u32).map(|u| g.degree(u)).max().unwrap_or(0);
+        let max_degree = g.vertex_ids().map(|u| g.degree(u)).max().unwrap_or(0);
         Self {
             num_vertices: n,
             num_edges: m,
@@ -87,7 +88,7 @@ impl SkewTally {
 /// `threshold`.
 pub fn skew_percentage(g: &CsrGraph, threshold: u32) -> f64 {
     let mut tally = SkewTally::new(threshold);
-    for u in 0..g.num_vertices() as u32 {
+    for u in g.vertex_ids() {
         let du = g.degree(u);
         for &v in g.neighbors(u) {
             if u < v {

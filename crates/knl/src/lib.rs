@@ -25,15 +25,15 @@
 //! use cnc_cpu::CpuKernel;
 //! use cnc_graph::datasets::{Dataset, Scale};
 //! use cnc_intersect::{MpsConfig, SimdLevel};
-//! use cnc_knl::ModeledProcessor;
+//! use cnc_knl::{profile_of, ModeledProcessor};
 //! use cnc_machine::MemMode;
 //!
 //! let g = Dataset::TwS.build(Scale::Tiny);
 //! let knl = ModeledProcessor::knl_for(Dataset::TwS.capacity_scale(&g));
 //! let mps = CpuKernel::Mps(MpsConfig::with_simd(SimdLevel::Avx512));
-//! let run = knl.run(&g, &mps, 256, MemMode::McdramFlat);
-//! assert_eq!(run.counts.len(), g.num_directed_edges());
-//! assert!(run.report.seconds > 0.0);
+//! let (counts, profile) = profile_of(&g, &mps);
+//! assert_eq!(counts.len(), g.num_directed_edges());
+//! assert!(knl.time_profile(&profile, 256, MemMode::McdramFlat).seconds > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,8 +42,5 @@
 mod profiles;
 mod runner;
 
-pub use profiles::{
-    counts_and_work_of, execution_graph_of, profile_from_work, profile_of, profile_of_prepared,
-    working_set_of,
-};
-pub use runner::{ModeledProcessor, ModeledRun};
+pub use profiles::{counts_and_work_of, profile_from_work, profile_of, working_set_of};
+pub use runner::ModeledProcessor;

@@ -1,7 +1,7 @@
 //! Exact work profiles of the counting algorithms on a concrete graph.
 
 use cnc_cpu::{execute, BmpMode, CpuKernel, KernelPool, WorkList};
-use cnc_graph::{CsrGraph, PreparedGraph};
+use cnc_graph::CsrGraph;
 use cnc_intersect::{Bitmap, CountingMeter, RfBitmap, WorkCounts};
 use cnc_machine::WorkProfile;
 use cnc_obs::ObsContext;
@@ -82,23 +82,6 @@ pub fn profile_from_work(g: &CsrGraph, kernel: &CpuKernel, work: &WorkCounts) ->
 pub fn profile_of(g: &CsrGraph, kernel: &CpuKernel) -> (Vec<u32>, WorkProfile) {
     let (counts, work) = counts_and_work_of(g, kernel);
     (counts, profile_from_work(g, kernel, &work))
-}
-
-/// The prepared-graph input `kernel` should execute on: BMP takes the
-/// degree-descending relabel (its complexity bound requires it) when the
-/// preparation computed one; the merge family runs on the original ids.
-pub fn execution_graph_of<'a>(prepared: &'a PreparedGraph, kernel: &CpuKernel) -> &'a CsrGraph {
-    prepared.execution_graph(matches!(kernel, CpuKernel::Bmp(_)))
-}
-
-/// [`profile_of`] over a shared preparation: the graph (and its reorder)
-/// come from the [`PreparedGraph`] — no preprocessing happens here. Counts
-/// are in the executed graph's offsets (the relabeled graph for BMP).
-pub fn profile_of_prepared(
-    prepared: &PreparedGraph,
-    kernel: &CpuKernel,
-) -> (Vec<u32>, WorkProfile) {
-    profile_of(execution_graph_of(prepared, kernel), kernel)
 }
 
 #[cfg(test)]

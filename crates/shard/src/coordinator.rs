@@ -4,12 +4,15 @@
 //! the directed edge range into cost-balanced source-aligned blocks with
 //! the kernel-aware cost model (`cnc_cpu::cut_source_blocks`; unlike the
 //! in-process pass's claimed chunks, a block is fixed once its worker
-//! starts), spawns one worker process per block, and reassembles their
-//! sections and spills into the full per-edge count array. Because every
-//! directed slot is written by exactly one worker (its own section, or a
-//! spill from the shard holding the canonical pair), the assembled array
-//! is byte-identical to a single-process run — the differential tests and
-//! the CI smoke job `cmp` the output files to hold that line.
+//! starts), and spawns one worker process per block. The blocks tile the
+//! edge range in order, so the output array is split into one slice per
+//! block before any worker starts, and each worker's count section is
+//! decoded straight into its slice. One pass then fills every `u > v` slot
+//! from its `u < v` twin (`CsrGraph::mirror_counts`, the symmetric
+//! assignment's post-pass), whichever block the twin lies in. Every `u < v`
+//! slot holds its worker's exact count, so the assembled array is
+//! byte-identical to a single-process run — the differential tests and the
+//! CI smoke job `cmp` the output files to hold that line.
 //!
 //! Failure policy: a worker that dies mid-stream (crash, truncated frame,
 //! nonzero exit) gets exactly one retry; a second failure surfaces as
@@ -21,7 +24,7 @@
 //! `shard.worker_failures` counter.
 //!
 //! With an ambient `ObsContext`, the `shard` span holds one `execute` span
-//! per worker, then `assemble` (sections and spills into the full array)
+//! per worker, then `assemble` (the mirror pass over the assembled array)
 //! and `remap` (back to the input graph's offsets).
 
 use std::io::Read;
@@ -91,12 +94,8 @@ pub struct ShardOutput {
 /// appended to the reason of a failed attempt.
 pub const STDERR_TAIL_BYTES: usize = 4096;
 
-/// One worker attempt's successfully gathered stream.
+/// What one worker attempt's stream carried besides its section.
 struct WorkerRun {
-    shard: usize,
-    range: std::ops::Range<usize>,
-    section: Vec<u32>,
-    spills: Vec<(usize, u32)>,
     report: String,
     tally: ShardTally,
 }
@@ -129,6 +128,19 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
         cfg.workers.max(1),
     );
     let algo = algo_token(cfg.algorithm)?;
+    // The blocks tile `0..m` in order, so splitting the output once hands
+    // each monitor thread its block's slice to decode the section into.
+    let mut full = vec![0u32; m];
+    let mut rest = full.as_mut_slice();
+    let sections: Vec<&mut [u32]> = blocks
+        .iter()
+        .map(|block| {
+            debug_assert_eq!(block.range.start, m - rest.len(), "blocks tile 0..m");
+            let (section, tail) = std::mem::take(&mut rest).split_at_mut(block.range.len());
+            rest = tail;
+            section
+        })
+        .collect();
     let obs = ObsContext::current();
     let spawned_workers = AtomicU64::new(0);
     let failures = AtomicU64::new(0);
@@ -142,8 +154,9 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
         std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
                 .iter()
+                .zip(sections)
                 .enumerate()
-                .map(|(shard, block)| {
+                .map(|(shard, (block, section))| {
                     let obs = &obs;
                     let algo = &algo;
                     let spawned_workers = &spawned_workers;
@@ -157,7 +170,7 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
                         let mut last = String::new();
                         for attempt in 0..2 {
                             spawned_workers.fetch_add(1, Ordering::Relaxed);
-                            match run_one(cfg, algo, shard, range.clone(), attempt, m) {
+                            match run_one(cfg, algo, shard, range.clone(), attempt, section) {
                                 Ok(run) => return Ok(run),
                                 Err(OneErr::Spawn(error)) => {
                                     failures.fetch_add(1, Ordering::Relaxed);
@@ -202,22 +215,11 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
         runs.push(r?);
     }
 
-    // Assemble: copy every section into place, then let the spills
-    // overwrite the mirror slots whose canonical pair lived in another
-    // shard. Each slot is written correctly exactly once.
-    let full = {
+    // The sections are in place; fill every mirror slot from its twin.
+    {
         let _s = obs.as_ref().map(|ctx| ctx.span("assemble"));
-        let mut full = vec![0u32; m];
-        for run in &runs {
-            full[run.range.clone()].copy_from_slice(&run.section);
-        }
-        for run in &runs {
-            for &(rev, c) in &run.spills {
-                full[rev] = c;
-            }
-        }
-        full
-    };
+        g.mirror_counts(&mut full);
+    }
 
     let mut work = WorkCounts::default();
     let (mut rebuilds, mut visited, mut skipped) = (0u64, 0u64, 0u64);
@@ -259,13 +261,15 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
     })
 }
 
+/// One attempt at one block: spawn its worker and decode its section into
+/// `section` from the start.
 fn run_one(
     cfg: &ShardConfig,
     algo: &str,
     shard: usize,
     range: std::ops::Range<usize>,
     attempt: usize,
-    m: usize,
+    section: &mut [u32],
 ) -> Result<WorkerRun, OneErr> {
     let mut cmd = Command::new(&cfg.worker_exe);
     cmd.arg("shard-worker")
@@ -295,13 +299,9 @@ fn run_one(
         .map_err(|e| OneErr::Spawn(format!("cannot spawn {}: {e}", cfg.worker_exe.display())))?;
     let stdout = child.stdout.take().expect("stdout was piped");
     let stderr = drain_tail(child.stderr.take().expect("stderr was piped"));
-    let outcome = match read_worker_stream(stdout, shard, &range, m) {
-        Ok(mut run) => match child.wait() {
-            Ok(status) if status.success() => {
-                run.shard = shard;
-                run.range = range;
-                Ok(run)
-            }
+    let outcome = match read_worker_stream(stdout, shard, &range, section) {
+        Ok(run) => match child.wait() {
+            Ok(status) if status.success() => Ok(run),
             Ok(status) => Err(format!(
                 "worker exited with {status} after completing its stream"
             )),
@@ -345,15 +345,16 @@ fn drain_tail(mut stderr: ChildStderr) -> JoinHandle<String> {
     })
 }
 
+/// Read one worker's stream, decoding its `Counts` frames in order into
+/// `section` (one slot per edge of `range`), and check it frame by frame.
 fn read_worker_stream(
     mut stdout: impl Read,
     shard: usize,
     range: &std::ops::Range<usize>,
-    m: usize,
+    section: &mut [u32],
 ) -> Result<WorkerRun, String> {
-    let want = range.len();
-    let mut section: Vec<u32> = Vec::with_capacity(want);
-    let mut spills: Vec<(usize, u32)> = Vec::new();
+    let want = section.len();
+    let mut filled = 0;
     let mut report = String::new();
     let mut hello_seen = false;
     loop {
@@ -386,47 +387,19 @@ fn read_worker_stream(
                 if !hello_seen {
                     return Err("counts before hello".into());
                 }
-                if section.len() + chunk.len() > want {
-                    return Err(format!(
-                        "worker sent {} counts for a range of {want}",
-                        section.len() + chunk.len()
-                    ));
-                }
-                section.extend_from_slice(&chunk);
-            }
-            WorkerMsg::Spills(chunk) => {
-                if !hello_seen {
-                    return Err("spills before hello".into());
-                }
-                // Each canonical pair in the range spills at most one
-                // mirror write, so a range has at most `want` of them.
-                if spills.len() + chunk.len() > want {
-                    return Err(format!(
-                        "worker sent {} spills for a range of {want}",
-                        spills.len() + chunk.len()
-                    ));
-                }
-                if let Some(&(rev, _)) = chunk.iter().find(|&&(rev, _)| rev >= m) {
-                    return Err(format!("spill offset {rev} out of bounds ({m} edges)"));
-                }
-                spills.extend_from_slice(&chunk);
+                let end = filled + chunk.len();
+                let Some(slots) = section.get_mut(filled..end) else {
+                    return Err(format!("worker sent {end} counts for a range of {want}"));
+                };
+                slots.copy_from_slice(&chunk);
+                filled = end;
             }
             WorkerMsg::Report(json) => report = json,
             WorkerMsg::Done(tally) => {
-                if section.len() != want {
-                    return Err(format!(
-                        "worker finished with {} of {want} counts",
-                        section.len()
-                    ));
+                if filled != want {
+                    return Err(format!("worker finished with {filled} of {want} counts"));
                 }
-                return Ok(WorkerRun {
-                    shard,
-                    range: range.clone(),
-                    section,
-                    spills,
-                    report,
-                    tally,
-                });
+                return Ok(WorkerRun { report, tally });
             }
             WorkerMsg::Error(reason) => return Err(format!("worker reported: {reason}")),
         }
@@ -438,31 +411,110 @@ mod tests {
     use super::*;
     use crate::protocol::{encode_msg, write_frame, SHARD_WIRE_VERSION};
 
-    fn stream(msgs: &[WorkerMsg]) -> Vec<u8> {
+    /// A hand-built stream of raw frame payloads.
+    fn stream(payloads: &[Vec<u8>]) -> Vec<u8> {
         let mut out = Vec::new();
-        for msg in msgs {
-            write_frame(&mut out, &encode_msg(msg)).expect("vec write");
+        for payload in payloads {
+            write_frame(&mut out, payload).expect("vec write");
         }
         out
     }
 
+    fn hello(version: u32, shard: u32, end: usize) -> Vec<u8> {
+        encode_msg(&WorkerMsg::Hello {
+            version,
+            shard,
+            start: 10,
+            end,
+        })
+    }
+
+    fn counts(chunk: &[u32]) -> Vec<u8> {
+        encode_msg(&WorkerMsg::Counts(chunk.to_vec()))
+    }
+
     #[test]
-    fn spills_need_a_hello_and_fit_the_range() {
-        let hello = WorkerMsg::Hello {
-            version: SHARD_WIRE_VERSION,
-            shard: 0,
-            start: 0,
-            end: 2,
-        };
-        let early = stream(&[WorkerMsg::Spills(vec![(3, 1)])]);
-        let err = read_worker_stream(&early[..], 0, &(0..2), 8).err();
-        assert_eq!(err.as_deref(), Some("spills before hello"));
-        // A range of two slots spills at most two mirror writes.
-        let many = stream(&[hello, WorkerMsg::Spills(vec![(3, 1); 3])]);
-        let err = read_worker_stream(&many[..], 0, &(0..2), 8).err();
-        assert_eq!(
-            err.as_deref(),
-            Some("worker sent 3 spills for a range of 2")
-        );
+    fn stream_checks_refuse_every_broken_monologue() {
+        // Shard 1 owns the four edges 10..14.
+        let ok = hello(SHARD_WIRE_VERSION, 1, 14);
+        let done = encode_msg(&WorkerMsg::Done(ShardTally::default()));
+        let cases: [(&str, Vec<Vec<u8>>, &str); 9] = [
+            (
+                "counts before hello",
+                vec![counts(&[1, 2]), ok.clone()],
+                "counts before hello",
+            ),
+            (
+                "another wire version",
+                vec![hello(2, 1, 14)],
+                "worker speaks wire version 2",
+            ),
+            (
+                "another shard",
+                vec![hello(SHARD_WIRE_VERSION, 0, 14)],
+                "worker answered for shard 0 range 10..14, expected shard 1 range 10..14",
+            ),
+            (
+                "another range",
+                vec![hello(SHARD_WIRE_VERSION, 1, 15)],
+                "worker answered for shard 1 range 10..15, expected shard 1 range 10..14",
+            ),
+            (
+                "more counts than the range",
+                vec![ok.clone(), counts(&[1, 2, 3]), counts(&[4, 5])],
+                "worker sent 5 counts for a range of 4",
+            ),
+            (
+                "done before the range is full",
+                vec![ok.clone(), counts(&[1, 2, 3]), done.clone()],
+                "worker finished with 3 of 4 counts",
+            ),
+            (
+                "an error frame",
+                vec![
+                    ok.clone(),
+                    encode_msg(&WorkerMsg::Error("out of cheese".into())),
+                ],
+                "worker reported: out of cheese",
+            ),
+            (
+                "a stale opcode-3 frame",
+                vec![ok.clone(), vec![3, 0, 0, 0, 0]],
+                "bad worker frame: invalid shard opcode 3",
+            ),
+            (
+                "a stream closed early",
+                vec![ok.clone(), counts(&[1, 2, 3, 4])],
+                "worker closed its stream early",
+            ),
+        ];
+        for (case, payloads, want) in cases {
+            let mut section = [0u32; 4];
+            let got = read_worker_stream(&stream(&payloads)[..], 1, &(10..14), &mut section);
+            assert_eq!(got.err().as_deref(), Some(want), "{case}");
+        }
+    }
+
+    #[test]
+    fn counts_land_in_order_and_a_retry_rewrites_from_the_start() {
+        let ok = hello(SHARD_WIRE_VERSION, 1, 14);
+        let mut section = [0u32; 4];
+        // A first attempt dies after one chunk.
+        let died = stream(&[ok.clone(), counts(&[9, 9, 9])]);
+        assert!(read_worker_stream(&died[..], 1, &(10..14), &mut section).is_err());
+        let whole = stream(&[
+            ok,
+            counts(&[1, 2]),
+            encode_msg(&WorkerMsg::Report("{}".into())),
+            counts(&[]),
+            counts(&[3, 4]),
+            encode_msg(&WorkerMsg::Done(ShardTally {
+                visited: 7,
+                ..ShardTally::default()
+            })),
+        ]);
+        let run = read_worker_stream(&whole[..], 1, &(10..14), &mut section).expect("whole");
+        assert_eq!(section, [1, 2, 3, 4]);
+        assert_eq!((run.report.as_str(), run.tally.visited), ("{}", 7));
     }
 }

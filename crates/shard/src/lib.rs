@@ -5,15 +5,16 @@
 //! cost-balanced source-aligned blocks (`cnc_cpu::cut_source_blocks`; a
 //! process cannot claim another's work, so the cut is priced up front),
 //! spawns one `cnc shard-worker` child per block against a single shared
-//! prepared graph file, and gathers per-shard count sections and spilled
-//! mirror writes over the `cnc-serve` length-prefixed frame protocol.
+//! prepared graph file, and gathers per-shard count sections over the
+//! `cnc-serve` length-prefixed frame protocol.
 //!
 //! The layer's acceptance property is *byte-identity*: for any worker
 //! count, the assembled per-edge array equals a single-process run of the
-//! same plan bit for bit. The symmetric-assignment mirror writes make this
-//! nontrivial — a canonical `u < v` pair's mirror slot can live in another
-//! shard — and the section + spill wire format (see [`protocol`]) routes
-//! every directed slot to exactly one writer.
+//! same plan bit for bit. The symmetric assignment makes this nontrivial —
+//! a canonical `u < v` pair's mirror slot can live in another shard — so a
+//! worker ships only its own section (see [`protocol`]), and the
+//! coordinator fills every `u > v` slot from its twin in one pass over the
+//! assembled array.
 //!
 //! Fault tolerance is deliberately small: a worker that dies mid-stream is
 //! retried once; a repeat failure surfaces as a typed [`ShardError`]. The

@@ -9,7 +9,7 @@
 //! A healthy worker speaks a fixed monologue:
 //!
 //! ```text
-//! Hello → Counts* → Spills* → Report? → Done
+//! Hello → Counts* → Report? → Done
 //! ```
 //!
 //! * [`WorkerMsg::Hello`] echoes the wire version, shard index and edge
@@ -17,11 +17,10 @@
 //!   buffering anything;
 //! * [`WorkerMsg::Counts`] chunks carry the per-edge count *section* for
 //!   the worker's own range, in edge order ([`COUNTS_PER_FRAME`] values
-//!   per frame keeps every frame far below the cap);
-//! * [`WorkerMsg::Spills`] chunks carry the symmetric-assignment mirror
-//!   writes whose directed slot falls *outside* the worker's range (the
-//!   canonical `u < v` pair lives in this shard, its `(v, u)` mirror in
-//!   another), as `(directed offset, count)` pairs;
+//!   per frame keeps every frame far below the cap). Only the section
+//!   travels: the coordinator fills every `u > v` slot from its `u < v`
+//!   twin in one pass over the assembled array, so a mirror slot outside
+//!   the range never crosses the wire;
 //! * [`WorkerMsg::Report`] optionally carries the worker's own
 //!   observability snapshot as cnc-metrics report JSON;
 //! * [`WorkerMsg::Done`] closes the stream with the work evidence
@@ -33,7 +32,9 @@
 //! `cnc_graph::codec`: a malformed frame is a [`DecodeError`] naming the
 //! field, a chunk's declared length is checked against its cap and the
 //! payload's size before anything is allocated for it, and offsets decode
-//! straight to `usize`.
+//! straight to `usize`. Opcode 3 is left unassigned (it carried mirror
+//! writes in wire version 2), so a stale frame of that kind decodes as an
+//! invalid opcode.
 
 use cnc_graph::codec::{DecodeError, Reader, Writer};
 use cnc_intersect::WorkCounts;
@@ -42,19 +43,16 @@ pub use cnc_serve::{read_frame, write_frame, FrameRead, MAX_FRAME};
 
 /// Version of this wire dialect; [`WorkerMsg::Hello`] carries it and the
 /// coordinator refuses a mismatch (coordinator and workers are the same
-/// binary, so a mismatch means a stale executable on one side).
-pub const SHARD_WIRE_VERSION: u32 = 2;
+/// binary, so a mismatch means a stale executable on one side). Version 3
+/// ships sections only and leaves the mirror slots to the coordinator.
+pub const SHARD_WIRE_VERSION: u32 = 3;
 
 /// Count values per [`WorkerMsg::Counts`] frame (256 KiB of payload —
 /// comfortably under [`MAX_FRAME`]).
 pub const COUNTS_PER_FRAME: usize = 65_536;
 
-/// Spill pairs per [`WorkerMsg::Spills`] frame (384 KiB of payload).
-pub const SPILLS_PER_FRAME: usize = 32_768;
-
 const OP_HELLO: u8 = 1;
 const OP_COUNTS: u8 = 2;
-const OP_SPILLS: u8 = 3;
 const OP_REPORT: u8 = 4;
 const OP_DONE: u8 = 5;
 const OP_ERROR: u8 = 6;
@@ -76,9 +74,6 @@ pub enum WorkerMsg {
     },
     /// A chunk of the per-edge count section, in edge order.
     Counts(Vec<u32>),
-    /// Mirror writes landing outside the worker's own range:
-    /// `(directed edge offset, count)`.
-    Spills(Vec<(usize, u32)>),
     /// The worker's cnc-metrics report JSON (optional).
     Report(String),
     /// Stream closer: the work evidence for the completed range.
@@ -103,13 +98,23 @@ pub struct ShardTally {
     pub wall_nanos: u64,
 }
 
+/// Encode one [`WorkerMsg::Counts`] frame payload straight from a chunk of
+/// the count section: the one `Counts` encoder, which [`encode_msg`] also
+/// calls.
+pub(crate) fn encode_counts(counts: &[u32]) -> Vec<u8> {
+    debug_assert!(counts.len() <= COUNTS_PER_FRAME, "oversized counts chunk");
+    let mut w = Writer::with_capacity(5 + counts.len() * 4);
+    w.u8(OP_COUNTS);
+    w.count(counts.len());
+    for &c in counts {
+        w.u32(c);
+    }
+    w.into_bytes()
+}
+
 /// Encode one message into a frame payload (pass to [`write_frame`]).
 pub fn encode_msg(msg: &WorkerMsg) -> Vec<u8> {
-    let mut w = Writer::with_capacity(match msg {
-        WorkerMsg::Counts(counts) => 5 + counts.len() * 4,
-        WorkerMsg::Spills(spills) => 5 + spills.len() * 12,
-        _ => 64,
-    });
+    let mut w = Writer::with_capacity(64);
     match msg {
         WorkerMsg::Hello {
             version,
@@ -123,23 +128,7 @@ pub fn encode_msg(msg: &WorkerMsg) -> Vec<u8> {
             w.usize(*start);
             w.usize(*end);
         }
-        WorkerMsg::Counts(counts) => {
-            debug_assert!(counts.len() <= COUNTS_PER_FRAME, "oversized counts chunk");
-            w.u8(OP_COUNTS);
-            w.count(counts.len());
-            for &c in counts {
-                w.u32(c);
-            }
-        }
-        WorkerMsg::Spills(spills) => {
-            debug_assert!(spills.len() <= SPILLS_PER_FRAME, "oversized spills chunk");
-            w.u8(OP_SPILLS);
-            w.count(spills.len());
-            for &(eid, c) in spills {
-                w.usize(eid);
-                w.u32(c);
-            }
-        }
+        WorkerMsg::Counts(counts) => return encode_counts(counts),
         WorkerMsg::Report(json) => {
             w.u8(OP_REPORT);
             w.str(json);
@@ -185,14 +174,6 @@ pub fn decode_msg(payload: &[u8]) -> Result<WorkerMsg, DecodeError> {
         OP_COUNTS => {
             let n = r.count(COUNTS_PER_FRAME, 4, "counts length")?;
             WorkerMsg::Counts(r.u32s(n, "counts")?)
-        }
-        OP_SPILLS => {
-            let n = r.count(SPILLS_PER_FRAME, 12, "spills length")?;
-            let mut spills = Vec::with_capacity(n);
-            for _ in 0..n {
-                spills.push((r.usize("spill offset")?, r.u32("spill count")?));
-            }
-            WorkerMsg::Spills(spills)
         }
         OP_REPORT => WorkerMsg::Report(r.str("report")?),
         // Struct fields evaluate in source order, which is wire order.
@@ -240,8 +221,6 @@ mod tests {
             },
             WorkerMsg::Counts(vec![0, 1, u32::MAX, 7]),
             WorkerMsg::Counts(Vec::new()),
-            WorkerMsg::Spills(vec![(usize::MAX, 9), (0, 0)]),
-            WorkerMsg::Spills(Vec::new()),
             WorkerMsg::Report("{\"enabled\":true}".into()),
             WorkerMsg::Done(ShardTally {
                 rebuilds: 1,
@@ -288,14 +267,22 @@ mod tests {
         assert!(decode_msg(&huge).is_err(), "oversized counts");
         // A 5-byte frame claiming a full chunk: refused by the count check
         // before the chunk is reserved.
-        for (op, cap, field) in [
-            (OP_COUNTS, COUNTS_PER_FRAME, "counts length"),
-            (OP_SPILLS, SPILLS_PER_FRAME, "spills length"),
-        ] {
-            let mut claim = vec![op];
-            claim.extend_from_slice(&(cap as u32).to_le_bytes());
-            assert_eq!(decode_msg(&claim), Err(DecodeError::Truncated(field)));
-        }
+        let mut claim = vec![OP_COUNTS];
+        claim.extend_from_slice(&(COUNTS_PER_FRAME as u32).to_le_bytes());
+        assert_eq!(
+            decode_msg(&claim),
+            Err(DecodeError::Truncated("counts length"))
+        );
+        // Opcode 3 carried mirror writes before wire version 3 and stays
+        // unassigned: a stale frame is an invalid opcode.
+        let stale = [3, 0, 0, 0, 0];
+        assert_eq!(
+            decode_msg(&stale),
+            Err(DecodeError::Invalid {
+                field: "shard opcode",
+                value: 3
+            })
+        );
         // Trailing garbage.
         let mut noisy = encode_msg(&WorkerMsg::Counts(vec![1]));
         noisy.push(0);

@@ -16,10 +16,11 @@
 //!
 //! Determinism note: the worker runs the *full-length* scatter target
 //! ([`ScatterVec`](cnc_workload::ScatterVec)) the CNC workload always runs,
-//! whose visit writes both `eid` and its mirror, then extracts its section
-//! and the mirror writes that landed outside the range ("spills"). Every
-//! directed slot of the final array is written by exactly one worker, so the
-//! assembly is byte-identical to a single-process run by construction.
+//! whose visit writes both `eid` and its mirror, and ships only its own
+//! section. Every `u < v` slot of the section holds its exact count; the
+//! mirror writes that landed outside the range are dropped with the target,
+//! because the coordinator fills every `u > v` slot from its twin in one
+//! pass over the assembled array.
 
 use std::io::{self, Write};
 use std::ops::Range;
@@ -35,8 +36,8 @@ use cnc_obs::{ObsContext, RunReport};
 use cnc_workload::CncWorkload;
 
 use crate::protocol::{
-    encode_msg, write_frame, ShardTally, WorkerMsg, COUNTS_PER_FRAME, SHARD_WIRE_VERSION,
-    SPILLS_PER_FRAME,
+    encode_counts, encode_msg, write_frame, ShardTally, WorkerMsg, COUNTS_PER_FRAME,
+    SHARD_WIRE_VERSION,
 };
 
 /// Environment variable carrying fault-injection requests, as
@@ -106,12 +107,12 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
         .map_err(|_| format!("shard index {} does not fit the wire's u32", args.shard))?;
     send(
         out,
-        &WorkerMsg::Hello {
+        &encode_msg(&WorkerMsg::Hello {
             version: SHARD_WIRE_VERSION,
             shard,
             start: args.start,
             end: args.end,
-        },
+        }),
     )?;
 
     let ctx = Arc::new(ObsContext::new());
@@ -142,7 +143,7 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
     }
 
     let mut meter = CountingMeter::default();
-    let (counts, spills, tally) = {
+    let (counts, tally) = {
         let mut s = ctx.span("execute");
         s.set_items((args.end - args.start) as u64);
         count_block(&g, plan.cpu_kernel, args.start..args.end, &mut meter)
@@ -162,31 +163,28 @@ fn run_worker(args: &WorkerArgs, out: &mut impl Write) -> Result<(), String> {
                 let _ = out.flush();
                 std::process::exit(101);
             }
-            send(out, &WorkerMsg::Counts(chunk.to_vec()))?;
+            send(out, &encode_counts(chunk))?;
         }
         if die_after == Some(chunks.len()) {
             let _ = out.flush();
             std::process::exit(101);
-        }
-        for chunk in spills.chunks(SPILLS_PER_FRAME) {
-            send(out, &WorkerMsg::Spills(chunk.to_vec()))?;
         }
     }
 
     // Ship the observability snapshot when it fits a frame comfortably.
     let report = RunReport::from_context(&ctx).to_json();
     if report.len() <= 768 * 1024 {
-        send(out, &WorkerMsg::Report(report))?;
+        send(out, &encode_msg(&WorkerMsg::Report(report)))?;
     }
     send(
         out,
-        &WorkerMsg::Done(ShardTally {
+        &encode_msg(&WorkerMsg::Done(ShardTally {
             rebuilds: tally.rebuilds,
             visited: tally.visited,
             skipped: tally.skipped,
             work: meter.counts,
             wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        }),
+        })),
     )?;
     out.flush().map_err(|e| format!("flush failed: {e}"))
 }
@@ -205,37 +203,21 @@ fn load_execution_csr(path: &Path, reorder: bool) -> io::Result<CsrGraph> {
 }
 
 /// Count one block as a one-range list through the same `execute` as a
-/// bulk pass. The CNC scatter target spans all `|E|` directed slots, so
-/// mirror writes land wherever they belong; the returned spills are the
-/// ones outside the block, which the wire carries beside its section.
+/// bulk pass. The CNC scatter target spans all `|E|` directed slots; of
+/// them, the caller ships only the block's section.
 fn count_block(
     g: &CsrGraph,
     kernel: CpuKernel,
     block: Range<usize>,
     meter: &mut CountingMeter,
-) -> (Vec<u32>, Vec<(usize, u32)>, RangeTally) {
+) -> (Vec<u32>, RangeTally) {
     let kernels = KernelPool::new(kernel, g.num_vertices());
     let work = WorkList::Edges(std::slice::from_ref(&block));
-    let (counts, tally) = execute(g, work, &kernels, &CncWorkload, meter, None);
-    // Re-walk the block's canonical pairs and pick out every mirror slot
-    // that falls outside it.
-    let mut spills: Vec<(usize, u32)> = Vec::new();
-    let mut u_hint = 0u32;
-    for eid in block.clone() {
-        let u = g.find_src(eid, &mut u_hint);
-        if u >= g.dst()[eid] {
-            continue;
-        }
-        let rev = g.reverse_offset(u, eid);
-        if !block.contains(&rev) {
-            spills.push((rev, counts[rev]));
-        }
-    }
-    (counts, spills, tally)
+    execute(g, work, &kernels, &CncWorkload, meter, None)
 }
 
-fn send(out: &mut impl Write, msg: &WorkerMsg) -> Result<(), String> {
-    write_frame(out, &encode_msg(msg)).map_err(|e| format!("worker stream write failed: {e}"))
+fn send(out: &mut impl Write, payload: &[u8]) -> Result<(), String> {
+    write_frame(out, payload).map_err(|e| format!("worker stream write failed: {e}"))
 }
 
 #[cfg(test)]
@@ -263,24 +245,15 @@ mod tests {
             for workers in [1, 3, 4] {
                 let blocks = cut_source_blocks(&g, &kernel.cost_model(), &CncWorkload, workers);
                 // Assemble as the coordinator does: every block's section,
-                // then every block's spills (mirror writes outside it).
+                // then one mirror pass over the whole array.
                 let mut assembled = vec![0u32; bulk.len()];
-                let mut spilled = Vec::new();
                 for b in &blocks {
                     let mut meter = CountingMeter::default();
-                    let (counts, spills, tally) =
-                        count_block(&g, kernel, b.range.clone(), &mut meter);
+                    let (counts, tally) = count_block(&g, kernel, b.range.clone(), &mut meter);
                     assert!(tally.visited > 0 && meter.counts.intersections == tally.visited);
                     assembled[b.range.clone()].copy_from_slice(&counts[b.range.clone()]);
-                    for &(slot, c) in &spills {
-                        assert!(!b.range.contains(&slot), "spill inside block");
-                        assert_eq!(c, bulk[slot], "{kernel:?} mirror write {slot}");
-                    }
-                    spilled.extend(spills);
                 }
-                for (slot, c) in spilled {
-                    assembled[slot] = c;
-                }
+                g.mirror_counts(&mut assembled);
                 assert_eq!(assembled, bulk, "{kernel:?} {workers} workers");
             }
         }

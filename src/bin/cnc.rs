@@ -27,7 +27,9 @@
 //! an unsupported or unknown tier is a hard error instead of a fallback).
 //! The forced tier is exported to child processes, so `--shards N` workers
 //! execute at the same tier as the coordinator. A flag no subcommand knows
-//! is refused by name (`unknown flag "--x"`), never read as `GRAPH`.
+//! is refused by name (`unknown flag "--x"`), never read as `GRAPH`, and a
+//! value-taking flag with no value after it, or with the next `--` flag in
+//! its place, is refused too (`--out needs a value`).
 //!
 //! `GRAPH` is a SNAP-style edge-list text file (`u v` per line, `#`
 //! comments), a binary CSR written by `cnc-graph::io::write_csr`, or a
@@ -161,14 +163,19 @@ fn default_platform_name(csr_bytes: u64) -> &'static str {
     }
 }
 
-fn parse_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("cnc: {flag} needs a value");
-        std::process::exit(2);
+/// Take `flag` and its value out of `args`. A flag with no value after it,
+/// or with another `--` flag where its value belongs, is refused.
+fn parse_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(pos + 1) {
+        Some(value) if !value.starts_with("--") => {
+            args.remove(pos);
+            Ok(Some(args.remove(pos)))
+        }
+        _ => Err(format!("{flag} needs a value")),
     }
-    args.remove(pos);
-    Some(args.remove(pos))
 }
 
 fn parse_switch(args: &mut Vec<String>, flag: &str) -> bool {
@@ -212,10 +219,10 @@ fn print_stats(g: &CsrGraph) {
 
 /// `cnc cache [ls|gc|clear]` — inspect and trim the prepared-graph cache.
 fn run_cache(mut args: Vec<String>) -> Result<(), String> {
-    let dir = parse_flag(&mut args, "--dir")
+    let dir = parse_flag(&mut args, "--dir")?
         .map(PathBuf::from)
         .unwrap_or_else(prepare::default_cache_dir);
-    let max_bytes = parse_flag(&mut args, "--max-bytes")
+    let max_bytes = parse_flag(&mut args, "--max-bytes")?
         .map(|s| {
             s.parse::<u64>()
                 .map_err(|e| format!("bad --max-bytes: {e}"))
@@ -267,15 +274,15 @@ fn run_cache(mut args: Vec<String>) -> Result<(), String> {
 /// `cnc prepare` — stream an edge-list (or binary CSR) file into a
 /// `CNCPREP4` image under a memory budget.
 fn run_prepare(mut args: Vec<String>) -> Result<(), String> {
-    let out = parse_flag(&mut args, "--out");
-    let mem_budget = parse_flag(&mut args, "--mem-budget")
+    let out = parse_flag(&mut args, "--out")?;
+    let mem_budget = parse_flag(&mut args, "--mem-budget")?
         .map(|s| {
             s.parse::<u64>()
                 .map_err(|e| format!("bad --mem-budget: {e}"))
         })
         .transpose()?;
-    let spill_dir = parse_flag(&mut args, "--spill-dir").map(PathBuf::from);
-    let policy = match parse_flag(&mut args, "--reorder").as_deref() {
+    let spill_dir = parse_flag(&mut args, "--spill-dir")?.map(PathBuf::from);
+    let policy = match parse_flag(&mut args, "--reorder")?.as_deref() {
         // Degree-descending by default: the default bmp-rf algorithm runs
         // on the relabeled sections, and images carrying them serve every
         // policy (the runner falls back to original ids when unused).
@@ -283,7 +290,7 @@ fn run_prepare(mut args: Vec<String>) -> Result<(), String> {
         Some("none") => prepare::ReorderPolicy::None,
         Some(other) => return Err(format!("unknown --reorder {other:?} (try degdesc|none)")),
     };
-    let metrics_path = parse_flag(&mut args, "--metrics");
+    let metrics_path = parse_flag(&mut args, "--metrics")?;
     refuse_unknown_flags(&args)?;
     let input = args
         .first()
@@ -345,7 +352,7 @@ fn run_prepare(mut args: Vec<String>) -> Result<(), String> {
 
 /// Parse `--scale tiny|small|medium` (default tiny).
 fn parse_scale(args: &mut Vec<String>) -> Result<Scale, String> {
-    match parse_flag(args, "--scale").as_deref() {
+    match parse_flag(args, "--scale")?.as_deref() {
         None | Some("tiny") => Ok(Scale::Tiny),
         Some("small") => Ok(Scale::Small),
         Some("medium") => Ok(Scale::Medium),
@@ -354,7 +361,7 @@ fn parse_scale(args: &mut Vec<String>) -> Result<Scale, String> {
 }
 
 fn parse_algo(args: &mut Vec<String>) -> Result<Algorithm, String> {
-    match parse_flag(args, "--algo").as_deref() {
+    match parse_flag(args, "--algo")?.as_deref() {
         None | Some("bmp-rf") => Ok(Algorithm::bmp_rf()),
         Some("bmp") => Ok(Algorithm::bmp()),
         Some("mps") => Ok(Algorithm::mps()),
@@ -367,11 +374,11 @@ fn parse_algo(args: &mut Vec<String>) -> Result<Algorithm, String> {
 /// default 4) into a plan-level workload descriptor. The plan validates the
 /// range and the platform support; this only shapes the request.
 fn parse_workload(args: &mut Vec<String>) -> Result<WorkloadKind, String> {
-    let k: u8 = parse_flag(args, "--k")
+    let k: u8 = parse_flag(args, "--k")?
         .map(|s| s.parse().map_err(|e| format!("bad --k: {e}")))
         .transpose()?
         .unwrap_or(4);
-    match parse_flag(args, "--workload").as_deref() {
+    match parse_flag(args, "--workload")?.as_deref() {
         None | Some("cnc") => Ok(WorkloadKind::Cnc),
         Some("triangle") => Ok(WorkloadKind::Triangle),
         Some("kclique") => Ok(WorkloadKind::KClique { k }),
@@ -457,10 +464,10 @@ fn run_suite(mut args: Vec<String>) -> Result<(), String> {
     let scale = parse_scale(&mut args)?;
     let algo = parse_algo(&mut args)?;
     let workload = parse_workload(&mut args)?;
-    let platform_name = parse_flag(&mut args, "--platform").unwrap_or_else(|| "cpu".into());
-    let metrics_path = parse_flag(&mut args, "--metrics");
+    let platform_name = parse_flag(&mut args, "--platform")?.unwrap_or_else(|| "cpu".into());
+    let metrics_path = parse_flag(&mut args, "--metrics")?;
     let trace = parse_switch(&mut args, "--trace");
-    let datasets: Vec<Dataset> = match parse_flag(&mut args, "--dataset") {
+    let datasets: Vec<Dataset> = match parse_flag(&mut args, "--dataset")? {
         Some(name) => vec![*Dataset::ALL
             .iter()
             .find(|d| d.name() == name)
@@ -516,8 +523,8 @@ fn parse_endpoint(
     default_listen: Option<&str>,
     flag: &str,
 ) -> Result<Endpoint, String> {
-    let addr = parse_flag(args, flag);
-    let socket = parse_flag(args, "--socket").map(PathBuf::from);
+    let addr = parse_flag(args, flag)?;
+    let socket = parse_flag(args, "--socket")?.map(PathBuf::from);
     match (addr, socket) {
         (Some(_), Some(_)) => Err(format!("{flag} and --socket are mutually exclusive")),
         (Some(a), None) => Ok(Endpoint::Tcp(a)),
@@ -533,20 +540,20 @@ fn parse_endpoint(
 fn run_serve(mut args: Vec<String>) -> Result<(), String> {
     let algo = parse_algo(&mut args)?;
     let endpoint = parse_endpoint(&mut args, Some("127.0.0.1:7071"), "--listen")?;
-    let window_us: u64 = parse_flag(&mut args, "--batch-window-us")
+    let window_us: u64 = parse_flag(&mut args, "--batch-window-us")?
         .map(|s| s.parse().map_err(|e| format!("bad --batch-window-us: {e}")))
         .transpose()?
         .unwrap_or(200);
-    let queue_cap: usize = parse_flag(&mut args, "--queue-cap")
+    let queue_cap: usize = parse_flag(&mut args, "--queue-cap")?
         .map(|s| s.parse().map_err(|e| format!("bad --queue-cap: {e}")))
         .transpose()?
         .unwrap_or(1024);
-    let reply_limit: usize = parse_flag(&mut args, "--reply-limit")
+    let reply_limit: usize = parse_flag(&mut args, "--reply-limit")?
         .map(|s| s.parse().map_err(|e| format!("bad --reply-limit: {e}")))
         .transpose()?
         .unwrap_or(1000);
-    let metrics_path = parse_flag(&mut args, "--metrics");
-    let dataset = parse_flag(&mut args, "--dataset");
+    let metrics_path = parse_flag(&mut args, "--metrics")?;
+    let dataset = parse_flag(&mut args, "--dataset")?;
     let scale = parse_scale(&mut args)?;
     refuse_unknown_flags(&args)?;
 
@@ -688,20 +695,20 @@ fn run_query(mut args: Vec<String>) -> Result<(), String> {
 /// executes one edge range of the shared prepared graph and streams the
 /// section back over stdout (see `cnc-shard::protocol`).
 fn run_shard_worker(mut args: Vec<String>) -> Result<(), String> {
-    let prep = parse_flag(&mut args, "--prep")
+    let prep = parse_flag(&mut args, "--prep")?
         .ok_or_else(|| "shard-worker needs --prep FILE".to_string())?;
-    let algo = match parse_flag(&mut args, "--algo") {
+    let algo = match parse_flag(&mut args, "--algo")? {
         Some(token) => cnc_shard::parse_algo_token(&token)?,
         None => Algorithm::bmp_rf(),
     };
-    let reorder = match parse_flag(&mut args, "--reorder").as_deref() {
+    let reorder = match parse_flag(&mut args, "--reorder")?.as_deref() {
         None => None,
         Some("on") => Some(true),
         Some("off") => Some(false),
         Some(other) => return Err(format!("bad --reorder {other:?} (try on|off)")),
     };
     let mut req = |flag: &str| -> Result<usize, String> {
-        parse_flag(&mut args, flag)
+        parse_flag(&mut args, flag)?
             .ok_or_else(|| format!("shard-worker needs {flag}"))?
             .parse()
             .map_err(|e| format!("bad {flag}: {e}"))
@@ -851,7 +858,7 @@ fn run() -> Result<(), String> {
     // `--simd` is global: it pins the instruction tier for every kernel in
     // this process before anything resolves it, and is re-exported through
     // the environment so child processes (shard workers) match.
-    if let Some(name) = parse_flag(&mut args, "--simd") {
+    if let Some(name) = parse_flag(&mut args, "--simd")? {
         let tier = cnc_intersect::SimdTier::force_named(&name).map_err(|e| e.to_string())?;
         std::env::set_var("CNC_SIMD", tier.label());
     }
@@ -882,27 +889,27 @@ fn run() -> Result<(), String> {
     }
     let algo = parse_algo(&mut args)?;
     let workload = parse_workload(&mut args)?;
-    let out_path = parse_flag(&mut args, "--out");
-    let eps: f64 = parse_flag(&mut args, "--eps")
+    let out_path = parse_flag(&mut args, "--out")?;
+    let eps: f64 = parse_flag(&mut args, "--eps")?
         .map(|s| s.parse().map_err(|e| format!("bad --eps: {e}")))
         .transpose()?
         .unwrap_or(0.6);
-    let mu: usize = parse_flag(&mut args, "--mu")
+    let mu: usize = parse_flag(&mut args, "--mu")?
         .map(|s| s.parse().map_err(|e| format!("bad --mu: {e}")))
         .transpose()?
         .unwrap_or(3);
     let want_stats = parse_switch(&mut args, "--stats");
-    let metrics_path = parse_flag(&mut args, "--metrics");
+    let metrics_path = parse_flag(&mut args, "--metrics")?;
     let trace = parse_switch(&mut args, "--trace");
-    let platform_arg = parse_flag(&mut args, "--platform");
-    let shards: Option<usize> = parse_flag(&mut args, "--shards")
+    let platform_arg = parse_flag(&mut args, "--platform")?;
+    let shards: Option<usize> = parse_flag(&mut args, "--shards")?
         .map(|s| s.parse().map_err(|e| format!("bad --shards: {e}")))
         .transpose()?;
     if shards.is_some() && command != "count" {
         return Err("--shards applies to cnc count only".to_string());
     }
     let dataset =
-        match parse_flag(&mut args, "--dataset") {
+        match parse_flag(&mut args, "--dataset")? {
             Some(name) => Some(*Dataset::ALL.iter().find(|d| d.name() == name).ok_or_else(
                 || format!("unknown --dataset {name:?} (try lj-s|or-s|wi-s|tw-s|fr-s)"),
             )?),

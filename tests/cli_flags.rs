@@ -1,8 +1,9 @@
 //! The `cnc` binary refuses a flag no parser consumes by name, before it
 //! resolves `GRAPH`, so a misspelled or retired flag (`--schedule`) fails
 //! loudly instead of being read as the graph file or reported as a clash
-//! with `--dataset`. Drives the binary built by this package
-//! (`CARGO_BIN_EXE_cnc`); every case fails before any graph is read.
+//! with `--dataset`; and it refuses a value-taking flag given without its
+//! value. Drives the binary built by this package (`CARGO_BIN_EXE_cnc`);
+//! every case fails before any graph is read.
 
 use std::process::Command;
 
@@ -34,4 +35,37 @@ fn unknown_flags_are_refused_by_name() {
             "{args:?}"
         );
     }
+}
+
+/// A value-taking flag with nothing after it, or with the next flag where
+/// its value belongs, is refused with exit 1 like every other bad input,
+/// and the next flag is never taken as the value (no file named `--trace`).
+#[test]
+fn flags_without_values_are_refused() {
+    let dir = std::env::temp_dir().join(format!("cnc-cli-novalue-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cases: [(&[&str], &str); 4] = [
+        (&["count", "--dataset", "tw-s", "--out", "--trace"], "--out"),
+        (&["count", "--dataset"], "--dataset"),
+        (&["run", "--scale", "--trace"], "--scale"),
+        (&["--simd"], "--simd"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_cnc"))
+            .args(args)
+            .current_dir(&dir)
+            .env("CNC_CACHE_DIR", dir.join("cache"))
+            .output()
+            .expect("spawn cnc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("cnc: {flag} needs a value"),
+            "{args:?}"
+        );
+    }
+    let trace_file = dir.join("--trace").exists();
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    assert!(!trace_file, "a flag was written to as a file");
 }

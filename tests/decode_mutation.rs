@@ -182,8 +182,6 @@ fn shard_messages_survive_mutation() {
         },
         WorkerMsg::Counts(vec![0, 1, u32::MAX, 7]),
         WorkerMsg::Counts(Vec::new()),
-        WorkerMsg::Spills(vec![(1 << 40, 9), (0, 0)]),
-        WorkerMsg::Spills(Vec::new()),
         WorkerMsg::Report("{\"enabled\":true}".into()),
         WorkerMsg::Done(ShardTally {
             rebuilds: 1,

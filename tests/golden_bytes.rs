@@ -105,11 +105,6 @@ fn shard_messages(out: &mut BTreeMap<String, Vec<u8>>) {
         ),
         ("counts", WorkerMsg::Counts(vec![0, 1, u32::MAX, 7])),
         ("counts_empty", WorkerMsg::Counts(Vec::new())),
-        (
-            "spills",
-            WorkerMsg::Spills(vec![(1_099_511_627_776, 9), (0, 0), (17, u32::MAX)]),
-        ),
-        ("spills_empty", WorkerMsg::Spills(Vec::new())),
         ("report", WorkerMsg::Report("{\"enabled\":true}".into())),
         (
             "done",
