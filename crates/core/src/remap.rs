@@ -21,8 +21,7 @@ const MISMATCH: &str = "relabeled graph lost an edge";
 /// Every input row therefore receives its neighbours `x` in ascending
 /// order, which is the order of its sorted run, so a cursor seeded at
 /// `offsets[y]` lands on `e(y, x)` each time. The mirror slots come from
-/// the relabeled graph's reverse index (derived by the same kind of cursor
-/// walk when a hand-built relabel never built one).
+/// the relabeled graph's reverse index, which every `CsrGraph` carries.
 ///
 /// Panics if the relabel does not match `g`: each write checks
 /// `dst[slot] == x` and every row's cursor must end at its row's end, one
@@ -34,7 +33,7 @@ pub fn counts_to_original(g: &CsrGraph, reordered: &Reordered, counts: &[u32]) -
         h.num_vertices() == g.num_vertices() && h.num_directed_edges() == counts.len(),
         "{MISMATCH}"
     );
-    let rev = h.reverse_slots();
+    let rev = h.reverse_index();
     let (dst_g, dst_h) = (g.dst(), h.dst());
     let mut cursor = g.offsets()[..g.num_vertices()].to_vec();
     let mut out = vec![0u32; counts.len()];

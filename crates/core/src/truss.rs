@@ -112,7 +112,7 @@ pub fn truss_decomposition(g: &CsrGraph, counts: &[u32]) -> Result<TrussResult, 
         let v = g.dst()[eid];
         trussness[eid] = k;
         removed[eid] = true;
-        let rev = g.reverse_offset(u, eid);
+        let rev = g.reverse_offset(eid);
         trussness[rev] = k;
         removed[rev] = true;
 
@@ -150,7 +150,7 @@ fn canonical_slot(g: &CsrGraph, eid: usize) -> usize {
     if u < v {
         eid
     } else {
-        g.reverse_offset(u, eid)
+        g.reverse_offset(eid)
     }
 }
 
@@ -258,8 +258,8 @@ mod tests {
     fn both_slots_carry_same_trussness() {
         let g = CsrGraph::from_edge_list(&generators::gnm(50, 200, 3));
         let r = decompose(&g);
-        for (eid, u, _) in g.iter_edges() {
-            let rev = g.reverse_offset(u, eid);
+        for (eid, ..) in g.iter_edges() {
+            let rev = g.reverse_offset(eid);
             assert_eq!(r.trussness[eid], r.trussness[rev]);
         }
     }

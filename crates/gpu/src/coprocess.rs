@@ -1,8 +1,9 @@
 //! CPU–GPU co-processing (Algorithm 4 / Table 5).
 //!
 //! The symmetric assignment needs, for every `u > v` edge slot, the value
-//! computed for its reverse `u < v` slot. Finding reverse offsets costs a
-//! binary search per edge; the paper hides that latency by running the
+//! computed for its reverse `u < v` slot. In the paper, finding reverse
+//! offsets costs a binary search per edge (here, one load of the CSR's
+//! reverse-edge index); the paper hides that latency by running the
 //! offset assignment on the CPU *concurrently* with the counting kernels on
 //! the GPU (both touch disjoint halves of the same unified count array) and
 //! finishing with a cheap gather pass:
@@ -16,6 +17,7 @@
 //! kernels ([`postprocess_without_coprocessing`]): cnc-graph's
 //! `CsrGraph::mirror_counts`, the pass the shard coordinator also runs over
 //! its assembled count array.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use std::time::Instant;
 
@@ -24,13 +26,15 @@ use cnc_graph::CsrGraph;
 /// Phase 1: write the reverse edge offset into every `u > v` slot.
 ///
 /// Returns wall-clock seconds of the host loop (informational: reported
-/// times are modeled).
+/// times are modeled). Panics if an offset does not fit the `u32` count
+/// slot that holds it until phase 3.
 pub fn assign_reverse_offsets(g: &CsrGraph, counts: &mut [u32]) -> f64 {
     assert_eq!(counts.len(), g.num_directed_edges());
     let t0 = Instant::now();
     for (eid, u, v) in g.iter_edges() {
         if u > v {
-            counts[eid] = g.reverse_offset(u, eid) as u32;
+            counts[eid] = u32::try_from(g.reverse_offset(eid))
+                .expect("co-processing stores edge offsets in u32 count slots");
         }
     }
     t0.elapsed().as_secs_f64()

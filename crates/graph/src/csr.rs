@@ -8,7 +8,6 @@
 //! indexed by this offset.
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
-use std::borrow::Cow;
 use std::convert::Infallible;
 
 use crate::edgelist::EdgeList;
@@ -26,16 +25,16 @@ pub struct CsrGraph {
     offsets: GraphStore<usize>,
     /// Concatenated neighbor lists, each strictly ascending.
     dst: GraphStore<u32>,
-    /// Optional reverse-edge index: `rev[e(u,v)] == e(v,u)`. Built once by
-    /// the preparation layer ([`CsrGraph::build_reverse_index`]) so the
-    /// symmetric-assignment store in the edge-range drivers is an O(1) load
-    /// instead of a per-edge binary search.
-    rev: Option<GraphStore<usize>>,
+    /// Reverse-edge index: `rev[e(u,v)] == e(v,u)`. Every constructor fills
+    /// it (the heap builders, by the cursor walk [`fill_reverse`]) or checks
+    /// it entry by entry (the image loaders), so the symmetric assignment's
+    /// mirror lookup is one load.
+    rev: GraphStore<usize>,
 }
 
 /// Graph identity is the CSR itself. The reverse index is derived data —
-/// `rev` is definitionally a function of `offsets`/`dst` — so two graphs
-/// that differ only in whether the index has been built compare equal.
+/// `rev` is definitionally a function of `offsets`/`dst` — so only those
+/// two arrays are compared.
 impl PartialEq for CsrGraph {
     fn eq(&self, other: &Self) -> bool {
         *self.offsets == *other.offsets && *self.dst == *other.dst
@@ -83,12 +82,15 @@ impl CsrGraph {
     }
 
     /// Wrap arrays the fillers of this module (or [`crate::reorder`]) just
-    /// wrote: valid by construction, so only debug builds re-check them.
+    /// wrote and fill their reverse index: valid by construction, so only
+    /// debug builds re-check them.
     pub(crate) fn from_filled(offsets: Vec<usize>, dst: Vec<u32>) -> Self {
+        let mut rev = vec![0usize; dst.len()];
+        fill_reverse(&offsets, &dst, &mut rev);
         let g = Self {
             offsets: offsets.into(),
             dst: dst.into(),
-            rev: None,
+            rev: rev.into(),
         };
         debug_assert_eq!(g.validate_structure(), Ok(()));
         g
@@ -101,51 +103,77 @@ impl CsrGraph {
 
     /// Build directly from parts, returning a description of the violated
     /// invariant instead of panicking. This is the constructor for
-    /// *untrusted* parts (deserialized files, caches).
+    /// *untrusted* parts (deserialized files, caches): the full
+    /// [`CsrGraph::validate`], then the reverse index by the cursor walk,
+    /// which is exact because `validate` proved the CSR symmetric.
     pub fn try_from_parts(offsets: Vec<usize>, dst: Vec<u32>) -> Result<Self, String> {
-        Self::try_from_stores(offsets.into(), dst.into())
-    }
-
-    /// Build from arbitrary [`GraphStore`] backings (owned or mapped) with
-    /// the full invariant check of [`CsrGraph::validate`].
-    pub fn try_from_stores(
-        offsets: GraphStore<usize>,
-        dst: GraphStore<u32>,
-    ) -> Result<Self, String> {
-        if offsets.is_empty() {
-            return Err("offsets must have length |V| + 1, got 0".into());
-        }
-        let g = Self {
-            offsets,
-            dst,
-            rev: None,
-        };
+        let mut g = Self::unindexed(offsets.into(), dst.into())?;
         g.validate()?;
+        let mut rev = vec![0usize; g.dst.len()];
+        fill_reverse(&g.offsets, &g.dst, &mut rev);
+        g.rev = rev.into();
         Ok(g)
     }
 
-    /// Build from [`GraphStore`] backings with only the linear-time
-    /// [`CsrGraph::validate_structure`] check.
-    ///
-    /// This is the constructor for *integrity-protected* inputs — mapped
-    /// `CNCPREP4` sections whose per-section checksums already verified the
-    /// bytes are exactly what [`crate::io::write_csr`]-style serialization of
-    /// a valid graph produced. The `O(|E| log d)` symmetry probes of the full
-    /// validation are skipped so warm loads stay cheap.
-    pub(crate) fn try_from_stores_structural(
+    /// Build from the three stored sections of an image — offsets,
+    /// neighbors and reverse index, owned or mapped. `check` is
+    /// [`CsrGraph::validate`] for untrusted bytes, or the linear-time
+    /// [`CsrGraph::validate_structure`] for mapped `CNCPREP4` sections whose
+    /// checksums already verified them, sparing warm loads the
+    /// `O(|E| log d)` symmetry probes. Then every reverse entry must point at
+    /// its true mirror slot, `rev[e(u,v)] ∈ [offsets[v], offsets[v+1])` with
+    /// `dst[rev[e(u,v)]] == u`, checked in `O(|E|)`: section checksums catch
+    /// media corruption, this check a well-formed file that encodes a wrong
+    /// permutation.
+    pub(crate) fn try_from_sections(
         offsets: GraphStore<usize>,
         dst: GraphStore<u32>,
+        rev: GraphStore<usize>,
+        check: fn(&Self) -> Result<(), String>,
     ) -> Result<Self, String> {
+        let inconsistent = |e| format!("inconsistent CSR: {e}");
+        let mut g = Self::unindexed(offsets, dst).map_err(inconsistent)?;
+        check(&g).map_err(inconsistent)?;
+        g.check_reverse_index(&rev)
+            .map_err(|e| format!("inconsistent reverse index: {e}"))?;
+        g.rev = rev;
+        Ok(g)
+    }
+
+    /// The arrays of a graph whose reverse index the calling constructor
+    /// fills or checks before it returns the graph.
+    fn unindexed(offsets: GraphStore<usize>, dst: GraphStore<u32>) -> Result<Self, String> {
         if offsets.is_empty() {
             return Err("offsets must have length |V| + 1, got 0".into());
         }
-        let g = Self {
+        Ok(Self {
             offsets,
             dst,
-            rev: None,
-        };
-        g.validate_structure()?;
-        Ok(g)
+            rev: Vec::new().into(),
+        })
+    }
+
+    /// Whether `rev` maps every directed edge slot `e(u, v)` to `e(v, u)`.
+    fn check_reverse_index(&self, rev: &[usize]) -> Result<(), String> {
+        if rev.len() != self.dst.len() {
+            return Err(format!(
+                "reverse index length {} != directed edge count {}",
+                rev.len(),
+                self.dst.len()
+            ));
+        }
+        for u in self.vertex_ids() {
+            for eid in self.offset_range(u) {
+                let v = self.dst[eid] as usize;
+                let r = rev[eid];
+                if r < self.offsets[v] || r >= self.offsets[v + 1] || self.dst[r] != u {
+                    return Err(format!(
+                        "reverse index corrupt at eid {eid}: rev={r} is not e({v},{u})"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Whether both CSR arrays are served zero-copy from a mapped cache
@@ -218,22 +246,15 @@ impl CsrGraph {
             .map(|idx| base + idx)
     }
 
-    /// Reverse edge offset `e(v, u)` for a known edge offset `eid = e(u, v)`.
+    /// Reverse edge offset `e(v, u)` for a known edge offset `eid = e(u, v)`:
+    /// one load of the reverse index.
     ///
     /// Used by the symmetric assignment technique
-    /// (`cnt[e(v,u)] ← cnt[e(u,v)]`, Section 3). With a precomputed reverse
-    /// index (built by the preparation layer) this is a single O(1) array
-    /// load; without one it falls back to a binary search of `u` in `N(v)`.
-    /// Panics if the reverse edge is absent, which would mean the CSR is not
-    /// symmetric.
+    /// (`cnt[e(v,u)] ← cnt[e(u,v)]`, Section 3), where the paper finds the
+    /// mirror slot by a binary search of `u` in `N(v)`.
     #[inline]
-    pub fn reverse_offset(&self, u: u32, eid: usize) -> usize {
-        if let Some(rev) = &self.rev {
-            return rev[eid];
-        }
-        let v = self.dst[eid];
-        self.edge_offset(v, u)
-            .expect("CSR must be symmetric: reverse edge missing")
+    pub fn reverse_offset(&self, eid: usize) -> usize {
+        self.rev[eid]
     }
 
     /// The symmetric assignment as one pass after counting (the final step
@@ -245,72 +266,15 @@ impl CsrGraph {
         assert_eq!(counts.len(), self.dst.len(), "one count per edge slot");
         for (eid, u, v) in self.iter_edges() {
             if u > v {
-                counts[eid] = counts[self.reverse_offset(u, eid)];
+                counts[eid] = counts[self.reverse_offset(eid)];
             }
         }
     }
 
-    /// Whether the O(1) reverse-edge index is present.
+    /// The reverse-edge index: `rev[e(u,v)] == e(v,u)`.
     #[inline]
-    pub fn has_reverse_index(&self) -> bool {
-        self.rev.is_some()
-    }
-
-    /// The raw reverse-edge index, if built: `rev[e(u,v)] == e(v,u)`.
-    #[inline]
-    pub fn reverse_index(&self) -> Option<&[usize]> {
-        self.rev.as_deref()
-    }
-
-    /// The reverse-edge index `rev[e(u,v)] == e(v,u)`: borrowed when built
-    /// or attached, otherwise derived in `O(|V| + |E|)` by the cursor walk
-    /// the streaming writer also runs (`fill_reverse`).
-    pub fn reverse_slots(&self) -> Cow<'_, [usize]> {
-        if let Some(rev) = self.rev.as_deref() {
-            return Cow::Borrowed(rev);
-        }
-        let mut rev = vec![0usize; self.dst.len()];
-        fill_reverse(&self.offsets, &self.dst, &mut rev);
-        Cow::Owned(rev)
-    }
-
-    /// Build and keep the reverse-edge index ([`CsrGraph::reverse_slots`]).
-    /// Idempotent; a no-op if already built.
-    pub fn build_reverse_index(&mut self) {
-        if self.rev.is_none() {
-            self.rev = Some(self.reverse_slots().into_owned().into());
-        }
-    }
-
-    /// Attach an externally stored (deserialized / mapped) reverse index
-    /// after verifying, in `O(|E|)`, that every entry points at the true
-    /// mirror slot: `rev[eid] ∈ [offsets[v], offsets[v+1])` and
-    /// `dst[rev[eid]] == u` for each directed edge `eid = e(u, v)`.
-    ///
-    /// This is the trust boundary for cache files: section checksums catch
-    /// media corruption, this check catches a well-formed file that simply
-    /// encodes a wrong permutation.
-    pub fn try_attach_reverse_index(&mut self, rev: GraphStore<usize>) -> Result<(), String> {
-        if rev.len() != self.dst.len() {
-            return Err(format!(
-                "reverse index length {} != directed edge count {}",
-                rev.len(),
-                self.dst.len()
-            ));
-        }
-        for u in self.vertex_ids() {
-            for eid in self.offset_range(u) {
-                let v = self.dst[eid] as usize;
-                let r = rev[eid];
-                if r < self.offsets[v] || r >= self.offsets[v + 1] || self.dst[r] != u {
-                    return Err(format!(
-                        "reverse index corrupt at eid {eid}: rev={r} is not e({v},{u})"
-                    ));
-                }
-            }
-        }
-        self.rev = Some(rev);
-        Ok(())
+    pub fn reverse_index(&self) -> &[usize] {
+        &self.rev
     }
 
     /// Source-vertex search `FindSrc` (Algorithm 3 lines 7–15): the vertex
@@ -503,10 +467,67 @@ mod tests {
         let g = triangle_plus_tail();
         let e02 = g.edge_offset(0, 2).unwrap();
         assert_eq!(g.dst()[e02], 2);
-        let e20 = g.reverse_offset(0, e02);
+        let e20 = g.reverse_offset(e02);
         assert_eq!(g.dst()[e20], 0);
         assert!(g.offset_range(2).contains(&e20));
         assert_eq!(g.edge_offset(0, 3), None);
+    }
+
+    /// The graph `el` describes, as every constructor and loader builds
+    /// it, each with the name of its path.
+    fn every_construction(el: &EdgeList) -> Vec<(&'static str, CsrGraph)> {
+        use crate::{io, prepare, reorder, PreparedGraph, ReorderPolicy};
+        let built = CsrGraph::from_edge_list(el);
+        let flipped = el.iter().map(|(u, v)| (v, u));
+        let mut bin = Vec::new();
+        io::write_csr(&built, &mut bin).unwrap();
+        let pg = PreparedGraph::from_csr(built.clone(), ReorderPolicy::DegreeDescending);
+        let mut image = Vec::new();
+        prepare::write_prepared(&pg, &mut image).unwrap();
+        let read = prepare::read_prepared(image.as_slice()).unwrap();
+        let mut all = vec![
+            (
+                "from_undirected_pairs",
+                CsrGraph::from_undirected_pairs(el.num_vertices, flipped),
+            ),
+            (
+                "from_parts",
+                CsrGraph::from_parts(built.offsets().to_vec(), built.dst().to_vec()),
+            ),
+            ("relabel", reorder::degree_descending(&built).graph),
+            ("read_csr", io::read_csr(bin.as_slice()).unwrap()),
+            ("read_prepared", read.graph().clone()),
+            (
+                "read_prepared, relabeled",
+                read.reordered().unwrap().graph.clone(),
+            ),
+        ];
+        #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
+        {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            static SEQ: AtomicU64 = AtomicU64::new(0);
+            let path = std::env::temp_dir().join(format!(
+                "cnc-csr-rev-{}-{}.prep",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::write(&path, &image).unwrap();
+            let mapped = prepare::map_prepared(&path).unwrap();
+            all.push(("map_prepared", mapped.graph().clone()));
+            all.push((
+                "map_prepared, relabeled",
+                mapped.reordered().unwrap().graph.clone(),
+            ));
+            for (what, reorder) in [
+                ("map_execution_csr", false),
+                ("map_execution_csr, relabeled", true),
+            ] {
+                all.push((what, prepare::map_execution_csr(&path, reorder).unwrap()));
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+        all.push(("from_edge_list", built));
+        all
     }
 
     #[test]
@@ -519,23 +540,14 @@ mod tests {
             EdgeList::new(0),
             EdgeList::new(7),
         ] {
-            let searched = CsrGraph::from_edge_list(&el);
-            let mut indexed = searched.clone();
-            indexed.build_reverse_index();
-            assert!(indexed.has_reverse_index());
-            assert!(!searched.has_reverse_index());
-            for (eid, u, v) in searched.iter_edges().collect::<Vec<_>>() {
-                let want = searched.reverse_offset(u, eid);
-                assert_eq!(indexed.reverse_offset(u, eid), want, "eid={eid}");
-                assert_eq!(indexed.dst()[want], u);
-                assert!(indexed.offset_range(v).contains(&want));
+            for (what, g) in every_construction(&el) {
+                let rev = g.reverse_index();
+                assert_eq!(rev.len(), g.num_directed_edges(), "{what}");
+                for (eid, u, v) in g.iter_edges() {
+                    assert_eq!(Some(rev[eid]), g.edge_offset(v, u), "{what}: eid={eid}");
+                    assert_eq!(g.reverse_offset(eid), rev[eid], "{what}: eid={eid}");
+                }
             }
-            // Derived data is excluded from graph identity.
-            assert_eq!(indexed, searched);
-            // Idempotent.
-            let before = indexed.reverse_index().unwrap().to_vec();
-            indexed.build_reverse_index();
-            assert_eq!(indexed.reverse_index().unwrap(), &before[..]);
         }
     }
 
@@ -547,56 +559,55 @@ mod tests {
             EdgeList::from_pairs([(0, 1), (0, 2), (1, 2), (2, 3)]),
             EdgeList::new(3),
         ] {
-            let searched = CsrGraph::from_edge_list(&el);
-            let mut indexed = searched.clone();
-            indexed.build_reverse_index();
-            for g in [&searched, &indexed] {
-                // A `u < v` slot sits before its twin, so after the pass
-                // every slot holds the smaller offset of its pair.
-                let mut counts: Vec<u32> = g
-                    .iter_edges()
-                    .map(|(eid, u, v)| if u < v { eid as u32 } else { u32::MAX })
-                    .collect();
-                g.mirror_counts(&mut counts);
-                for (eid, u, _) in g.iter_edges() {
-                    let pair_min = eid.min(g.reverse_offset(u, eid));
-                    assert_eq!(counts[eid] as usize, pair_min, "eid={eid}");
-                }
+            let g = CsrGraph::from_edge_list(&el);
+            // A `u < v` slot sits before its twin, so after the pass every
+            // slot holds the smaller offset of its pair.
+            let mut counts: Vec<u32> = g
+                .iter_edges()
+                .map(|(eid, u, v)| if u < v { eid as u32 } else { u32::MAX })
+                .collect();
+            g.mirror_counts(&mut counts);
+            for (eid, ..) in g.iter_edges() {
+                let pair_min = eid.min(g.reverse_offset(eid));
+                assert_eq!(counts[eid] as usize, pair_min, "eid={eid}");
             }
         }
     }
 
     #[test]
-    fn attach_reverse_index_validates_entries() {
-        let g0 = triangle_plus_tail();
-        let mut built = g0.clone();
-        built.build_reverse_index();
-        let good = built.reverse_index().unwrap().to_vec();
-
-        // The genuine index attaches.
-        let mut g = g0.clone();
-        g.try_attach_reverse_index(good.clone().into()).unwrap();
-        assert!(g.has_reverse_index());
-
-        // Wrong length is rejected.
-        let mut g = g0.clone();
-        assert!(g
-            .try_attach_reverse_index(good[1..].to_vec().into())
-            .is_err());
-
-        // A swapped pair of entries no longer mirrors: rejected.
-        let mut bad = good.clone();
-        bad.swap(0, 1);
-        let mut g = g0.clone();
-        let err = g.try_attach_reverse_index(bad.into()).unwrap_err();
-        assert!(err.contains("reverse index corrupt"), "{err}");
-        assert!(!g.has_reverse_index());
-
-        // An out-of-run entry is rejected even if dst there matches nothing.
-        let mut bad = good;
-        bad[0] = g0.num_directed_edges() - 1;
-        let mut g = g0;
-        assert!(g.try_attach_reverse_index(bad.into()).is_err());
+    fn sections_with_a_corrupt_reverse_index_are_refused() {
+        // Rows: N(0) = [1, 2] at slots 0-1, N(1) = [0, 2] at 2-3,
+        // N(2) = [0, 1, 3] at 4-6, N(3) = [2] at 7.
+        let g = triangle_plus_tail();
+        let good = g.reverse_index().to_vec();
+        let corrupt = |eid: usize, r: usize| {
+            let mut rev = good.clone();
+            rev[eid] = r;
+            rev
+        };
+        // e(0,2) and e(1,2) swap mirrors: slot 5 lies in row 2 but holds
+        // 1, not 0.
+        let mut swapped = good.clone();
+        swapped.swap(1, 3);
+        let cases = [
+            (good[1..].to_vec(), "length 7 != directed edge count 8"),
+            (swapped, "corrupt at eid 1: rev=5 is not e(2,0)"),
+            // Slot 4 holds 0, but lies in row 2, not in e(0,1)'s row 1.
+            (corrupt(0, 4), "corrupt at eid 0: rev=4 is not e(1,0)"),
+            (corrupt(0, usize::MAX), "corrupt at eid 0"),
+        ];
+        for check in [CsrGraph::validate, CsrGraph::validate_structure] {
+            let load = |rev: &[usize]| {
+                let (offsets, dst) = (g.offsets().to_vec(), g.dst().to_vec());
+                CsrGraph::try_from_sections(offsets.into(), dst.into(), rev.to_vec().into(), check)
+            };
+            assert_eq!(load(&good).unwrap().reverse_index(), &good[..]);
+            for (rev, want) in &cases {
+                let err = load(rev).unwrap_err();
+                let want = format!("inconsistent reverse index: reverse index {want}");
+                assert!(err.starts_with(&want), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,6 @@ use crate::edgelist::EdgeList;
 use crate::mmap::{self, FileLock, MappedFile};
 use crate::reorder::{self, Reordered};
 use crate::stats::{skew_percentage, GraphStats, SKEW_THRESHOLD};
-use crate::store::GraphStore;
 use crate::stream;
 
 /// Which relabeling the preparation pipeline applies.
@@ -285,22 +284,16 @@ impl PreparedGraph {
 
     /// [`PreparedGraph::finish`]'s work without its counter (the streamer's
     /// heap fallback, whose callers count the build themselves): relabel
-    /// under `policy`, derive the statistics, and build the O(1)
-    /// reverse-edge index on every execution-candidate CSR (original and,
-    /// when reordered, relabeled) so the drivers' symmetric assignment never
-    /// binary-searches — the index is persisted by [`write_prepared`], so
-    /// warm loads get it for free.
-    pub(crate) fn derive(mut graph: CsrGraph, policy: ReorderPolicy) -> Self {
-        let mut reordered = match policy {
+    /// under `policy` and derive the statistics. Both CSRs carry their
+    /// reverse-edge index from construction, and [`write_prepared`]
+    /// persists it, so warm loads get it for free.
+    pub(crate) fn derive(graph: CsrGraph, policy: ReorderPolicy) -> Self {
+        let reordered = match policy {
             ReorderPolicy::None => None,
             ReorderPolicy::DegreeDescending => {
                 cnc_obs::ObsContext::scoped("reorder", || Some(reorder::degree_descending(&graph)))
             }
         };
-        graph.build_reverse_index();
-        if let Some(r) = &mut reordered {
-            r.graph.build_reverse_index();
-        }
         let stats = GraphStats::of(&graph);
         let skew_pct = skew_percentage(&graph, SKEW_THRESHOLD);
         Self {
@@ -655,8 +648,7 @@ pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()>
     for g in std::iter::once(g).chain(pg.reordered.as_ref().map(|r| &r.graph)) {
         put(u64_payload(g.offsets()))?;
         put(u32_payload(g.dst()))?;
-        // Derived on the fly for graphs that never built the index.
-        put(u64_payload(&g.reverse_slots()))?;
+        put(u64_payload(g.reverse_index()))?;
     }
     if let Some(r) = &pg.reordered {
         put(u32_payload(&r.new_to_old))?;
@@ -849,11 +841,8 @@ fn prepared_from_image(bytes: &[u8]) -> io::Result<PreparedGraph> {
             let offsets = Reader::new(offsets).usizes(so.count(), "offsets")?;
             let dst = Reader::new(dst).u32s(sd.count(), "neighbors")?;
             let rev = Reader::new(rev).usizes(sr.count(), "reverse index")?;
-            let mut g = CsrGraph::try_from_parts(offsets, dst)
-                .map_err(|e| invalid(format!("inconsistent CSR: {e}")))?;
-            g.try_attach_reverse_index(rev.into())
-                .map_err(|e| invalid(format!("inconsistent reverse index: {e}")))?;
-            Ok(g)
+            CsrGraph::try_from_sections(offsets.into(), dst.into(), rev.into(), CsrGraph::validate)
+                .map_err(invalid)
         },
     )
 }
@@ -945,14 +934,10 @@ fn mapped_csr(
     map: &Arc<MappedFile>,
     [(so, _), (sd, _), (sr, _)]: &CsrParts<'_>,
 ) -> io::Result<CsrGraph> {
-    let offsets: GraphStore<usize> = map.typed_slice::<usize>(so.start, so.count())?.into();
-    let dst: GraphStore<u32> = map.typed_slice::<u32>(sd.start, sd.count())?.into();
-    let rev: GraphStore<usize> = map.typed_slice::<usize>(sr.start, sr.count())?.into();
-    let mut g = CsrGraph::try_from_stores_structural(offsets, dst)
-        .map_err(|e| invalid(format!("inconsistent CSR: {e}")))?;
-    g.try_attach_reverse_index(rev)
-        .map_err(|e| invalid(format!("inconsistent reverse index: {e}")))?;
-    Ok(g)
+    let offsets = map.typed_slice::<usize>(so.start, so.count())?.into();
+    let dst = map.typed_slice::<u32>(sd.start, sd.count())?.into();
+    let rev = map.typed_slice::<usize>(sr.start, sr.count())?.into();
+    CsrGraph::try_from_sections(offsets, dst, rev, CsrGraph::validate_structure).map_err(invalid)
 }
 
 /// The on-disk cache directory: `$CNC_CACHE_DIR` when set, `results/cache`
@@ -1293,17 +1278,12 @@ mod tests {
             assert_eq!(back.graph(), pg.graph());
             assert_eq!(back.policy(), policy);
             // The reverse-edge index survives the trip on every graph.
-            assert_eq!(
-                back.graph().reverse_index().expect("rev persisted"),
-                pg.graph().reverse_index().expect("rev built")
-            );
-            if let Some(r) = back.reordered() {
-                assert!(r.graph.has_reverse_index());
-            }
+            assert_eq!(back.graph().reverse_index(), pg.graph().reverse_index());
             match (back.reordered(), pg.reordered()) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
                     assert_eq!(a.graph, b.graph);
+                    assert_eq!(a.graph.reverse_index(), b.graph.reverse_index());
                     assert_eq!(a.new_to_old, b.new_to_old);
                     assert_eq!(a.old_to_new, b.old_to_new);
                 }
@@ -1554,8 +1534,7 @@ mod tests {
                 let what = format!("section {i}, reorder={reorder}");
                 let got = map_execution_bytes(&flipped, reorder)
                     .unwrap_or_else(|e| panic!("{what}: the loader does not read it: {e}"));
-                let mut want = pg.execution_graph(reorder).clone();
-                want.build_reverse_index();
+                let want = pg.execution_graph(reorder);
                 assert_eq!(got.offsets(), want.offsets(), "{what}");
                 assert_eq!(got.dst(), want.dst(), "{what}");
                 assert_eq!(got.reverse_index(), want.reverse_index(), "{what}");
@@ -1591,7 +1570,7 @@ mod tests {
         assert_eq!(d.graph_builds, 1, "stale file must trigger a rebuild");
         assert_eq!(d.disk_writes, 1, "rebuild must refresh the cache file");
         assert_eq!(back.graph(), fresh.graph());
-        assert!(back.graph().has_reverse_index());
+        assert_eq!(back.graph().reverse_index(), fresh.graph().reverse_index());
         assert_eq!(&fs::read(&path).unwrap()[..8], PREPARED_MAGIC);
         let _ = fs::remove_dir_all(&dir);
     }

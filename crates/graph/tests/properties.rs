@@ -54,9 +54,9 @@ proptest! {
         let g = CsrGraph::from_edge_list(&EdgeList::from_pairs(ps));
         for (eid, u, v) in g.iter_edges() {
             prop_assert_eq!(g.edge_offset(u, v), Some(eid));
-            let rev = g.reverse_offset(u, eid);
+            let rev = g.reverse_offset(eid);
             prop_assert_eq!(g.dst()[rev], u);
-            prop_assert_eq!(g.reverse_offset(v, rev), eid);
+            prop_assert_eq!(g.reverse_offset(rev), eid);
         }
     }
 

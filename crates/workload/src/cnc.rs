@@ -5,27 +5,11 @@ use cnc_intersect::{Meter, PairKernel};
 
 use crate::{ScatterVec, Workload};
 
-/// Cost of the `e(v,u)` mirror lookup (the symmetric-assignment technique),
-/// reported to the meter.
-///
-/// Prepared graphs carry a reverse-edge index, making the lookup a single
-/// streamed load; graphs without one fall back to a binary search over
-/// `N(v)` whose probes hit random cache lines.
-#[inline]
-pub fn meter_reverse<M: Meter>(has_rev: bool, dv: usize, meter: &mut M) {
-    if has_rev {
-        meter.seq_bytes(8); // one rev[eid] load, streamed with the edge walk
-    } else {
-        let probes = (dv.max(1)).ilog2() as u64 + 1;
-        meter.scalar_ops(probes);
-        meter.rand_accesses(probes);
-    }
-    meter.write_bytes(8); // the two count stores
-}
-
 /// All-edge common neighbor counting: `cnt[e(u,v)] = |N(u) ∩ N(v)|` for
 /// every directed edge slot, with the symmetric-assignment mirror
 /// (`cnt[e(v,u)] ← cnt[e(u,v)]`, computed once per canonical pair).
+/// The mirror slot comes from the graph's reverse-edge index, metered as
+/// one streamed 8-byte load beside the two 4-byte count stores.
 ///
 /// Shared state is the full per-edge [`ScatterVec`]; the per-worker
 /// accumulator is empty. Every canonical pair is covered, so the source
@@ -60,8 +44,9 @@ impl Workload for CncWorkload {
     ) {
         let c = kernel.count(g.neighbors(u), g.neighbors(v), meter);
         shared.set(eid, c);
-        shared.set(g.reverse_offset(u, eid), c);
-        meter_reverse(g.has_reverse_index(), g.degree(v), meter);
+        shared.set(g.reverse_offset(eid), c);
+        meter.seq_bytes(8); // the rev[eid] load, streamed with the edge walk
+        meter.write_bytes(8); // the two count stores
     }
 
     fn merge(&self, _into: &mut (), _from: ()) {}
@@ -156,8 +141,8 @@ mod tests {
             }
         }
         let counts = w.finish(&g, shared, acc);
-        for (eid, u, _) in g.iter_edges() {
-            let rev = g.reverse_offset(u, eid);
+        for (eid, ..) in g.iter_edges() {
+            let rev = g.reverse_offset(eid);
             assert_eq!(counts[eid], counts[rev], "mirror slot must match");
         }
         // Edge (1,2) closes both triangles.
@@ -166,13 +151,24 @@ mod tests {
     }
 
     #[test]
-    fn meter_reverse_paths() {
-        let mut with_rev = CountingMeter::new();
-        meter_reverse(true, 1024, &mut with_rev);
-        assert_eq!(with_rev.counts.rand_accesses, 0);
-        assert_eq!(with_rev.counts.seq_bytes, 8);
-        let mut without = CountingMeter::new();
-        meter_reverse(false, 1024, &mut without);
-        assert_eq!(without.counts.rand_accesses, 11);
+    fn visit_meters_the_kernel_plus_one_streamed_mirror_load() {
+        let g = two_triangles();
+        let e12 = g.edge_offset(1, 2).unwrap();
+        let mut visited = CountingMeter::new();
+        CncWorkload.visit(
+            &g,
+            &CncWorkload.new_shared(&g),
+            &mut (),
+            e12,
+            1,
+            2,
+            &mut MergeKernel,
+            &mut visited,
+        );
+        let mut want = CountingMeter::new();
+        MergeKernel.count(g.neighbors(1), g.neighbors(2), &mut want);
+        want.counts.seq_bytes += 8;
+        want.counts.write_bytes += 8;
+        assert_eq!(visited.counts, want.counts);
     }
 }

@@ -34,6 +34,7 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 mod cnc;
 mod kclique;
@@ -42,7 +43,7 @@ mod oriented;
 mod scatter;
 mod triangle;
 
-pub use cnc::{meter_reverse, CncWorkload, PairCountWorkload};
+pub use cnc::{CncWorkload, PairCountWorkload};
 pub use kclique::{KCliqueAccum, KCliqueWorkload};
 pub use kind::{WorkloadError, WorkloadKind, WorkloadOutput};
 pub use scatter::ScatterVec;

@@ -55,11 +55,8 @@
 //! A worker that dies mid-stream is retried once; metrics land under the
 //! `shard.*` counters. `--shards` accepts a `GRAPH` file or `--dataset`.
 //!
-//! When `--platform` is omitted, counting commands pick the parallel CPU
-//! platform unless the prepared CSR is at least `$CNC_GPU_UM_THRESHOLD_BYTES`
-//! (default 256 MiB), in which case the unified-memory GPU platform is
-//! selected — at that size its multipass partitioning is the execution
-//! model of interest.
+//! When `--platform` is omitted, every subcommand runs on the parallel CPU
+//! platform (`cpu`).
 //!
 //! `--workload` selects what the edge-range driver counts: `cnc` (the
 //! default per-edge common neighbor counts), `triangle` (one global
@@ -112,11 +109,6 @@ use cnc_obs::{Counter, MetricsFile, ObsContext, RunReport};
 use cnc_serve::{Client, Endpoint, ServeConfig};
 use cnc_shard::{ShardConfig, WorkerArgs};
 
-/// Environment variable overriding the prepared-CSR size (bytes) above
-/// which counting commands default to the unified-memory GPU platform.
-const GPU_UM_THRESHOLD_ENV: &str = "CNC_GPU_UM_THRESHOLD_BYTES";
-const GPU_UM_THRESHOLD_DEFAULT: u64 = 256 << 20;
-
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if bytes.starts_with(b"CNCCSR01") {
@@ -146,21 +138,6 @@ fn load_prepared(path: &str) -> Result<Arc<PreparedGraph>, String> {
         .or_else(|_| std::fs::File::open(path).and_then(prepare::read_prepared))
         .map(Arc::new)
         .map_err(|e| format!("bad prepared graph {path}: {e}"))
-}
-
-/// The platform used when `--platform` is absent: parallel CPU, or the
-/// unified-memory GPU platform once the prepared CSR crosses the
-/// size threshold where multipass partitioning is the interesting model.
-fn default_platform_name(csr_bytes: u64) -> &'static str {
-    let threshold = std::env::var(GPU_UM_THRESHOLD_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(GPU_UM_THRESHOLD_DEFAULT);
-    if csr_bytes >= threshold {
-        "gpu"
-    } else {
-        "cpu"
-    }
 }
 
 /// Take `flag` and its value out of `args`. A flag with no value after it,
@@ -716,7 +693,10 @@ fn run_shard_worker(mut args: Vec<String>) -> Result<(), String> {
     let shard = req("--shard")?;
     let start = req("--start")?;
     let end = req("--end")?;
-    let attempt = req("--attempt").unwrap_or(0);
+    let attempt = match parse_flag(&mut args, "--attempt")? {
+        Some(value) => value.parse().map_err(|e| format!("bad --attempt: {e}"))?,
+        None => 0,
+    };
     if let Some(stray) = args.first() {
         return Err(format!("unexpected argument {stray:?}"));
     }
@@ -901,7 +881,7 @@ fn run() -> Result<(), String> {
     let want_stats = parse_switch(&mut args, "--stats");
     let metrics_path = parse_flag(&mut args, "--metrics")?;
     let trace = parse_switch(&mut args, "--trace");
-    let platform_arg = parse_flag(&mut args, "--platform")?;
+    let platform_name = parse_flag(&mut args, "--platform")?.unwrap_or_else(|| "cpu".into());
     let shards: Option<usize> = parse_flag(&mut args, "--shards")?
         .map(|s| s.parse().map_err(|e| format!("bad --shards: {e}")))
         .transpose()?;
@@ -974,25 +954,12 @@ fn run() -> Result<(), String> {
         (None, Some(path)) => Some(load_graph(path)?),
         (None, None) => unreachable!("one of the loaders ran"),
     };
-    let (csr_bytes, und_edges) = {
-        let g = preloaded
-            .as_ref()
-            .map(|p| p.graph())
-            .or(raw.as_ref())
-            .expect("either prepared or raw graph is loaded");
-        (g.csr_bytes(), g.num_undirected_edges())
-    };
-    let platform_name = platform_arg.unwrap_or_else(|| {
-        let name = default_platform_name(csr_bytes as u64);
-        if name == "gpu" {
-            eprintln!(
-                "cnc: {csr_bytes}-byte prepared CSR crosses ${GPU_UM_THRESHOLD_ENV}; \
-                 defaulting to the unified-memory GPU platform (multipass as needed; \
-                 override with --platform cpu)"
-            );
-        }
-        name.to_string()
-    });
+    let und_edges = preloaded
+        .as_ref()
+        .map(|p| p.graph())
+        .or(raw.as_ref())
+        .expect("either prepared or raw graph is loaded")
+        .num_undirected_edges();
     // Modeled platforms need a capacity scale; for ad-hoc files use the
     // graph's ratio to the paper's twitter dataset as a sensible default.
     let scale = (und_edges as f64 / 684_500_375.0).min(1.0);

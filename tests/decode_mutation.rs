@@ -220,7 +220,7 @@ fn valid(g: &CsrGraph) -> Result<(), String> {
 /// A valid graph whose reverse index maps every slot `e(u, v)` to `e(v, u)`.
 fn valid_with_reverse_index(g: &CsrGraph) -> Result<(), String> {
     valid(g)?;
-    let rev = g.reverse_index().ok_or("no reverse index")?;
+    let rev = g.reverse_index();
     match g
         .iter_edges()
         .find(|&(eid, u, v)| !g.offset_range(v).contains(&rev[eid]) || g.dst()[rev[eid]] != u)
