@@ -66,7 +66,7 @@ fn bench_io(c: &mut Criterion) {
 
 /// Cold preparation (edge list → one cursor scatter → per-row relabel →
 /// reverse-index walks) against a warm zero-copy load of the same
-/// preparation from its `CNCPREP4` cache file. The warm path must win by a wide margin — that gap is the whole
+/// preparation from its `CNCPREP5` cache file. The warm path must win by a wide margin — that gap is the whole
 /// point of the mmap-backed cache.
 fn bench_prepare_cold_vs_warm(c: &mut Criterion) {
     let el = Dataset::OrS.edge_list(Scale::Small);

@@ -44,7 +44,7 @@ pub fn counts_to_original(g: &CsrGraph, reordered: &Reordered, counts: &[u32]) -
             let y = reordered.to_old(dst_h[f]) as usize;
             let slot = cursor[y];
             assert!(dst_g.get(slot) == Some(&x), "{MISMATCH}");
-            out[slot] = counts[rev[f]];
+            out[slot] = counts[rev[f] as usize];
             cursor[y] = slot + 1;
         }
     }

@@ -417,6 +417,7 @@ impl Runner {
         if effective_reorder {
             if let WorkloadOutput::EdgeCounts(counts) = &mut exec.output {
                 let r = prepared.reordered().expect("checked above");
+                let _s = obs.as_ref().map(|ctx| ctx.span("remap"));
                 *counts = counts_to_original(prepared.graph(), r, counts);
             }
         }

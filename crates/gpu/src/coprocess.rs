@@ -26,15 +26,15 @@ use cnc_graph::CsrGraph;
 /// Phase 1: write the reverse edge offset into every `u > v` slot.
 ///
 /// Returns wall-clock seconds of the host loop (informational: reported
-/// times are modeled). Panics if an offset does not fit the `u32` count
-/// slot that holds it until phase 3.
+/// times are modeled). The reverse index holds `u32` slots, so every one
+/// fits the count slot that holds it until phase 3.
 pub fn assign_reverse_offsets(g: &CsrGraph, counts: &mut [u32]) -> f64 {
     assert_eq!(counts.len(), g.num_directed_edges());
     let t0 = Instant::now();
+    let rev = g.reverse_index();
     for (eid, u, v) in g.iter_edges() {
         if u > v {
-            counts[eid] = u32::try_from(g.reverse_offset(eid))
-                .expect("co-processing stores edge offsets in u32 count slots");
+            counts[eid] = rev[eid];
         }
     }
     t0.elapsed().as_secs_f64()

@@ -1,6 +1,6 @@
 //! The one little-endian byte codec under every wire and file format.
 //!
-//! Serve and shard frames, `CNCCSR01`, `CNCCNT01`, `CNCPREP4` and `CNCRUN01`
+//! Serve and shard frames, `CNCCSR01`, `CNCCNT01`, `CNCPREP5` and `CNCRUN01`
 //! all decode through [`Reader`] and encode through [`Writer`]. Every read
 //! is checked and a short input is a [`DecodeError`] naming the field, never
 //! a panic; a `usize` is narrowed with `try_from`; a length prefix

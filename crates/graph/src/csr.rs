@@ -9,9 +9,51 @@
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use std::convert::Infallible;
+use std::{fmt, io};
 
 use crate::edgelist::EdgeList;
+use crate::mmap::Pod;
 use crate::store::GraphStore;
+
+/// The most directed edge slots a graph may hold, `u32::MAX`: every slot
+/// index is then a `u32`, the width of the reverse index.
+pub const MAX_DIRECTED_EDGES: usize = u32::MAX as usize;
+
+/// A graph refused at ingest for holding more than [`MAX_DIRECTED_EDGES`]
+/// directed edge slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyEdges {
+    /// The directed edge slots the graph would hold.
+    pub directed_edges: usize,
+}
+
+impl fmt::Display for TooManyEdges {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} directed edge slots exceed the limit of {MAX_DIRECTED_EDGES} (u32 edge-slot indexes)",
+            self.directed_edges
+        )
+    }
+}
+
+impl std::error::Error for TooManyEdges {}
+
+impl From<TooManyEdges> for io::Error {
+    fn from(e: TooManyEdges) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
+/// The one check of the `|E|` limit: a graph of `directed_edges` slots
+/// must hold at most [`MAX_DIRECTED_EDGES`]. Every reader of outside input
+/// returns its error; the infallible constructors panic with its message.
+pub(crate) fn check_edge_count(directed_edges: usize) -> Result<(), TooManyEdges> {
+    if directed_edges > MAX_DIRECTED_EDGES {
+        return Err(TooManyEdges { directed_edges });
+    }
+    Ok(())
+}
 
 /// An undirected graph in CSR form with sorted neighbor lists.
 ///
@@ -25,11 +67,12 @@ pub struct CsrGraph {
     offsets: GraphStore<usize>,
     /// Concatenated neighbor lists, each strictly ascending.
     dst: GraphStore<u32>,
-    /// Reverse-edge index: `rev[e(u,v)] == e(v,u)`. Every constructor fills
-    /// it (the heap builders, by the cursor walk [`fill_reverse`]) or checks
-    /// it entry by entry (the image loaders), so the symmetric assignment's
-    /// mirror lookup is one load.
-    rev: GraphStore<usize>,
+    /// Reverse-edge index: `rev[e(u,v)] == e(v,u)`, one `u32` per slot (the
+    /// [`MAX_DIRECTED_EDGES`] limit). Every constructor fills it (the heap
+    /// builders, by the cursor walk [`fill_reverse`]) or checks it entry by
+    /// entry (the image loaders), so the symmetric assignment's mirror
+    /// lookup is one load.
+    rev: GraphStore<u32>,
 }
 
 /// Graph identity is the CSR itself. The reverse index is derived data —
@@ -57,7 +100,7 @@ impl CsrGraph {
 
     /// Build from raw undirected pairs over `n` vertices. Self-loops are
     /// dropped; parallel edges are merged. Panics if an endpoint is out of
-    /// range for `n`.
+    /// range for `n`, or past the [`MAX_DIRECTED_EDGES`] limit.
     pub fn from_undirected_pairs(n: usize, pairs: impl Iterator<Item = (u32, u32)>) -> Self {
         let mut canonical: Vec<(u32, u32)> = pairs
             .filter(|&(u, v)| u != v)
@@ -76,6 +119,7 @@ impl CsrGraph {
         let Ok(deg) = count_degrees(n, infallible());
         let mut offsets = vec![0usize; n + 1];
         fill_offsets(&mut offsets, deg.iter().map(|&d| d as usize));
+        check_edge_count(offsets[n]).unwrap_or_else(|e| panic!("{e}"));
         let mut dst = vec![0u32; offsets[n]];
         let Ok(()) = scatter_sorted(&offsets, &mut dst, infallible());
         Self::from_filled(offsets, dst)
@@ -85,7 +129,7 @@ impl CsrGraph {
     /// wrote and fill their reverse index: valid by construction, so only
     /// debug builds re-check them.
     pub(crate) fn from_filled(offsets: Vec<usize>, dst: Vec<u32>) -> Self {
-        let mut rev = vec![0usize; dst.len()];
+        let mut rev = vec![0u32; dst.len()];
         fill_reverse(&offsets, &dst, &mut rev);
         let g = Self {
             offsets: offsets.into(),
@@ -96,20 +140,22 @@ impl CsrGraph {
         g
     }
 
-    /// Build directly from parts. Panics if the parts are inconsistent.
+    /// Build directly from parts. Panics if the parts are inconsistent or
+    /// hold more than [`MAX_DIRECTED_EDGES`] slots.
     pub fn from_parts(offsets: Vec<usize>, dst: Vec<u32>) -> Self {
         Self::try_from_parts(offsets, dst).expect("invalid CSR parts")
     }
 
     /// Build directly from parts, returning a description of the violated
     /// invariant instead of panicking. This is the constructor for
-    /// *untrusted* parts (deserialized files, caches): the full
-    /// [`CsrGraph::validate`], then the reverse index by the cursor walk,
-    /// which is exact because `validate` proved the CSR symmetric.
+    /// *untrusted* parts (deserialized files, caches): the
+    /// [`MAX_DIRECTED_EDGES`] limit, the full [`CsrGraph::validate`], then
+    /// the reverse index by the cursor walk, which is exact because
+    /// `validate` proved the CSR symmetric.
     pub fn try_from_parts(offsets: Vec<usize>, dst: Vec<u32>) -> Result<Self, String> {
         let mut g = Self::unindexed(offsets.into(), dst.into())?;
         g.validate()?;
-        let mut rev = vec![0usize; g.dst.len()];
+        let mut rev = vec![0u32; g.dst.len()];
         fill_reverse(&g.offsets, &g.dst, &mut rev);
         g.rev = rev.into();
         Ok(g)
@@ -118,7 +164,7 @@ impl CsrGraph {
     /// Build from the three stored sections of an image — offsets,
     /// neighbors and reverse index, owned or mapped. `check` is
     /// [`CsrGraph::validate`] for untrusted bytes, or the linear-time
-    /// [`CsrGraph::validate_structure`] for mapped `CNCPREP4` sections whose
+    /// [`CsrGraph::validate_structure`] for mapped `CNCPREP5` sections whose
     /// checksums already verified them, sparing warm loads the
     /// `O(|E| log d)` symmetry probes. Then every reverse entry must point at
     /// its true mirror slot, `rev[e(u,v)] ∈ [offsets[v], offsets[v+1])` with
@@ -128,7 +174,7 @@ impl CsrGraph {
     pub(crate) fn try_from_sections(
         offsets: GraphStore<usize>,
         dst: GraphStore<u32>,
-        rev: GraphStore<usize>,
+        rev: GraphStore<u32>,
         check: fn(&Self) -> Result<(), String>,
     ) -> Result<Self, String> {
         let inconsistent = |e| format!("inconsistent CSR: {e}");
@@ -141,11 +187,13 @@ impl CsrGraph {
     }
 
     /// The arrays of a graph whose reverse index the calling constructor
-    /// fills or checks before it returns the graph.
+    /// fills or checks before it returns the graph, within the
+    /// [`MAX_DIRECTED_EDGES`] limit.
     fn unindexed(offsets: GraphStore<usize>, dst: GraphStore<u32>) -> Result<Self, String> {
         if offsets.is_empty() {
             return Err("offsets must have length |V| + 1, got 0".into());
         }
+        check_edge_count(dst.len()).map_err(|e| e.to_string())?;
         Ok(Self {
             offsets,
             dst,
@@ -154,7 +202,7 @@ impl CsrGraph {
     }
 
     /// Whether `rev` maps every directed edge slot `e(u, v)` to `e(v, u)`.
-    fn check_reverse_index(&self, rev: &[usize]) -> Result<(), String> {
+    fn check_reverse_index(&self, rev: &[u32]) -> Result<(), String> {
         if rev.len() != self.dst.len() {
             return Err(format!(
                 "reverse index length {} != directed edge count {}",
@@ -165,7 +213,7 @@ impl CsrGraph {
         for u in self.vertex_ids() {
             for eid in self.offset_range(u) {
                 let v = self.dst[eid] as usize;
-                let r = rev[eid];
+                let r = rev[eid] as usize;
                 if r < self.offsets[v] || r >= self.offsets[v + 1] || self.dst[r] != u {
                     return Err(format!(
                         "reverse index corrupt at eid {eid}: rev={r} is not e({v},{u})"
@@ -176,10 +224,24 @@ impl CsrGraph {
         Ok(())
     }
 
-    /// Whether both CSR arrays are served zero-copy from a mapped cache
-    /// file rather than from heap allocations.
+    /// Whether every array — offsets, neighbors and reverse index — is
+    /// served zero-copy from a mapped cache file rather than from heap
+    /// allocations.
     pub fn storage_mapped(&self) -> bool {
-        self.offsets.is_mapped() && self.dst.is_mapped()
+        self.offsets.is_mapped() && self.dst.is_mapped() && self.rev.is_mapped()
+    }
+
+    /// Bytes of this graph served in place out of a mapped file: the
+    /// offsets, neighbors and reverse index, each counted when mapped.
+    pub(crate) fn mapped_bytes(&self) -> usize {
+        fn mapped<T: Pod>(store: &GraphStore<T>) -> usize {
+            if store.is_mapped() {
+                std::mem::size_of_val(store.as_slice())
+            } else {
+                0
+            }
+        }
+        mapped(&self.offsets) + mapped(&self.dst) + mapped(&self.rev)
     }
 
     /// Number of vertices `|V|`.
@@ -247,14 +309,14 @@ impl CsrGraph {
     }
 
     /// Reverse edge offset `e(v, u)` for a known edge offset `eid = e(u, v)`:
-    /// one load of the reverse index.
+    /// one 4-byte load of the reverse index.
     ///
     /// Used by the symmetric assignment technique
     /// (`cnt[e(v,u)] ← cnt[e(u,v)]`, Section 3), where the paper finds the
     /// mirror slot by a binary search of `u` in `N(v)`.
     #[inline]
     pub fn reverse_offset(&self, eid: usize) -> usize {
-        self.rev[eid]
+        self.rev[eid] as usize
     }
 
     /// The symmetric assignment as one pass after counting (the final step
@@ -273,7 +335,7 @@ impl CsrGraph {
 
     /// The reverse-edge index: `rev[e(u,v)] == e(v,u)`.
     #[inline]
-    pub fn reverse_index(&self) -> &[usize] {
+    pub fn reverse_index(&self) -> &[u32] {
         &self.rev
     }
 
@@ -420,9 +482,13 @@ pub(crate) fn scatter_sorted<E>(
 /// edges `(u, v)` in ascending `u` — exactly the order of `u` within the
 /// sorted run `N(v)`. A per-vertex cursor starting at `offsets[v]`
 /// therefore hands out each reverse slot exactly once:
-/// `rev[e(u,v)] = cursor[v]++`.
-pub(crate) fn fill_reverse(offsets: &[usize], dst: &[u32], rev: &mut [usize]) {
-    let mut cursor = offsets[..offsets.len() - 1].to_vec();
+/// `rev[e(u,v)] = cursor[v]++`. The slots fit `u32` because every
+/// constructor checks the [`MAX_DIRECTED_EDGES`] limit before it fills.
+pub(crate) fn fill_reverse(offsets: &[usize], dst: &[u32], rev: &mut [u32]) {
+    let mut cursor: Vec<u32> = offsets[..offsets.len() - 1]
+        .iter()
+        .map(|&o| u32::try_from(o).expect("edge slots are u32: the |E| limit is checked first"))
+        .collect();
     for (slot, &v) in rev.iter_mut().zip(dst) {
         *slot = cursor[v as usize];
         cursor[v as usize] += 1;
@@ -544,8 +610,9 @@ mod tests {
                 let rev = g.reverse_index();
                 assert_eq!(rev.len(), g.num_directed_edges(), "{what}");
                 for (eid, u, v) in g.iter_edges() {
-                    assert_eq!(Some(rev[eid]), g.edge_offset(v, u), "{what}: eid={eid}");
-                    assert_eq!(g.reverse_offset(eid), rev[eid], "{what}: eid={eid}");
+                    let r = rev[eid] as usize;
+                    assert_eq!(Some(r), g.edge_offset(v, u), "{what}: eid={eid}");
+                    assert_eq!(g.reverse_offset(eid), r, "{what}: eid={eid}");
                 }
             }
         }
@@ -580,7 +647,7 @@ mod tests {
         // N(2) = [0, 1, 3] at 4-6, N(3) = [2] at 7.
         let g = triangle_plus_tail();
         let good = g.reverse_index().to_vec();
-        let corrupt = |eid: usize, r: usize| {
+        let corrupt = |eid: usize, r: u32| {
             let mut rev = good.clone();
             rev[eid] = r;
             rev
@@ -594,10 +661,10 @@ mod tests {
             (swapped, "corrupt at eid 1: rev=5 is not e(2,0)"),
             // Slot 4 holds 0, but lies in row 2, not in e(0,1)'s row 1.
             (corrupt(0, 4), "corrupt at eid 0: rev=4 is not e(1,0)"),
-            (corrupt(0, usize::MAX), "corrupt at eid 0"),
+            (corrupt(0, u32::MAX), "corrupt at eid 0"),
         ];
         for check in [CsrGraph::validate, CsrGraph::validate_structure] {
-            let load = |rev: &[usize]| {
+            let load = |rev: &[u32]| {
                 let (offsets, dst) = (g.offsets().to_vec(), g.dst().to_vec());
                 CsrGraph::try_from_sections(offsets.into(), dst.into(), rev.to_vec().into(), check)
             };
@@ -686,6 +753,33 @@ mod tests {
     fn csr_bytes_formula() {
         let g = triangle_plus_tail();
         assert_eq!(g.csr_bytes(), 5 * 8 + 8 * 4);
+    }
+
+    /// The one `|E|` check at its boundary. No test builds a graph that
+    /// big: `u32::MAX` directed slots need 16 GiB of neighbor ids.
+    #[test]
+    fn edge_limit_is_u32_max_directed_slots() {
+        assert_eq!(MAX_DIRECTED_EDGES, 4_294_967_295);
+        assert_eq!(check_edge_count(0), Ok(()));
+        assert_eq!(check_edge_count(MAX_DIRECTED_EDGES), Ok(()));
+        let over = MAX_DIRECTED_EDGES + 1;
+        let err = check_edge_count(over).unwrap_err();
+        assert_eq!(
+            err,
+            TooManyEdges {
+                directed_edges: over
+            }
+        );
+        let msg = "4294967296 directed edge slots exceed the limit of 4294967295";
+        assert!(err.to_string().starts_with(msg), "{err}");
+        let io_err = io::Error::from(err);
+        assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(io_err.to_string(), err.to_string());
+        let typed = io_err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<TooManyEdges>());
+        assert_eq!(typed, Some(&err), "the io error carries the typed one");
+        assert!(check_edge_count(usize::MAX).is_err());
     }
 
     #[test]

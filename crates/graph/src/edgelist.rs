@@ -1,5 +1,7 @@
 //! Raw undirected edge collections.
 
+use crate::csr::{check_edge_count, TooManyEdges};
+
 /// A collection of undirected edges over vertices `0..num_vertices`.
 ///
 /// The canonical internal form after [`EdgeList::normalize`] is: no
@@ -25,7 +27,18 @@ impl EdgeList {
     /// Build from raw pairs; infers `num_vertices` from the largest id and
     /// normalizes. The iterator is consumed in a single pass that tracks the
     /// maximum id while collecting — no second walk over the staged edges.
+    /// Panics past the [`crate::MAX_DIRECTED_EDGES`] limit, which
+    /// [`EdgeList::try_from_pairs`] returns as an error.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, u32)>) -> Self {
+        Self::try_from_pairs(pairs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`EdgeList::from_pairs`] for pairs from outside the program: a list
+    /// whose `2 × |E|` directed slots (after normalization) exceed
+    /// [`crate::MAX_DIRECTED_EDGES`] is refused with the count.
+    pub fn try_from_pairs(
+        pairs: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Result<Self, TooManyEdges> {
         let iter = pairs.into_iter();
         let (lo, _) = iter.size_hint();
         let mut el = Self {
@@ -37,7 +50,14 @@ impl EdgeList {
             el.edges.push((u, v));
         }
         el.normalize();
-        el
+        check_edge_count(el.directed_edges())?;
+        Ok(el)
+    }
+
+    /// Directed edge slots of the CSR this list builds, `2 × |E|` once
+    /// normalized (saturating, so an overflow reads as past the limit).
+    pub(crate) fn directed_edges(&self) -> usize {
+        self.edges.len().saturating_mul(2)
     }
 
     /// Add one undirected edge; ids may exceed the current vertex count, in

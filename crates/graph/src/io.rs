@@ -12,7 +12,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::codec::{DecodeError, Reader, Writer};
-use crate::csr::CsrGraph;
+use crate::csr::{check_edge_count, CsrGraph};
 use crate::edgelist::EdgeList;
 
 /// Magic header of the binary CSR format.
@@ -72,7 +72,9 @@ pub(crate) fn parse_edge_line(lineno: u64, line: &str) -> io::Result<Option<(u32
 ///
 /// Lines starting with `#` (or `%`, as used by some mirrors) are comments.
 /// Each data line holds two whitespace-separated vertex ids. The result is
-/// normalized (undirected, deduplicated, no self-loops).
+/// normalized (undirected, deduplicated, no self-loops); a list past the
+/// [`crate::MAX_DIRECTED_EDGES`] limit is refused with
+/// [`crate::TooManyEdges`].
 pub fn read_edge_list<R: Read>(reader: R) -> io::Result<EdgeList> {
     let mut el = EdgeList::new(0);
     let mut buf = BufReader::new(reader);
@@ -89,6 +91,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> io::Result<EdgeList> {
         }
     }
     el.normalize();
+    check_edge_count(el.directed_edges())?;
     Ok(el)
 }
 
@@ -150,8 +153,9 @@ pub(crate) fn inconsistent(what: impl std::fmt::Display) -> io::Error {
 /// Read the header and offset array of a `CNCCSR01` stream, leaving `r` at
 /// the adjacency array; returns the offsets and the adjacency's length. The
 /// one parser of the format's front, shared by [`read_csr`] and the
-/// streaming preparer, so both accept and refuse the same files: the `|V|
-/// + 1` offsets must start at 0, never decrease, and end at `|dst|`.
+/// streaming preparer, so both accept and refuse the same files: `|dst|`
+/// within the [`crate::MAX_DIRECTED_EDGES`] limit, and the `|V| + 1`
+/// offsets must start at 0, never decrease, and end at `|dst|`.
 /// Allocation is bounded by the bytes `r` actually yields.
 pub(crate) fn read_csr_head<R: Read>(r: &mut R) -> io::Result<(Vec<usize>, usize)> {
     let mut header = [0u8; 24];
@@ -160,6 +164,7 @@ pub(crate) fn read_csr_head<R: Read>(r: &mut R) -> io::Result<(Vec<usize>, usize
     h.magic(MAGIC)?;
     let n = h.usize("vertex count")?;
     let num_dst = h.usize("adjacency length")?;
+    check_edge_count(num_dst)?;
     let raw = read_up_to(r, (n as u64).saturating_add(1).saturating_mul(8))?;
     let offsets = Reader::new(&raw).usizes(n.saturating_add(1), "offset array")?;
     if offsets.first() != Some(&0) || offsets.last() != Some(&num_dst) {
@@ -229,6 +234,28 @@ mod tests {
 
     fn le32(buf: &mut Vec<u8>, v: u32) {
         buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A `CNCCSR01` header claiming `|dst|` = `u32::MAX + 1` is refused by
+    /// the `|E|` check before any offset is read or allocated; at exactly
+    /// `u32::MAX` the header passes and the offsets are checked next.
+    #[test]
+    fn header_past_the_edge_limit_is_refused() {
+        let header = |num_dst: u64| {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            le64(&mut buf, 0);
+            le64(&mut buf, num_dst);
+            le64(&mut buf, 0);
+            buf
+        };
+        let limit = u64::from(u32::MAX);
+        let err = read_csr(header(limit + 1).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let want = "4294967296 directed edge slots exceed the limit of 4294967295";
+        assert!(err.to_string().starts_with(want), "{err}");
+        let err = read_csr(header(limit).as_slice()).unwrap_err();
+        assert!(err.to_string().contains("offset endpoints broken"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   wire and file format;
 //! * [`prepare`] — the one-shot preparation pipeline ([`PreparedGraph`]):
 //!   normalize → CSR → optional reorder → statistics, with a process-wide
-//!   memory cache and a zero-copy on-disk cache (`CNCPREP4`) so every
+//!   memory cache and a zero-copy on-disk cache (`CNCPREP5`) so every
 //!   consumer shares one immutable result;
 //! * [`mmap`] — in-tree `mmap(2)`/`flock(2)` bindings (the crate's only
 //!   `unsafe`) backing the zero-copy cache and its cross-process locking;
@@ -65,7 +65,7 @@ pub mod stats;
 pub mod store;
 pub mod stream;
 
-pub use csr::CsrGraph;
+pub use csr::{CsrGraph, TooManyEdges, MAX_DIRECTED_EDGES};
 pub use edgelist::EdgeList;
 pub use prepare::{PreparedGraph, ReorderPolicy};
 pub use store::GraphStore;

@@ -33,7 +33,7 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Alignment guaranteed for every section of the `CNCPREP4` cache format;
+/// Alignment guaranteed for every section of the `CNCPREP5` cache format;
 /// also satisfies every element type [`Pod`] is implemented for.
 pub const SECTION_ALIGN: usize = 64;
 
@@ -303,7 +303,7 @@ impl<T: Pod> Deref for MappedSlice<T> {
 }
 
 /// A read-write memory mapping of a file, used by the streaming preparation
-/// pipeline to assemble a `CNCPREP4` cache file section by section without
+/// pipeline to assemble a `CNCPREP5` cache file section by section without
 /// an O(|E|) heap staging copy.
 ///
 /// The mapping is `MAP_SHARED` + `PROT_READ|PROT_WRITE`: stores through

@@ -23,11 +23,11 @@
 //! * a process-wide in-memory cache keyed by `(dataset, scale, reorder
 //!   policy)` — see [`prepared`];
 //! * a versioned on-disk binary cache (default `results/cache/`, override
-//!   with `CNC_CACHE_DIR`) in the **`CNCPREP4`** format: a fixed 64-byte
+//!   with `CNC_CACHE_DIR`) in the **`CNCPREP5`** format: a fixed 64-byte
 //!   header followed by 64-byte-aligned, length-prefixed, checksummed
 //!   sections holding the CSR arrays (u64 little-endian offsets, u32
 //!   neighbors), the precomputed reverse-edge index `rev[e(u,v)] = e(v,u)`
-//!   (u64 LE) that makes the drivers' symmetric-assignment store O(1), and
+//!   (u32 LE) that makes the drivers' symmetric-assignment store O(1), and
 //!   the remap table. A warm load `mmap`s the file and serves
 //!   the offset/adjacency/reverse arrays **zero-copy** straight out of the
 //!   page cache ([`map_prepared`]); platforms or files that cannot be mapped
@@ -119,8 +119,9 @@ pub struct PrepareMetrics {
     /// Zero-copy loads: cache files served through `mmap` with no heap copy
     /// of the CSR arrays.
     pub mmap_hits: u64,
-    /// Total CSR bytes served zero-copy across all `mmap_hits` (the sum of
-    /// the mapped offset + adjacency section sizes).
+    /// Total bytes served zero-copy across all `mmap_hits`: the sizes of
+    /// every section a load serves in place (each mapped CSR's offsets,
+    /// adjacency and reverse index; the remap table is read to the heap).
     pub bytes_mapped: u64,
     /// External-sort spill runs written by the streaming preparation
     /// pipeline ([`crate::stream`]); 0 when inputs fit the memory budget.
@@ -375,25 +376,22 @@ impl PreparedGraph {
         self.policy
     }
 
-    /// CSR bytes served zero-copy out of a mapped cache file: the summed
-    /// offset + adjacency array sizes of every mapped graph (original and,
+    /// Bytes served zero-copy out of a mapped cache file: the offsets,
+    /// adjacency and reverse index of every mapped graph (original and,
     /// when present, relabeled). Zero for heap-backed preparations.
     pub fn mapped_bytes(&self) -> u64 {
-        let one = |g: &CsrGraph| {
-            if g.storage_mapped() {
-                g.csr_bytes() as u64
-            } else {
-                0
-            }
-        };
-        one(&self.graph) + self.reordered.as_ref().map(|r| one(&r.graph)).unwrap_or(0)
+        let relabeled = self
+            .reordered
+            .as_ref()
+            .map_or(0, |r| r.graph.mapped_bytes());
+        (self.graph.mapped_bytes() + relabeled) as u64
     }
 }
 
 // ---------------------------------------------------------------------------
-// CNCPREP4: the zero-copy on-disk format.
+// CNCPREP5: the zero-copy on-disk format.
 //
-//   byte 0..8    magic "CNCPREP4"
+//   byte 0..8    magic "CNCPREP5"
 //   byte 8       reorder policy byte
 //   byte 9       reordered-sections flag (0|1, must match the policy)
 //   byte 16..24  section count (u64 LE): 3 without reorder, 7 with
@@ -406,12 +404,12 @@ impl PreparedGraph {
 //
 //   byte 0..8    payload length in bytes (u64 LE)
 //   byte 8..16   checksum of the payload
-//   byte 16..24  element width (u64 LE: 8 for offsets/rev, 4 for u32 arrays)
+//   byte 16..24  element width (u64 LE: 8 for offsets, 4 for u32 arrays)
 //   byte 24..64  reserved (zero)
 //   byte 64..    payload, zero-padded to the next 64-byte boundary
 //
 // Section order: offsets (u64 LE), neighbors (u32 LE) and reverse-edge index
-// (u64 LE, `rev[e(u,v)] = e(v,u)`) of the original graph, then — with
+// (u32 LE, `rev[e(u,v)] = e(v,u)`) of the original graph, then — with
 // reordering — offsets + neighbors + reverse index of the relabeled graph
 // and the new→old remap table (u32 LE). The 64-byte alignment means a
 // page-aligned mmap of the file can serve every array in place on 64-bit
@@ -437,8 +435,10 @@ impl PreparedGraph {
 // every dataset analogue and on arbitrary edge lists. Bump the
 // trailing magic digit on any layout change: a stale file fails the magic
 // check and is rebuilt — `CNCPREP2` → `CNCPREP3` added the reverse-index
-// sections, and `CNCPREP3` → `CNCPREP4` retired every file written before
-// the streaming writer existed.
+// sections, `CNCPREP3` → `CNCPREP4` retired every file written before
+// the streaming writer existed, and `CNCPREP4` → `CNCPREP5` narrowed both
+// reverse-index sections from 8 to 4 bytes per slot (the `|E|` limit,
+// `crate::MAX_DIRECTED_EDGES`, makes every slot index a u32).
 //
 // The streamer reads its `CNCCSR01` input with `io::read_csr`'s own header
 // and offsets parser (`io::read_csr_head`) and refuses every file
@@ -446,15 +446,15 @@ impl PreparedGraph {
 // for both readers of the format.
 // ---------------------------------------------------------------------------
 
-const PREPARED_MAGIC: &[u8; 8] = b"CNCPREP4";
+const PREPARED_MAGIC: &[u8; 8] = b"CNCPREP5";
 const ALIGN: usize = mmap::SECTION_ALIGN;
 const HEADER_LEN: usize = 64;
 const SECTION_HEADER_LEN: usize = 64;
 
 /// Element width of every section in file order: offsets (u64), neighbors
-/// (u32) and reverse index (u64) of the original graph, then the same three
+/// (u32) and reverse index (u32) of the original graph, then the same three
 /// of the relabeled graph and the new→old table (u32).
-const SECTION_WIDTHS: [usize; 7] = [8, 4, 8, 8, 4, 8, 4];
+const SECTION_WIDTHS: [usize; 7] = [8, 4, 4, 8, 4, 4, 4];
 
 /// The section widths of an image with or without the reorder sections.
 fn section_widths(reordered: bool) -> &'static [usize] {
@@ -511,7 +511,7 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// One section of a `CNCPREP4` image: where its payload sits and its
+/// One section of a `CNCPREP5` image: where its payload sits and its
 /// element width. The section's header is the `SECTION_HEADER_LEN` bytes
 /// before the payload.
 #[derive(Debug, Clone, Copy)]
@@ -573,7 +573,7 @@ pub(crate) fn layout(n: usize, m_dir: usize, reordered: bool) -> io::Result<Layo
         }
         Some(Layout { sections, len: pos })
     };
-    place().ok_or_else(|| invalid("graph too large for a CNCPREP4 image"))
+    place().ok_or_else(|| invalid("graph too large for a CNCPREP5 image"))
 }
 
 /// The 64-byte file header of an image prepared under `policy`, sealed by
@@ -621,7 +621,7 @@ fn u32_payload(vals: &[u32]) -> Vec<u8> {
 }
 
 /// Serialize a prepared graph (CSR + reverse-edge index, policy, statistics,
-/// optional relabeled CSR + remap table) in the `CNCPREP4` cache format.
+/// optional relabeled CSR + remap table) in the `CNCPREP5` cache format.
 pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()> {
     let g = &pg.graph;
     let layout = layout(
@@ -648,7 +648,7 @@ pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()>
     for g in std::iter::once(g).chain(pg.reordered.as_ref().map(|r| &r.graph)) {
         put(u64_payload(g.offsets()))?;
         put(u32_payload(g.dst()))?;
-        put(u64_payload(g.reverse_index()))?;
+        put(u32_payload(g.reverse_index()))?;
     }
     if let Some(r) = &pg.reordered {
         put(u32_payload(&r.new_to_old))?;
@@ -679,14 +679,14 @@ impl Sections {
     }
 }
 
-/// Validate a `CNCPREP4` byte image *in place* without copying any
+/// Validate a `CNCPREP5` byte image *in place* without copying any
 /// payload: the header, every section's header, length and padding, the
 /// file length, and the checksums of the `select`ed sections. Returns the
 /// policy, the persisted statistics, and the selected sections, in file
 /// order, each with its payload.
 fn parse_prepared(bytes: &[u8], select: Sections) -> io::Result<ParsedPrepared<'_>> {
     let mut r = Reader::new(bytes);
-    let sealed = r.bytes(HEADER_LEN - 8, "CNCPREP4 header")?;
+    let sealed = r.bytes(HEADER_LEN - 8, "CNCPREP5 header")?;
     let mut h = Reader::new(sealed);
     h.magic(PREPARED_MAGIC)?;
     if checksum(sealed) != r.u64("header checksum")? {
@@ -756,7 +756,7 @@ fn parse_prepared(bytes: &[u8], select: Sections) -> io::Result<ParsedPrepared<'
     })
 }
 
-/// The validated header fields of a `CNCPREP4` image and its selected
+/// The validated header fields of a `CNCPREP5` image and its selected
 /// sections, each with its payload bytes.
 struct ParsedPrepared<'a> {
     policy: ReorderPolicy,
@@ -822,7 +822,7 @@ fn assemble_image(
     let (original, relabeled) = parsed
         .sections
         .split_at_checked(3)
-        .ok_or_else(|| invalid("a CNCPREP4 image holds at least three sections"))?;
+        .ok_or_else(|| invalid("a CNCPREP5 image holds at least three sections"))?;
     let graph = csr(original)?;
     let reordered = match relabeled {
         [] => None,
@@ -840,7 +840,7 @@ fn prepared_from_image(bytes: &[u8]) -> io::Result<PreparedGraph> {
         |[(so, offsets), (sd, dst), (sr, rev)]| {
             let offsets = Reader::new(offsets).usizes(so.count(), "offsets")?;
             let dst = Reader::new(dst).u32s(sd.count(), "neighbors")?;
-            let rev = Reader::new(rev).usizes(sr.count(), "reverse index")?;
+            let rev = Reader::new(rev).u32s(sr.count(), "reverse index")?;
             CsrGraph::try_from_sections(offsets.into(), dst.into(), rev.into(), CsrGraph::validate)
                 .map_err(invalid)
         },
@@ -861,7 +861,7 @@ pub fn read_prepared<R: Read>(mut reader: R) -> io::Result<PreparedGraph> {
     prepared_from_image(&bytes)
 }
 
-/// Load a `CNCPREP4` cache file **zero-copy**: the file is `mmap`ed,
+/// Load a `CNCPREP5` cache file **zero-copy**: the file is `mmap`ed,
 /// validated in place (header, alignment, per-section checksums, structural
 /// CSR invariants), and the resulting graphs serve their offset/adjacency
 /// arrays directly out of the mapping — no heap copy, and the page cache is
@@ -886,7 +886,7 @@ pub fn map_prepared(path: &Path) -> io::Result<PreparedGraph> {
 }
 
 /// Map only the CSR `PreparedGraph::execution_graph(reorder)` would return
-/// from a `CNCPREP4` file: the loader of a process that executes on one
+/// from a `CNCPREP5` file: the loader of a process that executes on one
 /// CSR and needs nothing else of the preparation (a shard worker).
 ///
 /// It checks what [`map_prepared`] checks of the file — the header, every
@@ -907,7 +907,7 @@ pub fn map_execution_csr(path: &Path, reorder: bool) -> io::Result<CsrGraph> {
     let g = mapped_csr(&map, parts)?;
     bump(|m| {
         m.mmap_hits += 1;
-        m.bytes_mapped += g.csr_bytes() as u64;
+        m.bytes_mapped += g.mapped_bytes() as u64;
     });
     Ok(g)
 }
@@ -936,7 +936,7 @@ fn mapped_csr(
 ) -> io::Result<CsrGraph> {
     let offsets = map.typed_slice::<usize>(so.start, so.count())?.into();
     let dst = map.typed_slice::<u32>(sd.start, sd.count())?.into();
-    let rev = map.typed_slice::<usize>(sr.start, sr.count())?.into();
+    let rev = map.typed_slice::<u32>(sr.start, sr.count())?.into();
     CsrGraph::try_from_sections(offsets, dst, rev, CsrGraph::validate_structure).map_err(invalid)
 }
 
@@ -1349,9 +1349,9 @@ mod tests {
         let mut buf = Vec::new();
         write_prepared(&pg, &mut buf).unwrap();
         let rev = parse_prepared(&buf, Sections::All).unwrap().sections[2].0;
-        assert_eq!(rev.elem_width, 8);
-        let (a, b) = (rev.start, rev.start + 8);
-        for i in 0..8 {
+        assert_eq!(rev.elem_width, 4);
+        let (a, b) = (rev.start, rev.start + 4);
+        for i in 0..4 {
             buf.swap(a + i, b + i);
         }
         let fixed = checksum(&buf[rev.start..rev.start + rev.payload_len]);
@@ -1472,8 +1472,8 @@ mod tests {
                 // two reverse-index entries.
                 let rev = table[read.start + 2];
                 let mut swapped = image.clone();
-                for i in 0..8 {
-                    swapped.swap(rev.start + i, rev.start + 8 + i);
+                for i in 0..4 {
+                    swapped.swap(rev.start + i, rev.start + 4 + i);
                 }
                 reseal(&mut swapped, rev);
                 let err = map_execution_bytes(&swapped, reorder).unwrap_err();
@@ -1561,7 +1561,7 @@ mod tests {
         let fresh = prepared_on_disk(&dir, dataset, scale, policy);
         let path = cache_path(&dir, dataset, scale, policy);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[7] = b'3'; // CNCPREP4 → CNCPREP3
+        bytes[7] = b'3'; // CNCPREP5 → CNCPREP3
         fs::write(&path, &bytes).unwrap();
         let before = metrics();
         let back = prepared_on_disk(&dir, dataset, scale, policy);
@@ -1573,6 +1573,70 @@ mod tests {
         assert_eq!(back.graph().reverse_index(), fresh.graph().reverse_index());
         assert_eq!(&fs::read(&path).unwrap()[..8], PREPARED_MAGIC);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A `CNCPREP4` image — the last format with 8-byte reverse-index
+    /// sections — is refused by its magic before any other field is read,
+    /// so a cache written by an older build is rebuilt.
+    #[test]
+    fn previous_format_is_refused_by_its_magic() {
+        let pg = PreparedGraph::from_edge_list(
+            &generators::gnm(40, 90, 9),
+            ReorderPolicy::DegreeDescending,
+        );
+        let mut image = Vec::new();
+        write_prepared(&pg, &mut image).unwrap();
+        assert_eq!(&image[..8], b"CNCPREP5");
+        image[7] = b'4';
+        let refusal = "bad magic: not a CNCPREP5 file";
+        let err = read_prepared(image.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(refusal), "{err}");
+        #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
+        for err in [
+            full_map(&image).unwrap_err(),
+            map_execution_bytes(&image, true).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains(refusal), "{err}");
+        }
+    }
+
+    /// `bytes_mapped` counts every section a load serves in place: each
+    /// mapped CSR's offsets, neighbors and reverse index, pinned against
+    /// the image's section table. The remap table is read to the heap.
+    #[test]
+    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
+    fn bytes_mapped_counts_every_section_served_in_place() {
+        let el = generators::hub_web(300, 6.0, 2, 0.4, 3);
+        for policy in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
+            let pg = PreparedGraph::from_edge_list(&el, policy);
+            let mut image = Vec::new();
+            write_prepared(&pg, &mut image).unwrap();
+            let table: Vec<Section> = parse_prepared(&image, Sections::All)
+                .unwrap()
+                .sections
+                .iter()
+                .map(|&(s, _)| s)
+                .collect();
+            let payloads = |sections: &[Section]| -> u64 {
+                sections.iter().map(|s| s.payload_len as u64).sum()
+            };
+            let csr_sections = &table[..table.len() / 3 * 3];
+            let before = metrics();
+            let full = full_map(&image).unwrap();
+            let want = payloads(csr_sections);
+            assert_eq!(full.mapped_bytes(), want, "{}", policy.tag());
+            assert_eq!(metrics().since(&before).bytes_mapped, want);
+            for reorder in [false, true] {
+                let read = Sections::ExecutionCsr { reorder }.range(pg.reordered().is_some());
+                let before = metrics();
+                let g = map_execution_bytes(&image, reorder).unwrap();
+                let want = payloads(&table[read]);
+                assert_eq!(g.mapped_bytes() as u64, want, "reorder={reorder}");
+                assert_eq!(metrics().since(&before).bytes_mapped, want);
+                assert!(g.mapped_bytes() > g.csr_bytes(), "the reverse index counts");
+            }
+        }
     }
 
     #[test]

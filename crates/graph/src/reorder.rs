@@ -6,6 +6,7 @@
 //! The relabeling sorts vertices by descending degree (ties broken by old
 //! id, making it deterministic) and remaps every neighbor row in place,
 //! sorting each relabeled row: `O(|V| log |V| + |E| log d_max)`.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use crate::csr::{fill_offsets, CsrGraph};
 
@@ -95,13 +96,15 @@ fn relabel(g: &CsrGraph, new_to_old: Vec<u32>) -> Reordered {
 
 /// Relabel so vertex ids are in descending degree order.
 pub fn degree_descending(g: &CsrGraph) -> Reordered {
-    let order = degree_descending_order(g.num_vertices() as u32, |u| g.degree(u));
+    let order = degree_descending_order(g.vertex_ids().end, |u| g.degree(u));
     relabel(g, order)
 }
 
 /// Check the BMP invariant on a graph: `u < v ⇒ d_u ≥ d_v`.
 pub fn is_degree_descending(g: &CsrGraph) -> bool {
-    (1..g.num_vertices() as u32).all(|u| g.degree(u - 1) >= g.degree(u))
+    g.vertex_ids()
+        .skip(1)
+        .all(|u| g.degree(u - 1) >= g.degree(u))
 }
 
 /// Core numbers of every vertex (k-core decomposition) via the linear-time
@@ -113,7 +116,7 @@ pub fn core_numbers(g: &CsrGraph) -> Vec<u32> {
     if n == 0 {
         return Vec::new();
     }
-    let mut degree: Vec<usize> = (0..n as u32).map(|u| g.degree(u)).collect();
+    let mut degree: Vec<usize> = g.vertex_ids().map(|u| g.degree(u)).collect();
     let max_d = degree.iter().copied().max().unwrap_or(0);
     // Bucket sort vertices by degree.
     let mut bin = vec![0usize; max_d + 2];
@@ -128,11 +131,12 @@ pub fn core_numbers(g: &CsrGraph) -> Vec<u32> {
     }
     let mut pos = vec![0usize; n];
     let mut vert = vec![0u32; n];
-    for u in 0..n {
-        let p = bin[degree[u]];
-        pos[u] = p;
-        vert[p] = u as u32;
-        bin[degree[u]] += 1;
+    for u in g.vertex_ids() {
+        let d = degree[u as usize];
+        let p = bin[d];
+        pos[u as usize] = p;
+        vert[p] = u;
+        bin[d] += 1;
     }
     // Restore bin starts.
     for d in (1..bin.len()).rev() {
@@ -143,24 +147,25 @@ pub fn core_numbers(g: &CsrGraph) -> Vec<u32> {
     let mut core = vec![0u32; n];
     for i in 0..n {
         let u = vert[i];
-        core[u as usize] = degree[u as usize] as u32;
+        core[u as usize] = u32::try_from(degree[u as usize])
+            .expect("a core number is at most a degree, below |V| and so a u32");
         for &v in g.neighbors(u) {
-            let v = v as usize;
-            if degree[v] > degree[u as usize] {
+            let vi = v as usize;
+            if degree[vi] > degree[u as usize] {
                 // Move v one bucket down: swap with the first vertex of its
                 // current bucket.
-                let dv = degree[v];
-                let pv = pos[v];
+                let dv = degree[vi];
+                let pv = pos[vi];
                 let pw = bin[dv];
                 let w = vert[pw];
-                if v as u32 != w {
+                if v != w {
                     vert[pv] = w;
-                    vert[pw] = v as u32;
-                    pos[v] = pw;
+                    vert[pw] = v;
+                    pos[vi] = pw;
                     pos[w as usize] = pv;
                 }
                 bin[dv] += 1;
-                degree[v] -= 1;
+                degree[vi] -= 1;
             }
         }
     }
@@ -179,7 +184,7 @@ pub fn degeneracy(g: &CsrGraph) -> u32 {
 /// the `ablation_reorder` bench.
 pub fn core_descending(g: &CsrGraph) -> Reordered {
     let core = core_numbers(g);
-    let mut order: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    let mut order: Vec<u32> = g.vertex_ids().collect();
     order.sort_unstable_by(|&a, &b| {
         core[b as usize]
             .cmp(&core[a as usize])
@@ -227,7 +232,7 @@ mod tests {
         let g = CsrGraph::from_edge_list(&el);
         let r = degree_descending(&g);
         assert!(is_degree_descending(&r.graph));
-        for old in 0..g.num_vertices() as u32 {
+        for old in g.vertex_ids() {
             assert_eq!(g.degree(old), r.graph.degree(r.to_new(old)));
         }
         assert_eq!(g.num_directed_edges(), r.graph.num_directed_edges());
@@ -255,11 +260,7 @@ mod tests {
         // Relabeling an already-ordered graph is the identity.
         let r2 = degree_descending(&r.graph);
         assert_eq!(r2.graph, r.graph);
-        assert!(r2
-            .old_to_new
-            .iter()
-            .enumerate()
-            .all(|(i, &x)| i as u32 == x));
+        assert!((0u32..).zip(&r2.old_to_new).all(|(i, &x)| i == x));
     }
 
     #[test]
@@ -308,7 +309,7 @@ mod tests {
             let mut alive = vec![true; n];
             loop {
                 let mut changed = false;
-                for u in 0..n as u32 {
+                for u in g.vertex_ids() {
                     if !alive[u as usize] {
                         continue;
                     }
@@ -338,10 +339,8 @@ mod tests {
         let r = core_descending(&g);
         r.graph.validate().unwrap();
         // Degrees preserved as a multiset.
-        let mut before: Vec<usize> = (0..g.num_vertices() as u32).map(|u| g.degree(u)).collect();
-        let mut after: Vec<usize> = (0..g.num_vertices() as u32)
-            .map(|u| r.graph.degree(u))
-            .collect();
+        let mut before: Vec<usize> = g.vertex_ids().map(|u| g.degree(u)).collect();
+        let mut after: Vec<usize> = r.graph.vertex_ids().map(|u| r.graph.degree(u)).collect();
         before.sort_unstable();
         after.sort_unstable();
         assert_eq!(before, after);

@@ -53,7 +53,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::{Reader, Writer};
-use crate::csr::{count_degrees, fill_offsets, fill_reverse, scatter_sorted, CsrGraph};
+use crate::csr::{
+    check_edge_count, count_degrees, fill_offsets, fill_reverse, scatter_sorted, CsrGraph,
+};
 use crate::io::{expect_end, inconsistent, parse_edge_line, read_csr_head};
 use crate::mmap::{self, typed_mut, MappedFile, MappedFileMut};
 use crate::prepare::{self, bump, PreparedGraph, ReorderPolicy, Section};
@@ -162,7 +164,7 @@ pub struct StreamSummary {
     /// the one cursor array, merge readers, remap tables — everything the
     /// pipeline allocates that scales with the input).
     pub peak_resident_bytes: u64,
-    /// Size of the finished `CNCPREP4` file.
+    /// Size of the finished `CNCPREP5` file.
     pub file_bytes: u64,
 }
 
@@ -416,7 +418,7 @@ fn check_csr_image(input: &Path, image: &Path, summary: &StreamSummary) -> io::R
     let mut file_ids = Reader::new(file_bytes);
     let layout = prepare::layout(summary.num_vertices, summary.num_directed_edges, false)?;
     let [offsets, dst, ..] = layout.sections.as_slice() else {
-        return Err(invalid("CNCPREP4 layout without CSR sections"));
+        return Err(invalid("CNCPREP5 layout without CSR sections"));
     };
     let mut image_offsets = Reader::new(offsets.bytes(map.bytes()));
     let mut image_ids = Reader::new(dst.bytes(map.bytes()));
@@ -804,7 +806,7 @@ impl RunReader {
 }
 
 // ---------------------------------------------------------------------------
-// Two-pass CNCPREP4 assembly into a write-mode mapping.
+// Two-pass CNCPREP5 assembly into a write-mode mapping.
 // ---------------------------------------------------------------------------
 
 /// The payload of every section of `image`, in file order, as disjoint
@@ -823,7 +825,7 @@ fn section_payloads<'a>(mut image: &'a mut [u8], sections: &[Section]) -> Vec<&'
 }
 
 /// The streamed build core: consume `source` through an external sorter and
-/// fill the payloads of a `CNCPREP4` image at `out` — laid out, and sealed
+/// fill the payloads of a `CNCPREP5` image at `out` — laid out, and sealed
 /// with its headers, by [`crate::prepare`] — through typed views of a
 /// write-mode mapping, with the CSR fillers the heap builder runs. Returns
 /// the summary; the caller owns tmp-name/rename protocol and metrics
@@ -886,6 +888,7 @@ fn fill_mapped(
         .iter()
         .try_fold(0usize, |acc, &d| acc.checked_add(d as usize))
         .ok_or_else(|| invalid("directed edge count overflows"))?;
+    check_edge_count(m_dir)?;
     let max_degree = deg.iter().copied().max().unwrap_or(0);
 
     // Every section size is known now: fix the file layout. File bytes
@@ -899,12 +902,12 @@ fn fill_mapped(
         let mut next = || {
             payloads
                 .next()
-                .ok_or_else(|| invalid("CNCPREP4 layout without its sections"))
+                .ok_or_else(|| invalid("CNCPREP5 layout without its sections"))
         };
         let (offsets, dst, rev) = (
             typed_mut::<usize>(next()?)?,
             typed_mut::<u32>(next()?)?,
-            typed_mut::<usize>(next()?)?,
+            typed_mut::<u32>(next()?)?,
         );
         fill_offsets(offsets, deg.into_iter().map(|d| d as usize));
         let offsets = &*offsets;
@@ -927,7 +930,7 @@ fn fill_mapped(
             let (offsets2, dst2, rev2, new_to_old) = (
                 typed_mut::<usize>(next()?)?,
                 typed_mut::<u32>(next()?)?,
-                typed_mut::<usize>(next()?)?,
+                typed_mut::<u32>(next()?)?,
                 typed_mut::<u32>(next()?)?,
             );
             let ids = u32::try_from(n).map_err(|_| invalid("|V| exceeds u32 vertex ids"))?;
@@ -966,6 +969,7 @@ fn write_from_heap(
     peak: &mut Peak,
 ) -> io::Result<(usize, u64)> {
     let pairs = sorted.iter()?.collect::<io::Result<Vec<_>>>()?;
+    check_edge_count(pairs.len().saturating_mul(2))?;
     let graph = CsrGraph::from_sorted_pairs(n, &pairs);
     peak.observe((pairs.capacity() * 8 + graph.csr_bytes()) as u64);
     drop(pairs);
@@ -981,7 +985,7 @@ fn write_from_heap(
 // ---------------------------------------------------------------------------
 
 /// Stream-prepare an edge-list *file* (SNAP text or `CNCCSR01` binary,
-/// sniffed by magic) into a complete `CNCPREP4` image at `out`.
+/// sniffed by magic) into a complete `CNCPREP5` image at `out`.
 ///
 /// The counting paths load the result with [`crate::prepare::map_prepared`]
 /// — its bytes are identical to what [`crate::prepare::write_prepared`]
@@ -1022,7 +1026,7 @@ pub fn prepare_file(
 }
 
 /// Stream-prepare an in-process pair iterator (dataset generators) over at
-/// least `declared_vertices` ids into a `CNCPREP4` image at `out`. Same
+/// least `declared_vertices` ids into a `CNCPREP5` image at `out`. Same
 /// output guarantee as [`prepare_file`]; the build/reorder counters are the
 /// caller's to attribute (the disk-cache path counts them itself).
 pub fn prepare_pairs_to_file(
@@ -1087,7 +1091,7 @@ mod tests {
                 let got = fs::read(&out).unwrap();
                 assert_eq!(
                     got, want,
-                    "streamed CNCPREP4 differs (policy {policy:?}, n={})",
+                    "streamed CNCPREP5 differs (policy {policy:?}, n={})",
                     el.num_vertices
                 );
                 if el.len() > 600 {
@@ -1374,6 +1378,28 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("1 trailing bytes"), "{err}");
         let _ = fs::remove_file(&path);
+    }
+
+    /// The streamer's `CNCCSR01` source refuses a header past the `|E|`
+    /// limit with the reader's error, before it lays out any file.
+    #[test]
+    fn csr_input_past_the_edge_limit_is_refused() {
+        let mut w = Writer::with_capacity(32);
+        w.bytes(b"CNCCSR01");
+        w.u64(0);
+        w.u64(u64::from(u32::MAX) + 1);
+        w.u64(0);
+        let (input, out) = (tmp("huge.csr"), tmp("huge.prep"));
+        fs::write(&input, w.as_bytes()).unwrap();
+        let err = prepare_file(&input, &out, ReorderPolicy::None, &tiny_config(8192)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .starts_with("4294967296 directed edge slots exceed"),
+            "{err}"
+        );
+        assert!(!out.exists(), "a refused input leaves no image");
+        let _ = fs::remove_file(&input);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The zero-copy cache path: mapped loads must be bit-identical to owned
-//! ones for every dataset analogue, `CNCPREP4` damage of any kind must be
+//! ones for every dataset analogue, `CNCPREP5` damage of any kind must be
 //! rejected (then silently rebuilt by the cache) or leave the loaded
 //! preparation unchanged, the LRU garbage collector
 //! must never evict a file a live reader holds, and a multi-process populate
@@ -58,9 +58,11 @@ fn mapped_load_is_identical_for_every_dataset() {
             if let Some(r) = warm.reordered() {
                 assert!(r.graph.storage_mapped(), "{what}: relabeled CSR not mapped");
             }
-            // bytes_mapped accounts exactly the CSR sections served in place.
-            let expect = warm.graph().csr_bytes() as u64
-                + warm.reordered().map_or(0, |r| r.graph.csr_bytes() as u64);
+            // bytes_mapped accounts exactly the sections served in place:
+            // each CSR's offsets and neighbors and its u32 reverse index.
+            let served =
+                |g: &cnc_graph::CsrGraph| (g.csr_bytes() + 4 * g.num_directed_edges()) as u64;
+            let expect = served(warm.graph()) + warm.reordered().map_or(0, |r| served(&r.graph));
             assert_eq!(work.bytes_mapped, expect, "{what}: bytes_mapped");
             assert_eq!(warm.mapped_bytes(), expect, "{what}: mapped_bytes()");
 

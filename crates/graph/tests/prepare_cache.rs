@@ -78,7 +78,7 @@ fn stale_version_byte_falls_back_to_rebuild() {
     // version digit in the magic.
     let path = cache_path(&dir, d, s, p);
     let mut bytes = fs::read(&path).unwrap();
-    assert_eq!(&bytes[..8], b"CNCPREP4");
+    assert_eq!(&bytes[..8], b"CNCPREP5");
     bytes[7] = b'3';
     fs::write(&path, &bytes).unwrap();
 

@@ -1,5 +1,5 @@
 //! The bounded-memory streaming preparation pipeline, differentially
-//! against the in-memory builder: streamed `CNCPREP4` images must be
+//! against the in-memory builder: streamed `CNCPREP5` images must be
 //! **byte-identical** to [`write_prepared`] on every dataset analogue and
 //! on arbitrary edge lists, the `CNC_PREP_MEM_BYTES` environment routing
 //! must produce the same cache file the unbudgeted path writes, and every

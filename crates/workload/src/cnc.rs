@@ -9,7 +9,7 @@ use crate::{ScatterVec, Workload};
 /// every directed edge slot, with the symmetric-assignment mirror
 /// (`cnt[e(v,u)] ← cnt[e(u,v)]`, computed once per canonical pair).
 /// The mirror slot comes from the graph's reverse-edge index, metered as
-/// one streamed 8-byte load beside the two 4-byte count stores.
+/// one streamed 4-byte load beside the two 4-byte count stores.
 ///
 /// Shared state is the full per-edge [`ScatterVec`]; the per-worker
 /// accumulator is empty. Every canonical pair is covered, so the source
@@ -45,7 +45,7 @@ impl Workload for CncWorkload {
         let c = kernel.count(g.neighbors(u), g.neighbors(v), meter);
         shared.set(eid, c);
         shared.set(g.reverse_offset(eid), c);
-        meter.seq_bytes(8); // the rev[eid] load, streamed with the edge walk
+        meter.seq_bytes(4); // the u32 rev[eid] load, streamed with the edge walk
         meter.write_bytes(8); // the two count stores
     }
 
@@ -167,7 +167,7 @@ mod tests {
         );
         let mut want = CountingMeter::new();
         MergeKernel.count(g.neighbors(1), g.neighbors(2), &mut want);
-        want.counts.seq_bytes += 8;
+        want.counts.seq_bytes += 4;
         want.counts.write_bytes += 8;
         assert_eq!(visited.counts, want.counts);
     }

@@ -33,14 +33,14 @@
 //!
 //! `GRAPH` is a SNAP-style edge-list text file (`u v` per line, `#`
 //! comments), a binary CSR written by `cnc-graph::io::write_csr`, or a
-//! prepared `CNCPREP4` image written by `cnc prepare` (all detected by
+//! prepared `CNCPREP5` image written by `cnc prepare` (all detected by
 //! magic). `--out` writes the per-edge counts as `u v count` lines
 //! (canonical `u < v` edges once each).
 //!
 //! `cnc prepare` runs the bounded-memory streaming pipeline: the input is
 //! read in fixed-size chunks, external-sorted under `--mem-budget` (or
 //! `$CNC_PREP_MEM_BYTES`; spill runs go to `--spill-dir`), and the
-//! `CNCPREP4` image is assembled directly in the output file — peak
+//! `CNCPREP5` image is assembled directly in the output file — peak
 //! resident memory stays O(|V| + chunk) however large the edge list is.
 //! The result is byte-identical to what the in-memory pipeline caches, and
 //! every other subcommand accepts it as `GRAPH`, skipping preparation
@@ -249,7 +249,7 @@ fn run_cache(mut args: Vec<String>) -> Result<(), String> {
 }
 
 /// `cnc prepare` — stream an edge-list (or binary CSR) file into a
-/// `CNCPREP4` image under a memory budget.
+/// `CNCPREP5` image under a memory budget.
 fn run_prepare(mut args: Vec<String>) -> Result<(), String> {
     let out = parse_flag(&mut args, "--out")?;
     let mem_budget = parse_flag(&mut args, "--mem-budget")?
@@ -922,7 +922,7 @@ fn run() -> Result<(), String> {
     // recorded and execution takes the unobserved code paths.
     let ctx = (metrics_path.is_some() || trace).then(|| Arc::new(ObsContext::new()));
     let _obs = ctx.as_ref().map(|c| c.install());
-    // A CNCPREP4 image (from `cnc prepare` or the run cache) skips
+    // A CNCPREP5 image (from `cnc prepare` or the run cache) skips
     // preparation entirely — zero-copy mapped where the platform allows.
     // Text and binary-CSR inputs are prepared in-process as before;
     // built-in datasets prepare through the shared disk cache.

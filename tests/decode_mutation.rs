@@ -2,7 +2,7 @@
 //! bytes.
 //!
 //! Each decoder is seeded with well-formed encodings (every serve request
-//! and reply, every shard message, `CNCCSR01`, `CNCCNT01` and `CNCPREP4`
+//! and reply, every shard message, `CNCCSR01`, `CNCCNT01` and `CNCPREP5`
 //! images under both reorder policies, SNAP text) and fed mutations of
 //! them: bit flips, boundary bytes, `u32`/`u64` boundary values written at
 //! any offset, truncation and insertion. Seeds and iteration counts are
@@ -221,10 +221,10 @@ fn valid(g: &CsrGraph) -> Result<(), String> {
 fn valid_with_reverse_index(g: &CsrGraph) -> Result<(), String> {
     valid(g)?;
     let rev = g.reverse_index();
-    match g
-        .iter_edges()
-        .find(|&(eid, u, v)| !g.offset_range(v).contains(&rev[eid]) || g.dst()[rev[eid]] != u)
-    {
+    match g.iter_edges().find(|&(eid, u, v)| {
+        let r = rev[eid] as usize;
+        !g.offset_range(v).contains(&r) || g.dst()[r] != u
+    }) {
         Some((eid, ..)) => Err(format!("accepted a wrong reverse index at slot {eid}")),
         None => Ok(()),
     }

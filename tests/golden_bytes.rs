@@ -1,7 +1,7 @@
 //! Golden bytes for every wire and file format.
 //!
 //! One encoded message of every serve request and reply kind and every shard
-//! message kind, plus small `CNCCSR01`, `CNCCNT01`, `CNCRUN01` and `CNCPREP4`
+//! message kind, plus small `CNCCSR01`, `CNCCNT01`, `CNCRUN01` and `CNCPREP5`
 //! images (both reorder policies, written in memory and streamed from text
 //! and binary input), each compared with the hex bytes pinned in
 //! `tests/fixtures/golden_bytes.txt`. A codec change that moves a single
@@ -158,7 +158,7 @@ fn file_images(out: &mut BTreeMap<String, Vec<u8>>) {
     for policy in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
         let mut prep = Vec::new();
         prepare::write_prepared(&PreparedGraph::from_edge_list(&el, policy), &mut prep)
-            .expect("write CNCPREP4");
+            .expect("write CNCPREP5");
         out.insert(format!("file.prep.{}", policy.tag()), prep);
         for (source, input) in [("text", &text_in), ("csr", &csr_in)] {
             let image = temp_path(&format!("{source}-{}.prep", policy.tag()));

@@ -18,7 +18,7 @@ fn every_construction(d: Dataset) -> Vec<(&'static str, CsrGraph)> {
     io::write_csr(&built, &mut bin).expect("write CNCCSR01");
     let pg = PreparedGraph::from_csr(built.clone(), ReorderPolicy::None);
     let mut image = Vec::new();
-    write_prepared(&pg, &mut image).expect("write CNCPREP4");
+    write_prepared(&pg, &mut image).expect("write CNCPREP5");
     let mut all = vec![
         ("PreparedGraph::from_csr", pg.graph().clone()),
         (
@@ -28,7 +28,7 @@ fn every_construction(d: Dataset) -> Vec<(&'static str, CsrGraph)> {
         (
             "read_prepared",
             read_prepared(image.as_slice())
-                .expect("read CNCPREP4")
+                .expect("read CNCPREP5")
                 .graph()
                 .clone(),
         ),
@@ -42,7 +42,7 @@ fn every_construction(d: Dataset) -> Vec<(&'static str, CsrGraph)> {
             d.name()
         ));
         std::fs::write(&path, &image).expect("write image file");
-        let mapped = map_prepared(&path).expect("map CNCPREP4");
+        let mapped = map_prepared(&path).expect("map CNCPREP5");
         all.push(("map_prepared", mapped.graph().clone()));
         let execution = map_execution_csr(&path, false).expect("map execution CSR");
         all.push(("map_execution_csr", execution));
